@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,19 @@ class ValidationPartition:
     @property
     def q(self) -> int:
         return len(self.subsets)
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-group validation moments (G_q, b_q, c_q), built once.
+
+        G_q = X_q'X_q / |V_q|, b_q = X_q'y_q / |V_q| and c_q = mean(y_q^2),
+        so the group error of a linear model is w'G_q w - 2 b_q'w + c_q.
+        """
+        X, y = self.data.features, self.data.targets
+        G = np.stack([X[rows].T @ X[rows] / len(rows) for rows in self.subsets])
+        b = np.stack([X[rows].T @ y[rows] / len(rows) for rows in self.subsets])
+        c = np.array([float(np.mean(y[rows] ** 2)) for rows in self.subsets])
+        return _frozen(G), _frozen(b), _frozen(c)
 
     def with_delta(self, delta: float) -> "ValidationPartition":
         return ValidationPartition(self.data, self.subsets, delta)

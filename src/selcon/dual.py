@@ -11,10 +11,9 @@ f(S) = max over mu in the box [0, C]^Q of min over w of F, and two backends
 realize it:
 
 * ``exact`` (linear model only): the inner minimum has a closed form, and the
-  outer concave maximization runs fixed-step projected gradient ascent on mu,
-  with a quasi-Newton refinement and an active-set Newton finisher picking up
-  the badly conditioned cases the fixed step cannot finish.  This backend is
-  the ground truth for every property check.
+  outer maximization of the smooth concave dual runs projected Newton on the
+  box (Bertsekas 1982) with the exact dual Hessian -2 V'A(mu)^-1 V.  This
+  backend is the ground truth for every property check.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .dataset import Dataset, ValidationPartition
 from .errors import DivergenceDetected, NotConverged, SingularSystem
@@ -61,12 +58,14 @@ DEFAULT_HIDDEN_WIDTH = 5
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Settings shared by both trainer backends.
+    """Settings of the two trainer backends.
 
-    ``learning_rate_mu=None`` resolves to 0.05 for the sgd backend (swept so
-    the multiplier can cross its box within the default epoch budget without
-    oscillating) and to an automatic stability-bounded step for the exact
-    backend, whose dual curvature varies wildly with lam and |S|.
+    The exact backend reads only ``max_outer_iters``, which caps its Newton
+    iterations, and ``mu_tolerance``, the projected-gradient norm at which it
+    stops; Newton steps need no step size.  The other fields drive the sgd
+    backend, where ``learning_rate_mu=None`` resolves to 0.05 (swept so the
+    multiplier can cross its box within the default epoch budget without
+    oscillating).
     """
 
     epochs: int = 2000
@@ -141,12 +140,16 @@ def dual_objective(
     val_resid = valpart.data.targets - val_pred
     for q, rows in enumerate(valpart.subsets):
         e_q = float(np.mean(val_resid[rows] ** 2))
-        total += mu[q] * (e_q - valpart.delta)
+        total += float(mu[q]) * (e_q - valpart.delta)
     return total
 
 
 class _LinearPieces:
-    """Precomputed Gram blocks for the linear inner solve and ascent loop."""
+    """Gram blocks of the linear inner problem for one subset.
+
+    The validation blocks come from the partition's cache; only the training
+    side is built per subset.
+    """
 
     def __init__(self, subset: Sequence[int], train: Dataset, valpart: ValidationPartition):
         self.d = train.d
@@ -161,20 +164,13 @@ class _LinearPieces:
             self.bs = np.zeros(self.d)
             self.Xs = np.zeros((0, self.d))
             self.ys = np.zeros(0)
-        Xv, yv = valpart.data.features, valpart.data.targets
-        self.Gbar = np.stack(
-            [Xv[rows].T @ Xv[rows] / len(rows) for rows in valpart.subsets]
-        )
-        self.bbar = np.stack(
-            [Xv[rows].T @ yv[rows] / len(rows) for rows in valpart.subsets]
-        )
-        self.cbar = np.array([float(np.mean(yv[rows] ** 2)) for rows in valpart.subsets])
+        self.Gbar, self.bbar, self.cbar = valpart.gram
         self.delta = valpart.delta
         self._eye = np.eye(self.d)
 
     def system(self, mu: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        A = lam * self.ns * self._eye + self.Gs + np.tensordot(mu, self.Gbar, axes=1)
-        return A, self.bs + mu @ self.bbar
+        G_mu = (mu @ self.Gbar.reshape(len(mu), -1)).reshape(self.d, self.d)
+        return lam * self.ns * self._eye + self.Gs + G_mu, self.bs + mu @ self.bbar
 
     def solve(self, mu: np.ndarray, lam: float) -> np.ndarray:
         A, b = self.system(mu, lam)
@@ -185,14 +181,26 @@ class _LinearPieces:
         return np.linalg.lstsq(A, b, rcond=None)[0]
 
     def val_errors(self, w: np.ndarray) -> np.ndarray:
-        return np.einsum("qij,i,j->q", self.Gbar, w, w) - 2.0 * (self.bbar @ w) + self.cbar
+        return (self.Gbar @ w) @ w - 2.0 * (self.bbar @ w) + self.cbar
 
-    def objective(self, w: np.ndarray, mu: np.ndarray, lam: float) -> float:
-        total = float(mu @ (self.val_errors(w) - self.delta))
+    def evaluate(self, mu: np.ndarray, lam: float):
+        """Inner minimizer w, dual gradient, dual value and A(mu)^-1 at mu.
+
+        The gradient of the dual is the vector of validation slacks
+        e(w) - delta.  One explicit inverse serves both w and the curvature
+        solve A^-1 V; at d of a few dozen it costs less than a separate
+        factor-and-solve pair.  With an empty training sum A is only PSD, and
+        its pseudo-inverse gives the least-norm minimizer.
+        """
+        A, b = self.system(mu, lam)
+        A_inv = np.linalg.inv(A) if self.ns else np.linalg.pinv(A, hermitian=True)
+        w = A_inv @ b
+        grad = self.val_errors(w) - self.delta
+        phi = float(mu @ grad)
         if self.ns:
             r = self.ys - self.Xs @ w
-            total += self.ns * lam * float(w @ w) + float(r @ r)
-        return total
+            phi += self.ns * lam * float(w @ w) + float(r @ r)
+        return w, grad, phi, A_inv
 
 
 def solve_inner_linear(
@@ -220,35 +228,67 @@ def solve_inner_linear(
     return LinearModel(w=pieces.solve(mu, lam))
 
 
-def _auto_mu_step(pieces: _LinearPieces, lam: float, C: float, Q: int, delta: float) -> float:
-    """Fixed ascent step from a probed Lipschitz estimate of the dual gradient.
+# Armijo fraction of the predicted ascent an arc step must realize.
+_ARMIJO = 1e-4
+# Curvatures below this share of the largest one are floored to it.  The dual
+# is linear along directions of zero curvature (when Q > d, say), so a long
+# step there is right and the projection ends it at the box.
+_CURVATURE_FLOOR = 1e-12
 
-    The gradient of the concave dual is the vector of validation errors at
-    the inner minimizer; its variation over a few box-spanning probe points
-    estimates the curvature scale.  Underestimates are caught by the
-    divergence safeguard in the ascent loop, which halves the step.
+
+def _newton_direction(mu, grad, hess, lo, hi, pg_norm):
+    """Bertsekas's projected Newton direction on the box [lo, hi].
+
+    Coordinates within ``pg_norm`` of a bound whose gradient points out of
+    the box form the bound set and take a diagonally scaled gradient step;
+    the free ones take a Newton step on their block of the curvature
+    M = 2 V'A^-1 V (the dual Hessian is -M).
     """
-    probes = [np.zeros(Q), np.full(Q, 0.5 * C), np.full(Q, C)]
-    if Q >= 2:
-        probes.append(C * np.eye(Q)[0])
-    if pieces.ns == 0:
-        # The inner minimizer only depends on the direction of mu here, and
-        # mu = 0 leaves it undefined; probe away from the origin.
-        probes = [p for p in probes if p.any()]
-    grads = [pieces.val_errors(pieces.solve(p, lam)) - delta for p in probes]
-    lipschitz = 0.0
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            dist = float(np.linalg.norm(probes[i] - probes[j]))
-            if dist > 0:
-                lipschitz = max(
-                    lipschitz, float(np.linalg.norm(grads[i] - grads[j])) / dist
-                )
-    if lipschitz <= 1e-14 or not math.isfinite(lipschitz):
-        # Essentially linear dual: a step that crosses the box in one move.
-        g_scale = max(float(np.linalg.norm(g)) for g in grads)
-        return 2.0 * C * math.sqrt(Q) / g_scale if g_scale > 1e-14 else 1.0
-    return 0.5 / lipschitz
+    eps = min(pg_norm, 0.5 * float(np.max(hi - lo)))
+    bound = ((mu <= lo + eps) & (grad < 0.0)) | ((mu >= hi - eps) & (grad > 0.0))
+    free = ~bound
+    diag = np.diag(hess)
+    floor = _CURVATURE_FLOOR * max(float(np.max(diag)), 1e-300)
+    direction = grad / np.maximum(diag, floor)
+    if free.any():
+        vals, vecs = np.linalg.eigh(hess[np.ix_(free, free)])
+        direction[free] = vecs @ ((vecs.T @ grad[free]) / np.maximum(vals, floor))
+    return direction
+
+
+def _projected_newton(pieces, lam, lo, hi, mu, state, cfg):
+    """Maximize the dual over the box [lo, hi] from ``mu``, whose
+    ``pieces.evaluate`` result is ``state``.
+
+    Returns the final (w, mu, phi, iterations, converged); every accepted
+    step raises phi up to rounding, so the final iterate is the best one.
+    """
+    w, grad, phi, A_inv = state
+    iters = 0
+    while True:
+        pg_norm = float(np.linalg.norm(np.clip(mu + grad, lo, hi) - mu))
+        if pg_norm <= cfg.mu_tolerance:
+            return w, mu, phi, iters, True
+        if iters >= cfg.max_outer_iters:
+            return w, mu, phi, iters, False
+        iters += 1
+        V = pieces.Gbar @ w - pieces.bbar
+        direction = _newton_direction(mu, grad, 2.0 * V @ A_inv @ V.T, lo, hi, pg_norm)
+        # Changes below the rounding of phi are noise, not ascent.
+        noise = 1e-13 * (1.0 + abs(phi))
+        t = 1.0
+        while True:
+            trial = np.clip(mu + t * direction, lo, hi)
+            gain = float(grad @ (trial - mu))
+            if gain > 0.0:
+                state = pieces.evaluate(trial, lam)
+                if state[2] >= phi + _ARMIJO * gain - noise:
+                    break
+            t *= 0.5
+            if t < 1e-12:
+                return w, mu, phi, iters, False
+        mu = trial
+        w, grad, phi, A_inv = state
 
 
 def train_dual_exact(
@@ -261,11 +301,14 @@ def train_dual_exact(
 ) -> TrainedState:
     """Solve max over mu in [0, C]^Q of min over w of F for the linear model.
 
-    The inner minimum is re-solved in closed form at every mu step; the outer
-    ascent is fixed-step projected gradient on the concave dual, terminated
-    when the projected-gradient norm drops below ``cfg.mu_tolerance``.  When
-    the iteration budget runs out, the best state found so far is returned
-    with ``converged=False``.
+    The inner minimum is solved in closed form at every mu.  The concave
+    dual is maximized by projected Newton (Bertsekas 1982): each iterate
+    takes one factorization of A(mu), a Newton step on the free multipliers
+    with the exact curvature 2 V'A^-1 V, a scaled gradient step on those
+    held at a bound, and an Armijo search along the projection arc.  It
+    stops when the projected-gradient norm drops below ``cfg.mu_tolerance``.
+    After ``cfg.max_outer_iters`` Newton iterations, or when the arc search
+    stalls, the last (best) iterate is returned with ``converged=False``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -302,206 +345,34 @@ def train_dual_exact(
             return finish(np.zeros(train.d), np.zeros(1), 0, True)
         return finish(w_ls, np.array([C]), 0, True)
 
-    lr = cfg.learning_rate_mu
-    if lr is None:
-        lr = _auto_mu_step(pieces, lam, C, Q, valpart.delta)
+    hi = np.full(Q, C)
+    if subset:
+        # Start at the corner mu = C, where saturated constraints, the
+        # common case, terminate immediately.
+        w, mu, _, iters, converged = _projected_newton(
+            pieces, lam, np.zeros(Q), hi, hi, pieces.evaluate(hi, lam), cfg
+        )
+        return finish(w, mu, iters, converged)
 
-    # With an empty training sum the dual only depends on the direction of
-    # mu, so start in the interior; otherwise start at zero, where slack
-    # constraints terminate immediately.
-    mu = np.zeros(Q) if subset else np.full(Q, C / 2.0)
-
-    def evaluate(m):
-        w = pieces.solve(m, lam)
-        errs = pieces.val_errors(w)
-        phi = float(m @ (errs - valpart.delta))
-        if pieces.ns:
-            r = pieces.ys - pieces.Xs @ w
-            phi += pieces.ns * lam * float(w @ w) + float(r @ r)
-        return w, errs, phi
-
-    # Badly conditioned duals would need millions of fixed steps, so the
-    # ascent gets a bounded budget and an exact Newton finisher takes over.
-    ascent_budget = min(cfg.max_outer_iters, max(40, 15 * Q))
-    w, errs, phi = evaluate(mu)
-    best = (phi, mu.copy(), w.copy())
-    converged = False
-    iters = 0
-    for iters in range(1, cfg.max_outer_iters + 1):
-        grad = errs - valpart.delta
-        mu_next = np.clip(mu + lr * grad, 0.0, C)
-        pg = (mu_next - mu) / lr
-        if float(np.linalg.norm(pg)) <= cfg.mu_tolerance:
-            converged = True
-            break
-        if iters >= ascent_budget:
-            break
-        w_next, errs_next, phi_next = evaluate(mu_next)
-        if phi_next < phi - 1e-12 * (1.0 + abs(phi)):
-            # The probed step overestimated the safe size: halve it and
-            # resume from the best point seen.  The step stays fixed between
-            # these rare recalibrations.
-            lr *= 0.5
-            if lr <= 0.0 or not math.isfinite(lr):
-                break
-            phi, mu, w = best
-            mu, w = mu.copy(), w.copy()
-            errs = pieces.val_errors(w)
-            continue
-        mu, w, errs, phi = mu_next, w_next, errs_next, phi_next
-        if phi > best[0]:
-            best = (phi, mu.copy(), w.copy())
-
-    if not converged:
-        refined = _box_refine(pieces, lam, C, Q, valpart.delta, best, evaluate)
-        if refined[0] > best[0]:
-            best = refined
-        if subset:
-            # The Newton polisher needs a positive-definite inner system,
-            # which only non-empty subsets guarantee.
-            newton = _active_set_newton(pieces, lam, C, Q, valpart.delta, best, cfg)
-            if newton is not None and newton[0] >= best[0] - 1e-12 * (1.0 + abs(best[0])):
-                best = newton[:3]
-        n_w = best[2]
-        n_mu = best[1]
-        grad = pieces.val_errors(n_w) - valpart.delta
-        pg = (np.clip(n_mu + lr * grad, 0.0, C) - n_mu) / lr
-        converged = float(np.linalg.norm(pg)) <= cfg.mu_tolerance
-        mu, w = n_mu, n_w
-
-    if not subset and best[0] <= 0.0:
+    # With an empty training sum the dual is positively homogeneous in mu
+    # and not differentiable at the origin, where it is 0.  A positive
+    # maximum therefore lies on a face mu_q = C; each face is a smooth
+    # problem, solved from the corner they share.
+    start = pieces.evaluate(hi, lam)
+    best, iters, converged = None, 0, True
+    for q in range(Q):
+        lo = np.zeros(Q)
+        lo[q] = C
+        run = _projected_newton(pieces, lam, lo, hi, hi, start, cfg)
+        iters += run[3]
+        converged &= run[4]
+        if best is None or run[2] > best[2]:
+            best = run
+    if best[2] <= 0.0:
         # The zero multiplier is always feasible here and yields objective 0,
         # so a non-positive best means the origin is the exact maximum.
         return finish(np.zeros(train.d), np.zeros(Q), iters, True)
-    if converged:
-        return finish(w, mu, iters, True)
-    return finish(best[2], best[1], iters, False)
-
-
-def _box_refine(pieces, lam, C, Q, delta, best, evaluate):
-    """Quasi-Newton refinement of the box-constrained dual maximization.
-
-    Gets close enough to the optimum that the active-set polisher's hint
-    ordering and Newton starts are reliable even on badly conditioned duals.
-    """
-    def neg(mu):
-        w, errs, phi = evaluate(mu)
-        return -phi, -(errs - delta)
-
-    res = scipy.optimize.minimize(
-        neg,
-        best[1],
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, C)] * Q,
-        options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12},
-    )
-    mu = np.clip(res.x, 0.0, C)
-    w, _, phi = evaluate(mu)
-    return phi, mu, w
-
-
-def _active_set_newton(pieces, lam, C, Q, delta, best, cfg,
-                       max_newton: int = 14):
-    """Exact maximizer of the box-constrained concave dual for non-empty S.
-
-    Tries assignments of each coordinate to {0, C, interior}, ordered by
-    closeness to the ascent's best iterate, solving the interior
-    stationarity system by Newton (the Jacobian of the validation-error
-    gradient is -2 V' A^-1 V, available in closed form).  Concavity makes
-    the first KKT-consistent candidate the global maximum.
-    Returns (phi, mu, w, iterations) or None if no candidate emerged.
-    """
-    def objective(m, w, errs):
-        phi = float(m @ (errs - delta))
-        r = pieces.ys - pieces.Xs @ w
-        return phi + pieces.ns * lam * float(w @ w) + float(r @ r)
-
-    scale = 1.0 + float(np.max(np.abs(pieces.cbar))) + delta
-    kkt_tol = 1e-9 * scale
-    hint = [0 if m < 0.02 * C else 1 if m > 0.98 * C else 2 for m in best[1]]
-
-    def decode(pattern):
-        codes = []
-        for _ in range(Q):
-            codes.append(pattern % 3)  # 0 -> at 0, 1 -> at C, 2 -> interior
-            pattern //= 3
-        return codes
-
-    all_codes = sorted(
-        (decode(p) for p in range(3**Q)),
-        key=lambda c: sum(a != b for a, b in zip(c, hint)),
-    )
-    used = 0
-    for codes in all_codes:
-        interior = [q for q, c in enumerate(codes) if c == 2]
-        mu = np.array([0.0 if c == 0 else C if c == 1 else 0.5 * C for c in codes])
-        if interior:
-            mu[interior] = np.clip(best[1][interior], 1e-6 * C, (1 - 1e-6) * C)
-            ok = False
-            prev_norm = math.inf
-            stalls = 0
-            for _ in range(max_newton):
-                used += 1
-                A, b = pieces.system(mu, lam)
-                try:
-                    cho = scipy.linalg.cho_factor(A, check_finite=False)
-                except scipy.linalg.LinAlgError:
-                    break
-                w = scipy.linalg.cho_solve(cho, b, check_finite=False)
-                errs = pieces.val_errors(w)
-                g_int = errs[interior] - delta
-                g_norm = float(np.linalg.norm(g_int))
-                if g_norm <= 1e-11 * scale:
-                    ok = True
-                    break
-                if g_norm > 0.9 * prev_norm:
-                    stalls += 1
-                    if stalls >= 3:
-                        ok = g_norm <= 1e-9 * scale  # numerically stationary
-                        break
-                prev_norm = min(prev_norm, g_norm)
-                V = (pieces.Gbar @ w).T[:, interior] - pieces.bbar.T[:, interior]
-                J = -2.0 * V.T @ scipy.linalg.cho_solve(cho, V, check_finite=False)
-                step, *_ = np.linalg.lstsq(J, -g_int, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                # Damped update: halve the step until the residual shrinks.
-                t = 1.0
-                accepted = False
-                for _ in range(8):
-                    cand = np.clip(mu[interior] + t * step, 0.0, C)
-                    trial = mu.copy()
-                    trial[interior] = cand
-                    A_t, b_t = pieces.system(trial, lam)
-                    w_t = np.linalg.solve(A_t, b_t)
-                    g_t = pieces.val_errors(w_t)[interior] - delta
-                    if float(np.linalg.norm(g_t)) < g_norm:
-                        mu = trial
-                        accepted = True
-                        break
-                    t *= 0.5
-                used += 1
-                if not accepted:
-                    stalls += 1
-                    if stalls >= 3:
-                        ok = g_norm <= 1e-9 * scale
-                        break
-            if not ok:
-                continue
-            if np.any(mu[interior] <= 0.0) or np.any(mu[interior] >= C):
-                continue
-        used += 1
-        w = pieces.solve(mu, lam)
-        errs = pieces.val_errors(w)
-        g = errs - delta
-        feasible = all(
-            not (c == 0 and g[q] > kkt_tol) and not (c == 1 and g[q] < -kkt_tol)
-            for q, c in enumerate(codes)
-        )
-        if feasible:
-            return objective(mu, w, errs), mu.copy(), w.copy(), used
-    return None
+    return finish(best[0], best[1], iters, converged)
 
 
 def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Generator) -> Model:

@@ -191,6 +191,19 @@ class TestBench:
         full_row = [l for l in lines if l.startswith("full,")][0]
         assert float(full_row.split(",")[5]) == pytest.approx(1.0)
 
+    def test_numeric_fields_parse(self, data_csv, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run([
+            "bench", "--data", str(data_csv), "--target", "y", "--ks", "4",
+            "--lambda", "0.5", "--C", "1.0", "--delta", "0.4", "--seed", "1",
+            "--alpha-mode", "fixed", "--alpha-value", "1.0", "--out", str(out),
+        ]) == 0
+        for line in out.read_text().strip().splitlines()[1:]:
+            method, *numbers = line.split(",")
+            assert len(numbers) == 5, line
+            for field in numbers:
+                float(field)  # raises on reprs such as np.float64(...)
+
 
 class TestFairnessCmd:
     def test_requires_group(self, data_csv):

@@ -130,6 +130,19 @@ class TestPartition:
         with pytest.raises(MissingGroups):
             partition_validation(val, "by_group", 0.5)
 
+    def test_gram_gives_group_errors_and_is_cached(self):
+        val = gen_synthetic(30, 3, noise_sd=0.2, n_groups=3, seed=4)
+        part = partition_validation(val, "by_group", 0.5)
+        G, b, c = part.gram
+        w = np.array([0.3, -1.0, 0.5])
+        resid = val.targets - val.features @ w
+        for q, rows in enumerate(part.subsets):
+            err = float(np.mean(resid[rows] ** 2))
+            assert w @ G[q] @ w - 2.0 * b[q] @ w + c[q] == pytest.approx(err, rel=1e-12)
+        assert part.gram is part.gram
+        with pytest.raises(ValueError):
+            G[0, 0, 0] = 1.0  # read-only
+
 
 class TestOffsetAugment:
     def test_shifts_targets_and_appends_ones(self):

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 
 from conftest import make_problem
-from selcon.dataset import Dataset, partition_validation
+from selcon.dataset import Dataset, SplitSpec, gen_synthetic, partition_validation, split
 from selcon.dual import (
     TrainerConfig,
     dual_objective,
@@ -186,6 +186,36 @@ class TestExactTrainer:
                 best = max(best, dual_objective(w, mu, [], train, vp, lam))
         assert st.f_value >= best - 1e-9
         assert st.f_value == pytest.approx(best, abs=1e-4)
+
+    def test_sixteen_groups_with_interior_multipliers(self):
+        # Enumerating the 3^Q bound patterns would not finish at Q = 16.
+        data = gen_synthetic(n=480, d=4, noise_sd=0.3, n_groups=16, seed=2)
+        train, val, _ = split(data, SplitSpec(0.5, 0.4, 0.1, seed=0))
+        subset = [0, 60, 120, 180]
+        lam, C = 0.5, 50.0
+        probe = partition_validation(val, "by_group", 0.0)
+        ridge = solve_inner_linear(np.zeros(16), subset, train, probe, lam)
+        resid = val.targets - val.features @ ridge.w
+        delta = float(np.median([np.mean(resid[rows] ** 2) for rows in probe.subsets]))
+        vp = partition_validation(val, "by_group", delta)
+        assert vp.q == 16
+
+        st = train_dual_exact(subset, train, vp, lam, C, CFG)
+        assert st.converged and st.iterations_used <= 50
+        assert np.any((st.mu > 1e-6 * C) & (st.mu < (1 - 1e-6) * C))
+
+        def neg_dual(mu):
+            model = solve_inner_linear(mu, subset, train, vp, lam)
+            r = val.targets - val.features @ model.w
+            slack = np.array([np.mean(r[rows] ** 2) for rows in vp.subsets]) - delta
+            return -dual_objective(model, mu, subset, train, vp, lam), -slack
+
+        res = scipy.optimize.minimize(
+            neg_dual, np.full(16, C / 2), jac=True, method="L-BFGS-B",
+            bounds=[(0.0, C)] * 16,
+            options={"maxiter": 5000, "ftol": 1e-16, "gtol": 1e-12},
+        )
+        assert st.f_value == pytest.approx(-res.fun, rel=1e-9)
 
 
 class TestSgdTrainer:

@@ -116,6 +116,24 @@ class TestFairness:
                     pairs += 1
         assert fairness_violation(model, val, part) == pytest.approx(total / pairs, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_pairwise_matrix(self, seed):
+        # The |V_q| x |V \ V_q| difference matrix, summed group by group.
+        rng = np.random.default_rng(seed)
+        n, q = int(rng.integers(4, 300)), int(rng.integers(2, 7))
+        groups = np.concatenate([np.arange(q), rng.integers(0, q, n - q)])
+        y = np.round(rng.uniform(0.0, 3.0, n), int(rng.integers(1, 4)))  # with ties
+        val = dataset_from(rng.normal(size=(n, 2)), y, groups=groups)
+        part = partition_validation(val, "by_group", delta=0.5)
+        model = LinearModel(w=rng.normal(size=2) * (seed % 2))
+        r2 = (val.targets - val.features @ model.w) ** 2
+        total, pairs = 0.0, 0
+        for rows in part.subsets:
+            others = np.setdiff1d(np.arange(n), rows)
+            total += float(np.sum(np.abs(r2[rows][:, None] - r2[others][None, :])))
+            pairs += len(rows) * len(others)
+        assert fairness_violation(model, val, part) == pytest.approx(total / pairs, rel=1e-12)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
         y = rng.uniform(0.2, 2.0, 8)
