@@ -12,8 +12,14 @@ realize it:
 
 * ``exact`` (linear model only): the inner minimum has a closed form, and the
   outer maximization of the smooth concave dual runs projected Newton on the
-  box (Bertsekas 1982) with the exact dual Hessian -2 V'A(mu)^-1 V.  This
-  backend is the ground truth for every property check.
+  box (Bertsekas 1982) with the exact dual Hessian -2 V'A(mu)^-1 V.  It
+  solves a stack of B subsets at once: the systems A(mu) form a (B, d, d)
+  stack inverted by one call, the curvatures a (B, Q, Q) stack, and Newton
+  runs in lockstep with a step length and stopping test per row.  Every
+  subset shares the validation blocks and differs only in its training Gram
+  block, and no operation mixes rows, so a subset's value does not depend
+  on the stack it was solved in.  This backend is the ground truth for
+  every property check.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
@@ -49,6 +55,7 @@ __all__ = [
     "dual_objective",
     "solve_inner_linear",
     "train_dual_exact",
+    "train_dual_exact_many",
     "train_dual_sgd",
     "primal_value",
 ]
@@ -144,65 +151,6 @@ def dual_objective(
     return total
 
 
-class _LinearPieces:
-    """Gram blocks of the linear inner problem for one subset.
-
-    The validation blocks come from the partition's cache; only the training
-    side is built per subset.
-    """
-
-    def __init__(self, subset: Sequence[int], train: Dataset, valpart: ValidationPartition):
-        self.d = train.d
-        self.ns = len(subset)
-        if self.ns:
-            Xs, ys = _subset_arrays(subset, train)
-            self.Gs = Xs.T @ Xs
-            self.bs = Xs.T @ ys
-            self.Xs, self.ys = Xs, ys
-        else:
-            self.Gs = np.zeros((self.d, self.d))
-            self.bs = np.zeros(self.d)
-            self.Xs = np.zeros((0, self.d))
-            self.ys = np.zeros(0)
-        self.Gbar, self.bbar, self.cbar = valpart.gram
-        self.delta = valpart.delta
-        self._eye = np.eye(self.d)
-
-    def system(self, mu: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        G_mu = (mu @ self.Gbar.reshape(len(mu), -1)).reshape(self.d, self.d)
-        return lam * self.ns * self._eye + self.Gs + G_mu, self.bs + mu @ self.bbar
-
-    def solve(self, mu: np.ndarray, lam: float) -> np.ndarray:
-        A, b = self.system(mu, lam)
-        if self.ns:
-            return np.linalg.solve(A, b)
-        # Empty training sum: A is only PSD; b lies in its range, so the
-        # least-squares solution is a true minimizer.
-        return np.linalg.lstsq(A, b, rcond=None)[0]
-
-    def val_errors(self, w: np.ndarray) -> np.ndarray:
-        return (self.Gbar @ w) @ w - 2.0 * (self.bbar @ w) + self.cbar
-
-    def evaluate(self, mu: np.ndarray, lam: float):
-        """Inner minimizer w, dual gradient, dual value and A(mu)^-1 at mu.
-
-        The gradient of the dual is the vector of validation slacks
-        e(w) - delta.  One explicit inverse serves both w and the curvature
-        solve A^-1 V; at d of a few dozen it costs less than a separate
-        factor-and-solve pair.  With an empty training sum A is only PSD, and
-        its pseudo-inverse gives the least-norm minimizer.
-        """
-        A, b = self.system(mu, lam)
-        A_inv = np.linalg.inv(A) if self.ns else np.linalg.pinv(A, hermitian=True)
-        w = A_inv @ b
-        grad = self.val_errors(w) - self.delta
-        phi = float(mu @ grad)
-        if self.ns:
-            r = self.ys - self.Xs @ w
-            phi += self.ns * lam * float(w @ w) + float(r @ r)
-        return w, grad, phi, A_inv
-
-
 def solve_inner_linear(
     mu: np.ndarray,
     subset: Sequence[int],
@@ -214,7 +162,9 @@ def solve_inner_linear(
     """Exact minimizer of F(., mu, S) for the linear model.
 
     With S empty and mu = 0 the objective is identically zero; that case is
-    only defined when ``allow_degenerate`` is set, and returns w = 0.
+    only defined when ``allow_degenerate`` is set, and returns w = 0.  This
+    is a plain one-subset solve, kept apart from the trainer's stacked one
+    so that tests and oracles can check the trainer against it.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -224,8 +174,91 @@ def solve_inner_linear(
         if allow_degenerate:
             return LinearModel(w=np.zeros(train.d))
         raise SingularSystem("empty subset with mu = 0 leaves the inner problem degenerate")
-    pieces = _LinearPieces(subset, train, valpart)
-    return LinearModel(w=pieces.solve(mu, lam))
+    Xs, ys = _subset_arrays(subset, train)
+    Gbar, bbar, _ = valpart.gram
+    A = lam * len(subset) * np.eye(train.d) + Xs.T @ Xs + np.tensordot(mu, Gbar, axes=1)
+    b = Xs.T @ ys + mu @ bbar
+    if subset:
+        return LinearModel(w=np.linalg.solve(A, b))
+    # Empty training sum: A is only PSD; b lies in its range, so the
+    # least-squares solution is a true minimizer.
+    return LinearModel(w=np.linalg.lstsq(A, b, rcond=None)[0])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner product over the last axis."""
+    return (a * b).sum(axis=-1)
+
+
+def _mix(mu: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_q mu[:, q] * blocks[q] for every row of ``mu``.
+
+    Accumulated one q at a time with elementwise operations, so a row's sum
+    never depends on the other rows; a GEMM over the batch axis would block
+    its work by the batch size and round differently.
+    """
+    expand = (slice(None),) + (None,) * (blocks.ndim - 1)
+    out = mu[:, 0][expand] * blocks[0]
+    for q in range(1, len(blocks)):
+        out += mu[:, q][expand] * blocks[q]
+    return out
+
+
+class _Stack:
+    """Gram blocks of the linear inner problem for a stack of subsets.
+
+    Row r holds the training side of its subset's system, lam n_S I + X_S'X_S,
+    with b_S = X_S'y_S and c_S = y_S'y_S; every row shares the partition's
+    cached validation blocks.  Each row is built and solved by operations that
+    never mix rows (one Gram product per subset, stacked ``inv``, ``eigh``
+    and ``matmul``, row-wise sums), so a row's numbers are bit-identical in
+    every stack it appears in.
+    """
+
+    def __init__(self, subsets: Sequence[tuple[int, ...]], train: Dataset,
+                 valpart: ValidationPartition, lam: float):
+        B, d = len(subsets), train.d
+        eye = np.eye(d)
+        self.base = np.zeros((B, d, d))
+        self.bs = np.zeros((B, d))
+        self.cs = np.zeros(B)
+        for r, subset in enumerate(subsets):
+            if subset:
+                Xs, ys = _subset_arrays(subset, train)
+                self.base[r] = lam * len(subset) * eye + Xs.T @ Xs
+                self.bs[r] = Xs.T @ ys
+                self.cs[r] = ys @ ys
+        self.empty = np.array([not subset for subset in subsets])
+        self.Gbar, self.bbar, self.cbar = valpart.gram
+        self.delta = valpart.delta
+
+    def evaluate(self, rows: np.ndarray, mu: np.ndarray):
+        """Inner minimizer w, dual gradient, dual value phi, A(mu)^-1 and
+        V = Gbar w - bbar at ``mu`` (one row per entry of ``rows``).
+
+        The gradient of the dual is the vector of validation slacks
+        e(w) - delta, and phi = mu.grad + c_S - 2 w'b_S + w'(lam n_S I + G_S) w.
+        One explicit inverse serves both w and the curvature 2 V A^-1 V'; at
+        d of a few dozen it costs less than a separate factor-and-solve pair.
+        With an empty training sum A is only PSD, and its pseudo-inverse
+        gives the least-norm minimizer.
+        """
+        base = self.base[rows]
+        A = base + _mix(mu, self.Gbar)
+        b = self.bs[rows] + _mix(mu, self.bbar)
+        empty = self.empty[rows]
+        if empty.any():
+            A_inv = np.empty_like(A)
+            A_inv[~empty] = np.linalg.inv(A[~empty])
+            A_inv[empty] = np.linalg.pinv(A[empty], hermitian=True)
+        else:
+            A_inv = np.linalg.inv(A)
+        w = (A_inv @ b[:, :, None])[:, :, 0]
+        Gw = (self.Gbar @ w[:, None, :, None])[..., 0]
+        grad = _dot(Gw, w[:, None]) - 2.0 * _dot(self.bbar, w[:, None]) + self.cbar - self.delta
+        fit = self.cs[rows] - 2.0 * _dot(w, self.bs[rows]) + _dot(w, (base @ w[:, :, None])[:, :, 0])
+        phi = _dot(mu, grad) + fit
+        return w, grad, phi, A_inv, Gw - self.bbar
 
 
 # Armijo fraction of the predicted ascent an arc step must realize.
@@ -236,59 +269,157 @@ _ARMIJO = 1e-4
 _CURVATURE_FLOOR = 1e-12
 
 
-def _newton_direction(mu, grad, hess, lo, hi, pg_norm):
-    """Bertsekas's projected Newton direction on the box [lo, hi].
+def _newton_direction(mu, grad, M, lo, hi, pg_norm):
+    """Bertsekas's projected Newton direction on the box [lo, hi], per row.
 
     Coordinates within ``pg_norm`` of a bound whose gradient points out of
     the box form the bound set and take a diagonally scaled gradient step;
     the free ones take a Newton step on their block of the curvature
-    M = 2 V'A^-1 V (the dual Hessian is -M).
+    M = 2 V'A^-1 V (the dual Hessian is -M).  Masking M to its free block
+    plus the diagonal keeps each row's bound coordinates out of one batched
+    eigendecomposition.
     """
-    eps = min(pg_norm, 0.5 * float(np.max(hi - lo)))
+    eps = np.minimum(pg_norm, 0.5 * np.max(hi - lo, axis=1))[:, None]
     bound = ((mu <= lo + eps) & (grad < 0.0)) | ((mu >= hi - eps) & (grad > 0.0))
     free = ~bound
-    diag = np.diag(hess)
-    floor = _CURVATURE_FLOOR * max(float(np.max(diag)), 1e-300)
-    direction = grad / np.maximum(diag, floor)
-    if free.any():
-        vals, vecs = np.linalg.eigh(hess[np.ix_(free, free)])
-        direction[free] = vecs @ ((vecs.T @ grad[free]) / np.maximum(vals, floor))
-    return direction
+    diag = np.diagonal(M, axis1=1, axis2=2)
+    floor = _CURVATURE_FLOOR * np.maximum(np.max(diag, axis=1), 1e-300)[:, None]
+    block = (free[:, :, None] & free[:, None, :]) | np.eye(M.shape[1], dtype=bool)
+    vals, vecs = np.linalg.eigh(np.where(block, M, 0.0))
+    coef = (vecs.transpose(0, 2, 1) @ np.where(free, grad, 0.0)[:, :, None])[:, :, 0]
+    newton = (vecs @ (coef / np.maximum(vals, floor))[:, :, None])[:, :, 0]
+    return np.where(free, newton, grad / np.maximum(diag, floor))
 
 
-def _projected_newton(pieces, lam, lo, hi, mu, state, cfg):
-    """Maximize the dual over the box [lo, hi] from ``mu``, whose
-    ``pieces.evaluate`` result is ``state``.
+def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, cfg: TrainerConfig):
+    """Maximize every row's dual over its box [lo, hi], in lockstep from the
+    corner mu = hi.
 
-    Returns the final (w, mu, phi, iterations, converged); every accepted
-    step raises phi up to rounding, so the final iterate is the best one.
+    Each row keeps its own Armijo step and its own stopping test; only the
+    rows still searching are evaluated again.  Returns per-row arrays
+    (w, mu, phi, iterations, converged); every accepted step raises phi up
+    to rounding, so each row's final iterate is its best one.
     """
-    w, grad, phi, A_inv = state
-    iters = 0
-    while True:
-        pg_norm = float(np.linalg.norm(np.clip(mu + grad, lo, hi) - mu))
-        if pg_norm <= cfg.mu_tolerance:
-            return w, mu, phi, iters, True
-        if iters >= cfg.max_outer_iters:
-            return w, mu, phi, iters, False
-        iters += 1
-        V = pieces.Gbar @ w - pieces.bbar
-        direction = _newton_direction(mu, grad, 2.0 * V @ A_inv @ V.T, lo, hi, pg_norm)
+    B = len(lo)
+    mu = hi.copy()
+    w, grad, phi, A_inv, V = stack.evaluate(np.arange(B), mu)
+    iters = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    live = np.arange(B)
+    while live.size:
+        pg = np.clip(mu[live] + grad[live], lo[live], hi[live]) - mu[live]
+        pg_norm = np.sqrt(_dot(pg, pg))
+        done = pg_norm <= cfg.mu_tolerance
+        converged[live[done]] = True
+        keep = ~done & (iters[live] < cfg.max_outer_iters)
+        live, pg_norm = live[keep], pg_norm[keep]
+        if not live.size:
+            break
+        iters[live] += 1
+        VA = V[live] @ A_inv[live]
+        M = 2.0 * (VA @ V[live].transpose(0, 2, 1))
+        direction = _newton_direction(mu[live], grad[live], M, lo[live], hi[live], pg_norm)
         # Changes below the rounding of phi are noise, not ascent.
-        noise = 1e-13 * (1.0 + abs(phi))
-        t = 1.0
-        while True:
-            trial = np.clip(mu + t * direction, lo, hi)
-            gain = float(grad @ (trial - mu))
-            if gain > 0.0:
-                state = pieces.evaluate(trial, lam)
-                if state[2] >= phi + _ARMIJO * gain - noise:
-                    break
-            t *= 0.5
-            if t < 1e-12:
-                return w, mu, phi, iters, False
-        mu = trial
-        w, grad, phi, A_inv = state
+        noise = 1e-13 * (1.0 + np.abs(phi[live]))
+        t = np.ones(live.size)
+        searching = np.arange(live.size)
+        stalled = np.zeros(live.size, dtype=bool)
+        while searching.size:
+            rows = live[searching]
+            trial = np.clip(mu[rows] + t[searching, None] * direction[searching],
+                            lo[rows], hi[rows])
+            gain = _dot(grad[rows], trial - mu[rows])
+            accepted = np.zeros(searching.size, dtype=bool)
+            rising = np.flatnonzero(gain > 0.0)
+            if rising.size:
+                r = rows[rising]
+                state = stack.evaluate(r, trial[rising])
+                ok = state[2] >= phi[r] + _ARMIJO * gain[rising] - noise[searching[rising]]
+                r = r[ok]
+                mu[r] = trial[rising[ok]]
+                for field, value in zip((w, grad, phi, A_inv, V), state):
+                    field[r] = value[ok]
+                accepted[rising[ok]] = True
+            rejected = searching[~accepted]
+            t[rejected] *= 0.5
+            stalled[rejected[t[rejected] < 1e-12]] = True
+            searching = rejected[t[rejected] >= 1e-12]
+        live = live[~stalled]
+    return w, mu, phi, iters, converged
+
+
+def train_dual_exact_many(
+    subsets: Sequence[Sequence[int]],
+    train: Dataset,
+    valpart: ValidationPartition,
+    lam: float,
+    C: float,
+    cfg: TrainerConfig,
+) -> list[TrainedState]:
+    """:func:`train_dual_exact` for a stack of subsets, solved in lockstep.
+
+    The subsets are stacked into (B, d, d) systems and one projected Newton
+    loop runs over all of them (see :func:`_projected_newton`).  Each row's
+    arithmetic is independent of the other rows, so a subset's result is
+    bit-identical whatever stack it is solved in.  Memory grows as B d^2;
+    callers bound B.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if C < 0:
+        raise ValueError("C must be >= 0")
+    keys = [tuple(sorted(int(i) for i in s)) for s in subsets]
+    if not keys:
+        return []
+    Q, d = valpart.q, train.d
+
+    def state(w, mu, f, iters, converged):
+        return TrainedState(model=LinearModel(w=w), mu=mu, f_value=float(f),
+                            iterations_used=int(iters), backend="exact",
+                            converged=bool(converged))
+
+    if C == 0.0:
+        # The multiplier box collapses to a point; one inner solve suffices.
+        # With S empty as well, the pseudo-inverse of A = 0 gives w = 0.
+        stack = _Stack(keys, train, valpart, lam)
+        mu = np.zeros((len(keys), Q))
+        w, _, phi, _, _ = stack.evaluate(np.arange(len(keys)), mu)
+        return [state(w[r], mu[r], phi[r], 0, True) for r in range(len(keys))]
+
+    # With an empty training sum the dual is positively homogeneous in mu
+    # and not differentiable at the origin, where it is 0.  A positive
+    # maximum therefore lies on a face mu_q = C; each face is a smooth
+    # problem and gets its own row, with lower bound C on its coordinate.
+    # For Q = 1 the only face is the endpoint mu = C.
+    rows, lo = [], []
+    for key in keys:
+        if key:
+            rows.append(key)
+            lo.append(np.zeros(Q))
+        else:
+            rows.extend([key] * Q)
+            lo.extend(C * np.eye(Q))
+    lo = np.array(lo)
+    w, mu, phi, iters, converged = _projected_newton(
+        _Stack(rows, train, valpart, lam), lo, np.full(lo.shape, C), cfg)
+
+    out, r = [], 0
+    for key in keys:
+        if key:
+            out.append(state(w[r], mu[r], phi[r], iters[r], converged[r]))
+            r += 1
+            continue
+        faces = slice(r, r + Q)
+        best = r + int(np.argmax(phi[faces]))
+        r += Q
+        if phi[best] <= 0.0:
+            # The zero multiplier is always feasible here and yields objective
+            # 0, so a non-positive best means the origin is the exact maximum.
+            out.append(state(np.zeros(d), np.zeros(Q), 0.0, iters[faces].sum(), True))
+        else:
+            out.append(state(w[best], mu[best], phi[best], iters[faces].sum(),
+                             converged[faces].all()))
+    return out
 
 
 def train_dual_exact(
@@ -301,78 +432,19 @@ def train_dual_exact(
 ) -> TrainedState:
     """Solve max over mu in [0, C]^Q of min over w of F for the linear model.
 
-    The inner minimum is solved in closed form at every mu.  The concave
-    dual is maximized by projected Newton (Bertsekas 1982): each iterate
-    takes one factorization of A(mu), a Newton step on the free multipliers
-    with the exact curvature 2 V'A^-1 V, a scaled gradient step on those
-    held at a bound, and an Armijo search along the projection arc.  It
-    stops when the projected-gradient norm drops below ``cfg.mu_tolerance``.
-    After ``cfg.max_outer_iters`` Newton iterations, or when the arc search
+    This is the one-subset call of :func:`train_dual_exact_many`.  The inner
+    minimum is solved in closed form at every mu.  The concave dual is
+    maximized by projected Newton (Bertsekas 1982): each iterate takes one
+    inverse of A(mu), a Newton step on the free multipliers with the exact
+    curvature 2 V'A^-1 V, a scaled gradient step on those held at a bound,
+    and an Armijo search along the projection arc.  It stops when the
+    projected-gradient norm drops below ``cfg.mu_tolerance``.  After
+    ``cfg.max_outer_iters`` Newton iterations, or when the arc search
     stalls, the last (best) iterate is returned with ``converged=False``.
+    ``f_value`` is the dual value phi the solver ends at, in the Gram form
+    above; :func:`dual_objective` recomputes it from residuals.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if C < 0:
-        raise ValueError("C must be >= 0")
-    subset = sorted(int(i) for i in subset)
-    Q = valpart.q
-    pieces = _LinearPieces(subset, train, valpart)
-
-    def finish(w, mu, iters, converged):
-        model = LinearModel(w=w)
-        f = dual_objective(model, mu, subset, train, valpart, lam)
-        return TrainedState(
-            model=model,
-            mu=mu,
-            f_value=f,
-            iterations_used=iters,
-            backend="exact",
-            converged=converged,
-        )
-
-    if C == 0.0:
-        # The multiplier box collapses to a point; one inner solve suffices.
-        mu = np.zeros(Q)
-        w = pieces.solve(mu, lam) if subset else np.zeros(train.d)
-        return finish(w, mu, 0, True)
-
-    if not subset and Q == 1:
-        # With an empty training sum and a single constraint the dual is
-        # linear in mu, so the maximum sits at a box endpoint.
-        w_ls = np.linalg.lstsq(pieces.Gbar[0], pieces.bbar[0], rcond=None)[0]
-        slack = float(pieces.val_errors(w_ls)[0]) - valpart.delta
-        if slack <= 0:
-            return finish(np.zeros(train.d), np.zeros(1), 0, True)
-        return finish(w_ls, np.array([C]), 0, True)
-
-    hi = np.full(Q, C)
-    if subset:
-        # Start at the corner mu = C, where saturated constraints, the
-        # common case, terminate immediately.
-        w, mu, _, iters, converged = _projected_newton(
-            pieces, lam, np.zeros(Q), hi, hi, pieces.evaluate(hi, lam), cfg
-        )
-        return finish(w, mu, iters, converged)
-
-    # With an empty training sum the dual is positively homogeneous in mu
-    # and not differentiable at the origin, where it is 0.  A positive
-    # maximum therefore lies on a face mu_q = C; each face is a smooth
-    # problem, solved from the corner they share.
-    start = pieces.evaluate(hi, lam)
-    best, iters, converged = None, 0, True
-    for q in range(Q):
-        lo = np.zeros(Q)
-        lo[q] = C
-        run = _projected_newton(pieces, lam, lo, hi, hi, start, cfg)
-        iters += run[3]
-        converged &= run[4]
-        if best is None or run[2] > best[2]:
-            best = run
-    if best[2] <= 0.0:
-        # The zero multiplier is always feasible here and yields objective 0,
-        # so a non-positive best means the origin is the exact maximum.
-        return finish(np.zeros(train.d), np.zeros(Q), iters, True)
-    return finish(best[0], best[1], iters, converged)
+    return train_dual_exact_many([subset], train, valpart, lam, C, cfg)[0]
 
 
 def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Generator) -> Model:

@@ -75,11 +75,8 @@ def f_table(ctx: SetFnContext, max_n: int = 14) -> np.ndarray:
     n = ctx.train.n
     if n > max_n:
         raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{max_n}")
-    vals = np.empty(1 << n)
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if (mask >> i) & 1)
-        vals[mask] = ctx.f_of(subset)[0]
-    return vals
+    subsets = [tuple(i for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)]
+    return np.array([v for v, _ in ctx.f_many(subsets)])
 
 
 def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[tuple[int, ...], float]:
@@ -91,10 +88,10 @@ def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[t
     count = math.comb(n, k)
     if count > cap:
         raise TooLarge(f"{count} candidate subsets exceed the cap {cap}")
+    combs = list(itertools.combinations(range(n), k))
     best_val = math.inf
     best_set: tuple[int, ...] = ()
-    for comb in itertools.combinations(range(n), k):
-        v = ctx.f_of(comb)[0]
+    for comb, (v, _) in zip(combs, ctx.f_many(combs)):
         if v < best_val:
             best_val, best_set = v, comb
     return best_set, best_val
@@ -152,14 +149,12 @@ def empirical_kappa(ctx: SetFnContext, subset, cutoff: float = DENOM_CUTOFF) -> 
     Elements with near-zero empty-set gain are skipped."""
     key = tuple(sorted(int(i) for i in subset))
     f0 = ctx.f_of(())[0]
-    ratios = []
-    for a in range(ctx.train.n):
-        denom = ctx.f_of((a,))[0] - f0
-        if denom <= cutoff:
-            continue
-        rest = tuple(i for i in key if i != a)
-        num = ctx.f_of(tuple(sorted(rest + (a,))))[0] - ctx.f_of(rest)[0]
-        ratios.append(num / denom)
+    denoms = {a: v - f0 for a, (v, _) in enumerate(ctx.f_many((a,) for a in range(ctx.train.n)))}
+    active = [a for a, denom in denoms.items() if denom > cutoff]
+    rests = [tuple(i for i in key if i != a) for a in active]
+    with_a = ctx.f_many(rest + (a,) for rest, a in zip(rests, active))
+    without = ctx.f_many(rests)
+    ratios = [(fw - fr) / denoms[a] for a, (fw, _), (fr, _) in zip(active, with_a, without)]
     if not ratios:
         return 0.0
     return 1.0 - min(ratios)
@@ -194,14 +189,21 @@ def _sample_pair(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], int
     return subset, a
 
 
+def _sample_pairs(ctx: SetFnContext, trials: int, seed: int) -> list[tuple[tuple[int, ...], int]]:
+    """``trials`` seeded (S, a) pairs, with f(S) and f(S + a) evaluated in
+    one batch so that the checks read them from the cache."""
+    rng = np.random.default_rng(seed)
+    pairs = [_sample_pair(rng, ctx.train.n) for _ in range(trials)]
+    ctx.f_many([s for s, _ in pairs] + [s + (a,) for s, a in pairs])
+    return pairs
+
+
 def check_monotone(ctx: SetFnContext, trials: int = 200, seed: int = 0,
                    tol: float = 1e-8) -> OracleReport:
     """Sampled marginal gains must all be non-negative (up to tol)."""
-    rng = np.random.default_rng(seed)
     worst = math.inf
     witness = None
-    for _ in range(trials):
-        subset, a = _sample_pair(rng, ctx.train.n)
+    for subset, a in _sample_pairs(ctx, trials, seed):
         gain = ctx.marginal(a, subset)
         if gain < worst:
             worst = gain
@@ -219,12 +221,10 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0,
     """
     if ctx.backend != "exact" or ctx.model_kind != "linear":
         raise ValueError("the sandwich check needs the exact linear backend")
-    rng = np.random.default_rng(seed)
     lam = ctx.lam
     worst = math.inf
     witness = None
-    for _ in range(trials):
-        subset, a = _sample_pair(rng, ctx.train.n)
+    for subset, a in _sample_pairs(ctx, trials, seed):
         with_a = tuple(sorted(subset + (a,)))
         f_s, st_s = ctx.f_of(subset)
         f_sa, st_sa = ctx.f_of(with_a)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +106,14 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
 
 
 def modular_scores(ctx: SetFnContext, s_hat: tuple[int, ...], alpha: float,
-                   warm_loo_epochs: int | None = None,
-                   threads: int = 1) -> np.ndarray:
+                   warm_loo_epochs: int | None = None) -> np.ndarray:
     """Per-element scores whose k smallest minimize the modular bound.
 
     In-set:   alpha * (f(S_hat) - f(S_hat minus i))
     Out-set:  (f({i}) - f(empty)) / alpha
+
+    The leave-one-out values are one batched evaluation, unless the sgd
+    backend warm-starts them from S_hat's state (``warm_loo_epochs``).
     """
     if alpha <= 0:
         raise InvalidAlpha("the modular bound needs alpha > 0")
@@ -123,17 +124,12 @@ def modular_scores(ctx: SetFnContext, s_hat: tuple[int, ...], alpha: float,
     f_hat, state_hat = ctx.f_of(s_hat)
     in_set = set(s_hat)
 
-    def loo_value(i: int) -> float:
-        rest = tuple(j for j in s_hat if j != i)
-        if warm_loo_epochs is not None and ctx.backend == "sgd":
-            return ctx.refine(rest, warm_loo_epochs, state_hat)[0]
-        return ctx.f_of(rest)[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            loo = dict(zip(s_hat, pool.map(loo_value, s_hat)))
+    rests = [tuple(j for j in s_hat if j != i) for i in s_hat]
+    if warm_loo_epochs is not None and ctx.backend == "sgd":
+        loo_values = [ctx.refine(rest, warm_loo_epochs, state_hat)[0] for rest in rests]
     else:
-        loo = {i: loo_value(i) for i in s_hat}
+        loo_values = [v for v, _ in ctx.f_many(rests)]
+    loo = dict(zip(s_hat, loo_values))
 
     f0 = ctx.f_empty()
     singles = ctx.singletons()
@@ -166,9 +162,7 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     for it in range(cfg.L):
         f_hat, _ = ctx.f_of(s_hat)
         trace.append((it, f_hat, _digest(s_hat)))
-        scores = modular_scores(
-            ctx, s_hat, alpha, warm_loo_epochs=cfg.warm_loo_epochs, threads=ctx.threads
-        )
+        scores = modular_scores(ctx, s_hat, alpha, warm_loo_epochs=cfg.warm_loo_epochs)
         s_next = _k_smallest(scores, cfg.k)
         if cfg.early_stop and s_next == s_hat:
             break

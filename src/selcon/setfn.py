@@ -2,17 +2,18 @@
 
 A :class:`SetFnContext` owns the problem data, the trainer configuration and
 an unbounded cache keyed by the sorted index tuple.  Values are
-path-independent: every f(S) trains from the configured initialization, so
-cached numbers do not depend on the order in which subsets were queried.
-Concurrent cache misses may both train; values are deterministic, so the
-first write wins and duplicates are identical.
+path-independent: every f(S) trains from the configured initialization, and
+the exact backend's stacked solver computes each subset's row without
+reference to the other rows, so cached numbers do not depend on the order in
+which subsets were queried nor on the batch they were solved in.
+:meth:`SetFnContext.f_many` is the batched entry point; the singleton sweep,
+the leave-one-out sweeps of the selection driver and the brute-force oracles
+go through it.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,11 +25,16 @@ from .dual import (
     TrainedState,
     TrainerConfig,
     train_dual_exact,
+    train_dual_exact_many,
     train_dual_sgd,
 )
 from .errors import ElementAlreadyPresent
 
 __all__ = ["SetFnContext"]
+
+# Cap on the floats of one stacked exact solve, about d (d + Q) per subset:
+# 2^21 floats are 16 MB per stacked array (about 500 subsets at d = 64).
+_CHUNK_FLOATS = 1 << 21
 
 
 def _canonical(subset: Iterable[int]) -> tuple[int, ...]:
@@ -41,8 +47,9 @@ class SetFnContext:
 
     ``backend`` selects the trainer: ``"exact"`` (linear closed-form inner
     solve, the reference implementation) or ``"sgd"`` (any model kind).
-    ``threads`` caps the fan-out used by :meth:`singletons`; results are
-    assembled by element index, so the output is thread-count invariant.
+    :meth:`f_of` evaluates one subset and :meth:`f_many` many at once; on the
+    exact backend ``f_many`` solves its cache misses as stacks, and each value
+    is bit-identical to the one :meth:`f_of` would give.
     """
 
     train: Dataset
@@ -53,7 +60,6 @@ class SetFnContext:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     model_kind: str = "linear"
     hidden_width: int = DEFAULT_HIDDEN_WIDTH
-    threads: int = 1
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -65,7 +71,6 @@ class SetFnContext:
         if self.backend == "exact" and self.model_kind != "linear":
             raise ValueError("the exact backend supports the linear model only")
         self._cache: dict[tuple[int, ...], tuple[float, TrainedState]] = {}
-        self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
         self.negative_marginals: list[tuple[int, tuple[int, ...], float]] = []
@@ -97,12 +102,32 @@ class SetFnContext:
             self.cache_hits += 1
             return cached
         state = self._train(key)
-        entry = (state.f_value, state)
-        with self._lock:
-            # Publish-once: a concurrent duplicate trained the same value.
-            entry = self._cache.setdefault(key, entry)
-            self.cache_misses += 1
+        entry = self._cache[key] = (state.f_value, state)
+        self.cache_misses += 1
         return entry
+
+    def f_many(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, TrainedState]]:
+        """:meth:`f_of` for each subset, in input order.
+
+        On the exact backend the distinct cache misses are solved in sorted
+        key order, in stacks of at most ``_CHUNK_FLOATS`` floats, and counted
+        as :meth:`f_of` would count them.  The sgd backend loops :meth:`f_of`.
+        """
+        if self.backend != "exact":
+            return [self.f_of(s) for s in subsets]
+        keys = [_canonical(s) for s in subsets]
+        missing = {key for key in keys if key not in self._cache}
+        self.cache_misses += len(missing)
+        self.cache_hits += len(keys) - len(missing)
+        missing = sorted(missing)
+        step = max(1, _CHUNK_FLOATS // (self.train.d * (self.train.d + self.valpart.q)))
+        for start in range(0, len(missing), step):
+            chunk = missing[start:start + step]
+            states = train_dual_exact_many(
+                chunk, self.train, self.valpart, self.lam, self.C, self.trainer)
+            for key, state in zip(chunk, states):
+                self._cache[key] = (state.f_value, state)
+        return [self._cache[key] for key in keys]
 
     def refine(self, subset: Iterable[int], epochs: int,
                init_state: TrainedState) -> tuple[float, TrainedState]:
@@ -115,10 +140,7 @@ class SetFnContext:
             raise ValueError("warm-started refinement exists for the sgd backend only")
         key = _canonical(subset)
         state = self._train(key, epochs=epochs, init_state=init_state)
-        entry = (state.f_value, state)
-        with self._lock:
-            entry = self._cache.setdefault(key, entry)
-        return entry
+        return self._cache.setdefault(key, (state.f_value, state))
 
     # -- derived quantities --------------------------------------------------
 
@@ -133,13 +155,8 @@ class SetFnContext:
         return gain
 
     def singletons(self) -> np.ndarray:
-        """f({i}) for every training element, fanned out over ``threads``."""
-        n = self.train.n
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                values = list(pool.map(lambda i: self.f_of((i,))[0], range(n)))
-            return np.asarray(values)
-        return np.asarray([self.f_of((i,))[0] for i in range(n)])
+        """f({i}) for every training element, as one batched evaluation."""
+        return np.array([v for v, _ in self.f_many((i,) for i in range(self.train.n))])
 
     def f_empty(self) -> float:
         return self.f_of(())[0]
@@ -157,14 +174,11 @@ class SetFnContext:
             trainer=self.trainer,
             model_kind=self.model_kind,
             hidden_width=self.hidden_width,
-            threads=self.threads,
         )
 
     def dump_values(self) -> dict[str, float]:
         """JSON-able map from subset key to cached f value, for cross-checks."""
-        with self._lock:
-            items = sorted(self._cache.items())
-        return {",".join(map(str, k)): v for k, (v, _) in items}
+        return {",".join(map(str, k)): v for k, (v, _) in sorted(self._cache.items())}
 
     def dump_values_json(self) -> str:
         return json.dumps(self.dump_values(), sort_keys=True)

@@ -182,14 +182,13 @@ class TestBench:
         ])
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "method,k,mse,f,seconds,speedup"
+        assert lines[0] == "method,k,mse,f,select_seconds,fit_seconds"
         methods = {line.split(",")[0] for line in lines[1:]}
         assert methods == {"full", "full-constrained", "selcon",
                            "selcon-unconstrained", "random", "random-constrained"}
         # 2 full rows + 4 methods x 2 ks
         assert len(lines) == 1 + 2 + 8
-        full_row = [l for l in lines if l.startswith("full,")][0]
-        assert float(full_row.split(",")[5]) == pytest.approx(1.0)
+        assert all(float(line.split(",")[5]) > 0.0 for line in lines[1:])
 
     def test_numeric_fields_parse(self, data_csv, tmp_path):
         out = tmp_path / "bench.csv"

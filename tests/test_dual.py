@@ -217,6 +217,20 @@ class TestExactTrainer:
         )
         assert st.f_value == pytest.approx(-res.fun, rel=1e-9)
 
+    def test_f_value_is_dual_objective(self):
+        # The solver returns its own phi; dual_objective recomputes F from
+        # residuals at the returned (w, mu).
+        for seed in range(48):
+            q = (1, 2, 4, 16)[seed % 4]
+            C = 0.0 if seed % 5 == 0 else None
+            train, _, vp, lam, C = make_problem(seed, n=8, d=3, q=q, nval=32, C=C,
+                                                signed=seed % 3 == 0)
+            rng = np.random.default_rng(seed)
+            subset = sorted(int(i) for i in rng.choice(8, size=seed % 7, replace=False))
+            st = train_dual_exact(subset, train, vp, lam, C, CFG)
+            ref = dual_objective(st.model, st.mu, subset, train, vp, lam)
+            assert abs(st.f_value - ref) <= 1e-12 * abs(ref), (seed, st.f_value, ref)
+
 
 class TestSgdTrainer:
     def test_deterministic(self):

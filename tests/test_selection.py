@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import make_ctx
+from selcon import cli, setfn
 from selcon.bounds import claim1_min
 from selcon.errors import InvalidAlpha, InvalidK
 from selcon.oracle import empirical_alpha
@@ -67,15 +68,22 @@ class TestRunSelcon:
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-9
 
-    def test_deterministic_across_threads(self):
-        a = make_ctx(54, n=8)
-        b = make_ctx(54, n=8)
-        b.threads = 4
-        cfg = SelconConfig(k=3, seed=2, alpha_mode="fixed", alpha_value=1.0)
-        ra, rb = run_selcon(a, cfg), run_selcon(b, cfg)
-        assert ra.selected == rb.selected
-        assert ra.f_value == rb.f_value
-        assert [t[:2] for t in ra.trace] == [t[:2] for t in rb.trace]
+    def test_report_identical_across_chunk_sizes(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen", "--n", "120", "--d", "3", "--groups", "3", "--noise", "0.3",
+                         "--seed", "4", "--out", str(data)]) == 0
+        outputs = []
+        for chunk_floats in (1, 7, 7 * 3 * (3 + 3), setfn._CHUNK_FLOATS):
+            monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+            out = tmp_path / f"report{chunk_floats}.json"
+            assert cli.main([
+                "select", "--data", str(data), "--target", "y", "--group", "group",
+                "--partition", "by_group", "--lambda", "0.5", "--C", "2.0",
+                "--delta", "auto", "--k", "8", "--alpha-mode", "fixed",
+                "--alpha-value", "1.0", "--seed", "2", "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert all(o == outputs[0] for o in outputs[1:])
 
     def test_early_stop_at_fixed_point(self):
         ctx = make_ctx(55, n=6)

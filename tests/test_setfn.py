@@ -7,6 +7,7 @@ from conftest import make_ctx
 from selcon.bounds import claim1_min
 from selcon.dual import TrainerConfig, solve_inner_linear
 from selcon.errors import ElementAlreadyPresent
+from selcon import setfn
 from selcon.setfn import SetFnContext
 
 
@@ -77,11 +78,52 @@ class TestSingletons:
     def test_closed_forms(self, tiny_ctx):
         assert np.allclose(tiny_ctx.singletons(), [0.5, 2.0, 0.2], atol=1e-12)
 
-    def test_parallel_matches_serial(self):
-        serial = make_ctx(24, n=8, q=2)
-        parallel = make_ctx(24, n=8, q=2)
-        parallel.threads = 4
-        assert np.array_equal(serial.singletons(), parallel.singletons())
+
+
+class TestFMany:
+    """Batched values must equal one-at-a-time values bit for bit, whatever
+    stack a subset is solved in."""
+
+    @staticmethod
+    def _mixed_subsets(n, seed):
+        rng = np.random.default_rng(seed)
+        subsets = [(), *((i,) for i in range(n))]
+        for _ in range(40):
+            size = int(rng.integers(2, n + 1))
+            subsets.append(tuple(int(i) for i in rng.choice(n, size=size, replace=False)))
+        subsets += subsets[::7]  # repeats, also in permuted order
+        rng.shuffle(subsets)
+        return subsets
+
+    @pytest.mark.parametrize("chunk_floats", [1, 7, 7 * 3 * (3 + 2), setfn._CHUNK_FLOATS],
+                             ids=["1", "7", "7-rows", "default"])
+    @pytest.mark.parametrize("C", [0.0, 1.5])
+    def test_bitwise_equal_to_f_of(self, monkeypatch, chunk_floats, C):
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+        subsets = self._mixed_subsets(9, 24)
+        ref = make_ctx(24, n=9, d=3, q=2, C=C)
+        want = [ref.f_of(s) for s in subsets]
+        ctx = make_ctx(24, n=9, d=3, q=2, C=C)
+        got = ctx.f_many(subsets)
+        for (fa, sa), (fb, sb) in zip(want, got):
+            assert fa == fb
+            assert np.array_equal(sa.mu, sb.mu)
+            assert np.array_equal(sa.model.w, sb.model.w)
+        assert (ctx.cache_hits, ctx.cache_misses) == (ref.cache_hits, ref.cache_misses)
+
+        fresh = make_ctx(24, n=9, d=3, q=2, C=C)
+        singles = fresh.singletons()
+        assert np.array_equal(singles, [ref.f_of((i,))[0] for i in range(9)])
+        for i in range(9):
+            assert np.array_equal(fresh.f_of((i,))[1].mu, ref.f_of((i,))[1].mu)
+
+    def test_sgd_backend_loops_f_of(self):
+        trainer = TrainerConfig(epochs=3, seed=0)
+        a = make_ctx(32, n=5, backend="sgd", trainer=trainer)
+        b = make_ctx(32, n=5, backend="sgd", trainer=trainer)
+        subsets = [(0, 1), (2,), (1, 0), ()]
+        assert [v for v, _ in a.f_many(subsets)] == [b.f_of(s)[0] for s in subsets]
+        assert (a.cache_hits, a.cache_misses) == (1, 3)
 
 
 class TestFEmpty:
