@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the validation error bound and record test error per seed.
 
-Generates a synthetic regression pool with a corrupted training fold, runs
-the selection driver at each bound in a descending grid, and writes the
-long-format CSV consumed by the plotting of choice.
+A wrapper over :func:`selcon.scenarios.delta_trend`: runs the selection
+driver on the corrupted pool at each bound of a descending grid and writes
+the long-format CSV consumed by the plotting of choice.
 
 Usage:
     python scripts/delta_sweep.py --n 400 --k 40 --seeds 10 --out sweep.csv
@@ -13,28 +13,8 @@ import argparse
 
 import numpy as np
 
-from selcon.dataset import Dataset, partition_validation
-from selcon.dual import TrainerConfig
-from selcon.metrics import default_delta, mse, sweep_rows_to_csv
-from selcon.selection import SelconConfig, run_selcon
-from selcon.setfn import SetFnContext
-
-
-def corrupted_pool(seed, n, d):
-    r = np.random.default_rng(seed)
-    X = r.uniform(-1, 1, (n, d))
-    y = X @ r.uniform(-1, 1, d)
-    y = y - y.min() + 0.25
-    idx = r.permutation(n)
-    tr, va, te = np.split(idx, [int(n * 0.8), int(n * 0.9)])
-    y_tr = y.copy()
-    bad = r.choice(tr, size=len(tr) // 4, replace=False)
-    y_tr[bad] += r.normal(0, 1.5, size=len(bad))
-    return (
-        Dataset(features=X[tr], targets=y_tr[tr], ids=tr),
-        Dataset(features=X[va], targets=y[va], ids=va),
-        Dataset(features=X[te], targets=y[te], ids=te),
-    )
+from selcon.metrics import sweep_rows_to_csv
+from selcon.scenarios import delta_trend
 
 
 def main():
@@ -50,39 +30,11 @@ def main():
     args = ap.parse_args()
 
     scales = [float(s) for s in args.scales.split(",")]
-    trainer = TrainerConfig()
-    rows = []
-    by_scale = {s: [] for s in scales}
-    for seed in range(args.seeds):
-        train, val, test = corrupted_pool(seed, args.n, args.d)
-        probe = partition_validation(val, "single", 0.0)
-        ctx0 = SetFnContext(train=train, valpart=probe, lam=args.lam, C=0.0, trainer=trainer)
-        _, full_state = ctx0.f_of(tuple(range(train.n)))
-        base = default_delta(full_state, val, probe)
-        for s in scales:
-            vp = partition_validation(val, "single", base * s)
-            ctx = SetFnContext(train=train, valpart=vp, lam=args.lam, C=args.C, trainer=trainer)
-            res = run_selcon(
-                ctx,
-                SelconConfig(k=args.k, seed=seed, L=6, alpha_mode="fixed", alpha_value=1.0),
-            )
-            err = mse(res.state.model, test)
-            by_scale[s].append(err)
-            rows.append(
-                {
-                    "method": res.method,
-                    "k": args.k,
-                    "delta": base * s,
-                    "seed": seed,
-                    "metric": "test_mse",
-                    "value": err,
-                }
-            )
-            print(f"seed {seed} scale {s:>5}: test mse {err:.4f}")
-
+    rows = delta_trend(args.seeds, scales, args.n, args.d, args.k, args.lam, args.C)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(sweep_rows_to_csv(rows))
-    print("medians by scale:", {s: round(float(np.median(v)), 4) for s, v in by_scale.items()})
+    medians = {s: round(float(np.median([r["value"] for r in rows if r["scale"] == s])), 4) for s in scales}
+    print("medians by scale:", medians)
     print(f"wrote {args.out}")
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Compare per-group fairness of driver-selected vs random subsets.
 
-Builds four-group synthetic data whose training fold carries heavy label
-corruption, enforces per-group validation error bounds over a descending
-grid, and reports the cross-group fairness violation of both methods on the
-held-out test fold.
+A wrapper over :func:`selcon.scenarios.fairness_study`: on four-group data
+whose training fold carries heavy label corruption, enforces per-group
+validation error bounds over a descending grid and reports the cross-group
+fairness violation of both methods on the held-out test fold.
 
 Usage:
     python scripts/fairness_demo.py --seeds 10 --out fairness.json
@@ -13,34 +13,7 @@ Usage:
 import argparse
 import json
 
-import numpy as np
-
-from selcon.baselines import random_with_constraints
-from selcon.dataset import Dataset, partition_validation
-from selcon.dual import TrainerConfig
-from selcon.metrics import default_delta, fairness_violation
-from selcon.selection import SelconConfig, run_selcon
-from selcon.setfn import SetFnContext
-
-
-def four_group_pool(seed, n=200, d_cont=3, corrupt_frac=0.35, corrupt_sd=2.5):
-    r = np.random.default_rng(seed)
-    Xc = r.uniform(-1, 1, (n, d_cont))
-    groups = np.arange(n) % 4
-    X = np.hstack([Xc, np.eye(4)[groups]])
-    y = Xc @ r.uniform(-1, 1, d_cont) + (1.0 + 0.05 * np.arange(4))[groups]
-    y = y + r.normal(0, 0.1, n)
-    y = y - y.min() + 0.25
-    idx = r.permutation(n)
-    tr, va, te = np.split(idx, [int(n * 0.7), int(n * 0.85)])
-    y_tr = y.copy()
-    bad = r.choice(tr, size=int(len(tr) * corrupt_frac), replace=False)
-    y_tr[bad] += r.normal(0, corrupt_sd, len(bad))
-    return (
-        Dataset(features=X[tr], targets=y_tr[tr], groups=groups[tr], ids=tr),
-        Dataset(features=X[va], targets=y[va], groups=groups[va], ids=va),
-        Dataset(features=X[te], targets=y[te], groups=groups[te], ids=te),
-    )
+from selcon.scenarios import fairness_study
 
 
 def main():
@@ -53,42 +26,12 @@ def main():
     ap.add_argument("--out", default="fairness.json")
     args = ap.parse_args()
 
-    trainer = TrainerConfig()
     scales = [float(s) for s in args.scales.split(",")]
-    report = {"k": args.k, "C": args.C, "rows": []}
-    for scale in scales:
-        sel_vals, rnd_vals, wins = [], [], 0
-        for seed in range(args.seeds):
-            train, val, test = four_group_pool(seed)
-            probe = partition_validation(val, "by_group", 0.0)
-            ctx0 = SetFnContext(train=train, valpart=probe, lam=args.lam, C=0.0, trainer=trainer)
-            _, full_state = ctx0.f_of(tuple(range(train.n)))
-            delta = default_delta(full_state, val, probe) * scale
-            vp = partition_validation(val, "by_group", delta)
-            ctx = SetFnContext(train=train, valpart=vp, lam=args.lam, C=args.C, trainer=trainer)
-            sel = run_selcon(
-                ctx,
-                SelconConfig(k=args.k, seed=seed, L=4, alpha_mode="fixed", alpha_value=1.0),
-            )
-            rnd = random_with_constraints(ctx, args.k, seed)
-            part = partition_validation(test, "by_group", delta)
-            fv_sel = fairness_violation(sel.state.model, test, part)
-            fv_rnd = fairness_violation(rnd.state.model, test, part)
-            sel_vals.append(fv_sel)
-            rnd_vals.append(fv_rnd)
-            wins += fv_sel <= fv_rnd
-        row = {
-            "delta_scale": scale,
-            "selcon_median": float(np.median(sel_vals)),
-            "random_median": float(np.median(rnd_vals)),
-            "wins": wins,
-            "seeds": args.seeds,
-        }
-        report["rows"].append(row)
+    rows = fairness_study(args.seeds, scales, args.k, args.lam, args.C)
+    for row in rows:
         print(row)
-
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump({"k": args.k, "C": args.C, "rows": rows}, fh, indent=2, sort_keys=True)
     print(f"wrote {args.out}")
 
 

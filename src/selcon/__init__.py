@@ -54,11 +54,9 @@ from .dual import (
 )
 from .metrics import (
     default_delta,
-    delta_sweep,
     fairness_violation,
     group_errors,
     mse,
-    speedup,
 )
 from .models import LinearModel, TwoLayerModel, loss_grad, predict, predict_many
 from .oracle import (

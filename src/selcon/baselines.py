@@ -9,6 +9,7 @@ slot also leaves room for merging externally computed numbers into reports.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _train_fixed(ctx: SetFnContext, subset: tuple[int, ...], method: str) -> Sel
 def full_selection(ctx: SetFnContext) -> SelectionResult:
     """Train on all of D with the constraints disabled (C = 0)."""
     everything = tuple(range(ctx.train.n))
-    return _train_fixed(ctx.with_C(0.0), everything, "full")
+    return _train_fixed(replace(ctx, C=0.0), everything, "full")
 
 
 def full_with_constraints(ctx: SetFnContext) -> SelectionResult:
@@ -67,5 +68,5 @@ def random_with_constraints(ctx: SetFnContext, k: int, seed: int) -> SelectionRe
 def random_selection(ctx: SetFnContext, k: int, seed: int) -> SelectionResult:
     """Random subset trained without constraints."""
     subset = random_subset(ctx.train.n, k, seed)
-    result = _train_fixed(ctx.with_C(0.0), subset, "random")
+    result = _train_fixed(replace(ctx, C=0.0), subset, "random")
     return result

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,7 @@ def _cfg_get(cp, section, key, flag_value, default, cast=float):
     if flag_value is not None:
         return flag_value
     if cp.has_option(section, key):
-        raw = cp.get(section, key)
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return cast(cp.get(section, key))
     return default
 
 
@@ -197,7 +195,6 @@ def cmd_select(args) -> int:
         alpha_value=None if alpha_value is None else float(alpha_value),
         alpha_floor=float(_cfg_get(cp, "selcon", "alpha_floor", None, 0.05)),
         seed=trainer.seed,
-        early_stop=bool(_cfg_get(cp, "selcon", "early_stop", None, True, bool)),
     )
     result = run_selcon(ctx, sel_cfg)
 
@@ -321,7 +318,7 @@ def cmd_bench(args) -> int:
             alpha_mode=args.alpha_mode or "certified",
             alpha_value=args.alpha_value,
         )
-        add(k, lambda: run_selcon(ctx.with_C(ctx.C), sel_cfg))
+        add(k, lambda: run_selcon(replace(ctx), sel_cfg))  # cold cache per k
         add(k, lambda: run_selcon_unconstrained(ctx, sel_cfg))
         add(k, lambda: baselines.random_selection(ctx, k, trainer.seed))
         add(k, lambda: baselines.random_with_constraints(ctx, k, trainer.seed))
@@ -348,10 +345,7 @@ def cmd_fairness(args) -> int:
     out = {"q": ctx.valpart.q, "k": k, "rows": []}
     for delta in deltas:
         part = ctx.valpart.with_delta(delta)
-        d_ctx = SetFnContext(
-            train=train, valpart=part, lam=ctx.lam, C=ctx.C,
-            backend=ctx.backend, trainer=trainer, model_kind=ctx.model_kind,
-        )
+        d_ctx = replace(ctx, valpart=part)
         sel = run_selcon(d_ctx, SelconConfig(k=k, seed=trainer.seed))
         rnd = baselines.random_with_constraints(d_ctx, k, trainer.seed)
         out["rows"].append(

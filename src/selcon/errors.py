@@ -101,7 +101,3 @@ class EmptyDataset(SelconError):
 
 class NeedTwoGroups(SelconError):
     pass
-
-
-class NonPositiveTime(SelconError):
-    pass

@@ -1,5 +1,5 @@
 """Evaluation metrics: test error, per-group validation errors, fairness
-violation, speedup, and the delta-sweep study.
+violation, the 30% bound rule and the long-format sweep CSV.
 
 All means use numpy's pairwise (tree) summation, which keeps accumulation
 error near 1e-16 relative and makes row order immaterial to ~1e-12, so
@@ -8,22 +8,18 @@ cross-language reimplementations agree to that level.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
-
 import numpy as np
 
 from .dataset import Dataset, ValidationPartition
 from .dual import TrainedState
-from .errors import EmptyDataset, NeedTwoGroups, NonPositiveTime
+from .errors import EmptyDataset, NeedTwoGroups
 from .models import Model, predict_many
 
 __all__ = [
     "mse",
     "group_errors",
     "fairness_violation",
-    "speedup",
     "default_delta",
-    "delta_sweep",
     "sweep_rows_to_csv",
 ]
 
@@ -71,50 +67,10 @@ def fairness_violation(model: Model, val: Dataset, valpart: ValidationPartition)
     return 2.0 * cross / pairs
 
 
-def speedup(baseline_seconds: float, method_seconds: float) -> float:
-    if baseline_seconds <= 0 or method_seconds <= 0:
-        raise NonPositiveTime("durations must be positive")
-    return baseline_seconds / method_seconds
-
-
 def default_delta(full_state: TrainedState, val: Dataset, valpart: ValidationPartition) -> float:
     """30% of the mean per-group validation error of the full-data model."""
     errs, _ = group_errors(full_state.model, val, valpart)
     return 0.30 * float(np.mean(errs))
-
-
-def delta_sweep(
-    ctx_factory: Callable[[float, int], tuple],
-    deltas: Sequence[float],
-    k: int,
-    seeds: Iterable[int],
-) -> list[dict]:
-    """Run the selection driver over a (delta, seed) grid and collect test MSE.
-
-    ``ctx_factory(delta, seed)`` must return ``(ctx, test_data)``; deltas are
-    expected sorted descending.  Returns long-format rows with keys
-    (method, k, delta, seed, metric, value).
-    """
-    from .selection import SelconConfig, run_selcon
-
-    if list(deltas) != sorted(deltas, reverse=True):
-        raise ValueError("deltas must be sorted descending")
-    rows = []
-    for delta in deltas:
-        for seed in seeds:
-            ctx, test_data = ctx_factory(delta, seed)
-            result = run_selcon(ctx, SelconConfig(k=k, seed=seed))
-            rows.append(
-                {
-                    "method": result.method,
-                    "k": k,
-                    "delta": float(delta),
-                    "seed": int(seed),
-                    "metric": "test_mse",
-                    "value": mse(result.state.model, test_data),
-                }
-            )
-    return rows
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

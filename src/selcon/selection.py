@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class SelconConfig:
     alpha_value: float | None = None
     alpha_floor: float = 0.05
     seed: int = 0
-    early_stop: bool = True
     warm_loo_epochs: int | None = None
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
         trace.append((it, f_hat, _digest(s_hat)))
         scores = modular_scores(ctx, s_hat, alpha, warm_loo_epochs=cfg.warm_loo_epochs)
         s_next = _k_smallest(scores, cfg.k)
-        if cfg.early_stop and s_next == s_hat:
+        if s_next == s_hat:
             break
         s_hat = s_next
 
@@ -184,6 +183,6 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
 
 def run_selcon_unconstrained(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     """Same driver with the validation constraints disabled (C = 0)."""
-    result = run_selcon(ctx.with_C(0.0), cfg)
+    result = run_selcon(replace(ctx, C=0.0), cfg)
     result.method = "selcon-unconstrained"
     return result

@@ -163,19 +163,6 @@ class SetFnContext:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def with_C(self, C: float) -> "SetFnContext":
-        """Fresh context (empty cache) sharing the data but with a new C."""
-        return SetFnContext(
-            train=self.train,
-            valpart=self.valpart,
-            lam=self.lam,
-            C=C,
-            backend=self.backend,
-            trainer=self.trainer,
-            model_kind=self.model_kind,
-            hidden_width=self.hidden_width,
-        )
-
     def dump_values(self) -> dict[str, float]:
         """JSON-able map from subset key to cached f value, for cross-checks."""
         return {",".join(map(str, k)): v for k, (v, _) in sorted(self._cache.items())}

@@ -12,7 +12,6 @@ import pytest
 
 from conftest import make_ctx, make_problem, register_acceptance
 from selcon import cli
-from selcon.baselines import random_with_constraints
 from selcon.bounds import (
     alpha_hat_linear,
     approx_ratio,
@@ -31,7 +30,6 @@ from selcon.dual import (
     train_dual_exact,
     train_dual_sgd,
 )
-from selcon.metrics import default_delta, fairness_violation, mse
 from selcon.models import (
     LinearModel,
     TwoLayerModel,
@@ -46,6 +44,7 @@ from selcon.oracle import (
     empirical_alpha,
     empirical_kappa_max,
 )
+from selcon.scenarios import delta_trend, fairness_study
 from selcon.selection import SelconConfig, run_selcon
 from selcon.setfn import SetFnContext
 
@@ -366,91 +365,22 @@ def test_c11_gradient_correctness():
 register_acceptance("test_c11_gradient_correctness", "C11 analytic vs finite-difference gradients (100 seeds, 1e-5)")
 
 
-def _trend_instance(seed, n=400, d=4):
-    """Corrupted training pool with clean validation and test folds."""
-    r = np.random.default_rng(seed)
-    X = r.uniform(-1, 1, (n, d))
-    w_true = r.uniform(-1, 1, d)
-    y = X @ w_true
-    y = y - y.min() + 0.25
-    idx = r.permutation(n)
-    tr, va, te = np.split(idx, [int(n * 0.8), int(n * 0.9)])
-    noisy = r.choice(tr, size=len(tr) // 4, replace=False)
-    y_tr = y.copy()
-    y_tr[noisy] += r.normal(0, 1.5, size=len(noisy))
-    return (
-        Dataset(features=X[tr], targets=y_tr[tr], ids=tr),
-        Dataset(features=X[va], targets=y[va], ids=va),
-        Dataset(features=X[te], targets=y[te], ids=te),
-    )
-
-
 def test_c12_delta_trend():
     """Median test error at the tightest bound is at most the loosest's."""
-    scales = [8.0, 4.0, 1.0, 0.25]  # descending bound grid
-    results = {s: [] for s in scales}
-    for seed in range(10):
-        train, val, test = _trend_instance(seed)
-        vp0 = partition_validation(val, "single", 0.0)
-        ctx0 = SetFnContext(train=train, valpart=vp0, lam=0.3, C=0.0, trainer=CFG)
-        _, full_state = ctx0.f_of(tuple(range(train.n)))
-        base = default_delta(full_state, val, vp0)
-        for s in scales:
-            vp = partition_validation(val, "single", base * s)
-            ctx = SetFnContext(train=train, valpart=vp, lam=0.3, C=10.0, trainer=CFG)
-            res = run_selcon(
-                ctx, SelconConfig(k=40, seed=seed, L=6, alpha_mode="fixed", alpha_value=1.0)
-            )
-            results[s].append(mse(res.state.model, test))
-    assert np.median(results[0.25]) <= np.median(results[8.0])
+    rows = delta_trend(10, [8.0, 4.0, 1.0, 0.25], n=400, d=4, k=40, lam=0.3, C=10.0)
+    tightest = [r["value"] for r in rows if r["scale"] == 0.25]
+    loosest = [r["value"] for r in rows if r["scale"] == 8.0]
+    assert np.median(tightest) <= np.median(loosest)
 
 
 register_acceptance("test_c12_delta_trend", "C12 test error improves as the bound tightens (n=400, 10 seeds)")
 
 
-def _fairness_instance(seed, n=200, d_cont=3):
-    """Four groups with one-hot features; corrupted targets only in train."""
-    r = np.random.default_rng(seed)
-    Xc = r.uniform(-1, 1, (n, d_cont))
-    groups = np.arange(n) % 4
-    X = np.hstack([Xc, np.eye(4)[groups]])
-    w_true = r.uniform(-1, 1, d_cont)
-    biases = 1.0 + 0.05 * np.arange(4)
-    y = Xc @ w_true + biases[groups] + r.normal(0, 0.1, n)
-    y = y - y.min() + 0.25
-    idx = r.permutation(n)
-    tr, va, te = np.split(idx, [int(n * 0.7), int(n * 0.85)])
-    y_tr = y.copy()
-    bad = r.choice(tr, size=int(len(tr) * 0.35), replace=False)
-    y_tr[bad] += r.normal(0, 2.5, len(bad))
-    return (
-        Dataset(features=X[tr], targets=y_tr[tr], groups=groups[tr], ids=tr),
-        Dataset(features=X[va], targets=y[va], groups=groups[va], ids=va),
-        Dataset(features=X[te], targets=y[te], groups=groups[te], ids=te),
-    )
-
-
 def test_c13_fairness():
     """At the tightest bound the driver's selection yields at most the
     random baseline's fairness violation in at least 7 of 10 seeds."""
-    wins = 0
-    for seed in range(10):
-        train, val, test = _fairness_instance(seed)
-        vp0 = partition_validation(val, "by_group", 0.0)
-        ctx0 = SetFnContext(train=train, valpart=vp0, lam=0.1, C=0.0, trainer=CFG)
-        _, full_state = ctx0.f_of(tuple(range(train.n)))
-        base = default_delta(full_state, val, vp0)
-        vp = partition_validation(val, "by_group", base * 0.25)
-        ctx = SetFnContext(train=train, valpart=vp, lam=0.1, C=20.0, trainer=CFG)
-        sel = run_selcon(
-            ctx, SelconConfig(k=12, seed=seed, L=4, alpha_mode="fixed", alpha_value=1.0)
-        )
-        rnd = random_with_constraints(ctx, 12, seed)
-        part = partition_validation(test, "by_group", vp.delta)
-        fv_sel = fairness_violation(sel.state.model, test, part)
-        fv_rnd = fairness_violation(rnd.state.model, test, part)
-        wins += fv_sel <= fv_rnd
-    assert wins >= 7
+    [row] = fairness_study(10, [0.25], k=12, lam=0.1, C=20.0)
+    assert row["wins"] >= 7
 
 
 register_acceptance("test_c13_fairness", "C13 fairness violation vs constrained random (>= 7/10 seeds)")

@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 
 from conftest import make_ctx, make_problem
 from selcon.dataset import Dataset, partition_validation
-from selcon.errors import EmptyDataset, NeedTwoGroups, NonPositiveTime
+from selcon.errors import EmptyDataset, NeedTwoGroups
 from selcon.metrics import (
     default_delta,
-    delta_sweep,
     fairness_violation,
     group_errors,
     mse,
-    speedup,
     sweep_rows_to_csv,
 )
 from selcon.models import LinearModel
+from selcon.scenarios import delta_trend
 
 
 def dataset_from(X, y, groups=None):
@@ -150,20 +149,6 @@ class TestFairness:
         assert a == pytest.approx(b, abs=1e-12)
 
 
-class TestSpeedup:
-    def test_equal_times(self):
-        assert speedup(2.0, 2.0) == 1.0
-
-    def test_ten_times(self):
-        assert speedup(10.0, 1.0) == 10.0
-
-    def test_non_positive(self):
-        with pytest.raises(NonPositiveTime):
-            speedup(0.0, 1.0)
-        with pytest.raises(NonPositiveTime):
-            speedup(1.0, -2.0)
-
-
 class TestDefaultDelta:
     def test_single_group(self):
         ctx = make_ctx(103)
@@ -183,31 +168,14 @@ class TestDefaultDelta:
 
 class TestDeltaSweep:
     def test_row_count_and_csv(self):
-        def factory(delta, seed):
-            ctx = make_ctx(110 + seed, n=6, delta=delta)
-            return ctx, ctx.valpart.data
-
-        rows = delta_sweep(factory, deltas=[1.0, 0.5], k=2, seeds=[0, 1, 2])
-        assert len(rows) == 6
+        rows = delta_trend(1, [2.0, 1.0, 0.5], n=60, d=3, k=6, lam=0.3, C=10.0)
+        assert len(rows) == 3
+        assert [r["scale"] for r in rows] == [2.0, 1.0, 0.5]
+        assert rows[0]["delta"] == pytest.approx(4 * rows[2]["delta"])
         csv_text = sweep_rows_to_csv(rows)
         assert csv_text.splitlines()[0] == "method,k,delta,seed,metric,value"
-        assert len(csv_text.splitlines()) == 7
+        assert len(csv_text.splitlines()) == 4
 
     def test_requires_descending(self):
         with pytest.raises(ValueError):
-            delta_sweep(lambda d, s: None, deltas=[0.5, 1.0], k=2, seeds=[0])
-
-    def test_huge_delta_matches_unconstrained(self):
-        # With the bound effectively infinite the multipliers stay at zero,
-        # so the sweep column equals an unconstrained run.
-        from selcon.selection import SelconConfig, run_selcon_unconstrained
-
-        def factory(delta, seed):
-            ctx = make_ctx(120, n=8, C=1.5, delta=delta)
-            return ctx, ctx.valpart.data
-
-        rows = delta_sweep(factory, deltas=[1e9], k=3, seeds=[4])
-        ctx = make_ctx(120, n=8, C=1.5, delta=1e9)
-        res = run_selcon_unconstrained(ctx, SelconConfig(k=3, seed=4))
-        want = mse(res.state.model, ctx.valpart.data)
-        assert rows[0]["value"] == pytest.approx(want, rel=1e-9)
+            delta_trend(1, [0.5, 1.0], n=60, d=3, k=6, lam=0.3, C=10.0)

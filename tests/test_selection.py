@@ -4,6 +4,7 @@ from conftest import make_ctx
 from selcon import cli, setfn
 from selcon.bounds import claim1_min
 from selcon.errors import InvalidAlpha, InvalidK
+from selcon.metrics import mse
 from selcon.oracle import empirical_alpha
 from selcon.selection import (
     SelconConfig,
@@ -130,6 +131,17 @@ class TestUnconstrained:
         for i in range(2, 6):
             want = claim1_min(ctx.lam, ctx.train.targets[i], ctx.train.features[i]) / alpha
             assert scores[i] == pytest.approx(want, abs=1e-10)
+
+    def test_huge_delta_matches_unconstrained(self):
+        # With the bound effectively infinite the multipliers stay at zero,
+        # so the constrained run equals the unconstrained one.
+        ctx = make_ctx(120, n=8, C=1.5, delta=1e9)
+        cfg = SelconConfig(k=3, seed=4)
+        res = run_selcon(ctx, cfg)
+        ref = run_selcon_unconstrained(ctx, cfg)
+        val = ctx.valpart.data
+        assert res.selected == ref.selected
+        assert mse(res.state.model, val) == pytest.approx(mse(ref.state.model, val), rel=1e-9)
 
     def test_seeded_determinism(self):
         cfg = SelconConfig(k=3, seed=7, alpha_mode="fixed", alpha_value=1.0)

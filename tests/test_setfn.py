@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,24 @@ class TestCacheSemantics:
             ctx.marginal(a, (4,))
         for a, subset, gain in ctx.negative_marginals:
             assert gain < 0
+
+    def test_replaced_context_starts_empty(self):
+        ctx = make_ctx(33, n=6, q=2)
+        subsets = [(), (0,), (1, 3), (0, 2, 5)]
+        want = [ctx.f_of(s)[0] for s in subsets]
+        ctx.f_of((0,))
+        fresh = replace(ctx)
+        assert (fresh.cache_hits, fresh.cache_misses, fresh.dump_values()) == (0, 0, {})
+        assert [fresh.f_of(s)[0] for s in subsets] == want
+        # A replaced field gives the values of a context built with it.
+        part = ctx.valpart.with_delta(0.05)
+        built = SetFnContext(train=ctx.train, valpart=part, lam=ctx.lam, C=0.0)
+        assert [replace(ctx, C=0.0, valpart=part).f_of(s)[0] for s in subsets] == [
+            built.f_of(s)[0] for s in subsets
+        ]
+        two_layer = SetFnContext(train=ctx.train, valpart=part, lam=ctx.lam, C=ctx.C,
+                                 backend="sgd", model_kind="two_layer", hidden_width=3)
+        assert replace(two_layer, C=0.0).hidden_width == 3
 
     def test_exact_backend_requires_linear(self):
         with pytest.raises(ValueError):
