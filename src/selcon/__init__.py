@@ -41,7 +41,6 @@ from .dataset import (
     partition_validation,
     save_csv,
     split,
-    synthetic_truth,
 )
 from .dual import (
     TrainedState,

@@ -101,14 +101,9 @@ def claim1_min(lam: float, y: float, x: np.ndarray) -> float:
 
 
 def ell_star_linear(train: Dataset, x_max: float) -> float:
-    """Per-element loss floor with the regularizer weight set to x_max^2.
-
-    This is the curvature-scale variant of the per-element minimum: the same
-    closed form with lam replaced by x_max^2 (the linear model's Hessian
-    scale), minimized over the training elements.
-    """
-    vals = [claim1_min(x_max * x_max, y, x) for x, y in zip(train.features, train.targets)]
-    return float(min(vals))
+    """:func:`ell` with lam set to x_max^2 (the linear model's Hessian scale):
+    the curvature-scale per-element loss floor."""
+    return ell(train, x_max * x_max)
 
 
 def _two_layer_element_min(lam: float, y: float, x: np.ndarray, width: int, seed: int) -> float:

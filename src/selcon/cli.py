@@ -3,10 +3,11 @@
 Subcommands: ``gen`` (synthetic CSV), ``select`` (run the selection driver),
 ``verify`` (run the property checkers), ``bench`` (baseline grid), and
 ``fairness`` (per-group error-bound sweep).  Settings come from an INI config
-file with sections [problem], [trainer] and [selcon]; command-line flags
-override the file, and the SELCON_SEED environment variable overrides the
-configured seed.  Exit codes: 0 ok, 1 runtime error, 2 usage or precondition
-error, 3 verification failure.
+file: ``select``, ``bench`` and ``fairness`` read its [problem], [trainer]
+and [selcon] sections, ``verify`` only [trainer].  Command-line flags override
+the file, and the SELCON_SEED environment variable overrides the seed.  Exit
+codes: 0 ok, 1 runtime error, 2 usage or precondition error, 3 verification
+failure.
 
 Reports are deterministic for fixed flags, files and seeds; measured wall
 times are excluded from ``select`` output unless ``--timing`` is passed,
@@ -36,7 +37,9 @@ from .bounds import (
     ell_star_linear,
 )
 from .dataset import (
+    Dataset,
     SplitSpec,
+    ValidationPartition,
     gen_synthetic,
     load_csv,
     partition_validation,
@@ -86,10 +89,44 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # -- configuration ------------------------------------------------------------
+
+
+def _auto_or_float(text: str) -> float | None:
+    return None if text.lower() == "auto" else float(text)
+
+
+# INI section -> key -> (argparse dest or None, field, parser of the INI text).
+# A field takes its flag's value, else the file's; fields set by neither keep
+# the default of TrainerConfig, SelconConfig or PROBLEM_DEFAULTS.
+SETTINGS = {
+    "problem": {
+        "lambda": ("lam", "lam", float),
+        "C": ("C", "C", float),
+        "delta": ("delta", "delta", str),
+        "k": ("k", "k", int),
+    },
+    "trainer": {
+        "epochs": ("epochs", "epochs", int),
+        "batch_size": (None, "batch_size", int),
+        "lr_w": (None, "learning_rate_w", float),
+        "lr_mu": (None, "learning_rate_mu", _auto_or_float),
+        "mu_tol": (None, "mu_tolerance", float),
+        "max_outer": (None, "max_outer_iters", int),
+        "seed": ("seed", "seed", int),
+    },
+    "selcon": {
+        "L": ("iters", "L", int),
+        "alpha_mode": ("alpha_mode", "alpha_mode", str),
+        "alpha_value": ("alpha_value", "alpha_value", float),
+        "alpha_floor": (None, "alpha_floor", float),
+    },
+}
+# k defaults to a tenth of the training rows.
+PROBLEM_DEFAULTS = {"lam": 1.0, "C": 1.0, "delta": "0.5"}
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
@@ -101,55 +138,51 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _cfg_get(cp, section, key, flag_value, default, cast=float):
-    if flag_value is not None:
-        return flag_value
-    if cp.has_option(section, key):
-        return cast(cp.get(section, key))
-    return default
+def _settings(cp, args, section: str) -> dict:
+    """The fields of one INI section that a flag or the file sets.
+
+    SELCON_SEED overrides the trainer seed from either.
+    """
+    out = {}
+    for key, (flag, field, parse) in SETTINGS[section].items():
+        value = getattr(args, flag, None) if flag else None
+        if value is None and cp.has_option(section, key):
+            value = parse(cp.get(section, key))
+        if value is not None:
+            out[field] = value
+    if section == "trainer" and "SELCON_SEED" in os.environ:
+        out["seed"] = int(os.environ["SELCON_SEED"])
+    return out
 
 
-def _trainer_from(cp, args) -> TrainerConfig:
-    lr_mu_raw = getattr(args, "lr_mu", None)
-    if lr_mu_raw is None and cp.has_option("trainer", "lr_mu"):
-        lr_mu_raw = cp.get("trainer", "lr_mu")
-    lr_mu = None
-    if lr_mu_raw is not None and str(lr_mu_raw).strip().lower() != "auto":
-        lr_mu = float(lr_mu_raw)
-    seed = int(_cfg_get(cp, "trainer", "seed", getattr(args, "seed", None), 0, int))
-    env_seed = os.environ.get("SELCON_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return TrainerConfig(
-        epochs=int(_cfg_get(cp, "trainer", "epochs", getattr(args, "epochs", None), 2000, int)),
-        batch_size=int(_cfg_get(cp, "trainer", "batch_size", None, 1000, int)),
-        learning_rate_w=float(_cfg_get(cp, "trainer", "lr_w", None, 0.01)),
-        learning_rate_mu=lr_mu,
-        mu_tolerance=float(_cfg_get(cp, "trainer", "mu_tol", None, 1e-10)),
-        max_outer_iters=int(_cfg_get(cp, "trainer", "max_outer", None, 100_000, int)),
-        seed=seed,
-    )
+def _selcon_config(cp, args, k: int, seed: int) -> SelconConfig:
+    return SelconConfig(k=k, seed=seed, **_settings(cp, args, "selcon"))
 
 
-def _load_problem(args, cp):
-    group = getattr(args, "group", None)
-    data = load_csv(args.data, target_column=args.target, group_column=group)
+def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int]:
+    """Load, split and partition the data; returns the set-function context,
+    the test fold and k."""
+    data = load_csv(args.data, target_column=args.target, group_column=args.group)
     fracs = [float(v) for v in args.split.split(",")]
     if len(fracs) != 3:
         raise ValueError("--split needs three comma-separated fractions")
-    trainer = _trainer_from(cp, args)
-    spec = SplitSpec(*fracs, seed=trainer.seed)
-    return data, split(data, spec), trainer
-
-
-def _resolve_delta(raw, train, val, valpart_mode, lam, trainer) -> float:
-    """The 'auto' rule: 30% of the full-data model's mean validation error."""
-    if raw != "auto":
-        return float(raw)
-    probe_part = partition_validation(val, valpart_mode, delta=0.0)
-    ctx = SetFnContext(train=train, valpart=probe_part, lam=lam, C=0.0, trainer=trainer)
-    full = baselines.full_selection(ctx)
-    return metrics.default_delta(full.state, val, probe_part)
+    trainer = TrainerConfig(**_settings(cp, args, "trainer"))
+    train, val, test = split(data, SplitSpec(*fracs, seed=trainer.seed))
+    p = {**PROBLEM_DEFAULTS, "k": max(1, train.n // 10), **_settings(cp, args, "problem")}
+    if p["delta"] == "auto":
+        delta = metrics.auto_delta(train, val, args.partition, p["lam"])
+    else:
+        delta = float(p["delta"])
+    ctx = SetFnContext(
+        train=train,
+        valpart=partition_validation(val, args.partition, delta),
+        lam=p["lam"],
+        C=p["C"],
+        backend=args.backend,
+        trainer=trainer,
+        model_kind=args.model,
+    )
+    return ctx, test, p["k"]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -163,40 +196,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _build_context(args, cp):
-    data, (train, val, test), trainer = _load_problem(args, cp)
-    lam = float(_cfg_get(cp, "problem", "lambda", args.lam, 1.0))
-    C = float(_cfg_get(cp, "problem", "C", args.C, 1.0))
-    mode = args.partition
-    delta_raw = _cfg_get(cp, "problem", "delta", args.delta, "0.5", str)
-    delta = _resolve_delta(delta_raw, train, val, mode, lam, trainer)
-    valpart = partition_validation(val, mode, delta)
-    ctx = SetFnContext(
-        train=train,
-        valpart=valpart,
-        lam=lam,
-        C=C,
-        backend=args.backend,
-        trainer=trainer,
-        model_kind=args.model,
-    )
-    return ctx, train, val, test, trainer
-
-
 def cmd_select(args) -> int:
     cp = _read_config(args.config)
-    ctx, train, val, test, trainer = _build_context(args, cp)
-    k = int(_cfg_get(cp, "problem", "k", args.k, max(1, train.n // 10), int))
-    alpha_value = _cfg_get(cp, "selcon", "alpha_value", args.alpha_value, None)
-    sel_cfg = SelconConfig(
-        k=k,
-        L=int(_cfg_get(cp, "selcon", "L", args.iters, 10, int)),
-        alpha_mode=str(_cfg_get(cp, "selcon", "alpha_mode", args.alpha_mode, "certified", str)),
-        alpha_value=None if alpha_value is None else float(alpha_value),
-        alpha_floor=float(_cfg_get(cp, "selcon", "alpha_floor", None, 0.05)),
-        seed=trainer.seed,
-    )
-    result = run_selcon(ctx, sel_cfg)
+    ctx, test, k = _build_context(args, cp)
+    train, val = ctx.train, ctx.valpart.data
+    result = run_selcon(ctx, _selcon_config(cp, args, k, ctx.trainer.seed))
 
     report = result.as_dict()
     report["selected_ids"] = [int(train.ids[i]) for i in result.selected]
@@ -222,26 +226,23 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _verify_instance(args, trainer):
+def _verify_instance(args) -> tuple[Dataset, ValidationPartition]:
+    """Seeded training and validation sets; with --Q 2 the validation rows
+    split into halves."""
     train = gen_synthetic(args.n, args.d, noise_sd=0.3, seed=args.seed)
     val = gen_synthetic(max(4, args.n // 2), args.d, noise_sd=0.3, seed=args.seed + 1000)
-    valpart = partition_validation(val, "single", delta=args.delta)
-    if args.Q == 2:
-        half = val.n // 2
-        subsets = (np.arange(half), np.arange(half, val.n))
-        from .dataset import ValidationPartition
-
-        valpart = ValidationPartition(data=val, subsets=subsets, delta=args.delta)
-    return train, val, valpart
+    cuts = [val.n // 2] if args.Q == 2 else []
+    subsets = tuple(np.split(np.arange(val.n), cuts))
+    return train, ValidationPartition(data=val, subsets=subsets, delta=args.delta)
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     cp = _read_config(args.config)
-    trainer = _trainer_from(cp, args)
-    train, val, valpart = _verify_instance(args, trainer)
-    ctx = SetFnContext(
-        train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer
-    )
+    trainer = TrainerConfig(**_settings(cp, args, "trainer"))
+    train, valpart = _verify_instance(args)
+    ctx = SetFnContext(train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer)
     reports = []
     wanted = args.property
 
@@ -255,37 +256,15 @@ def cmd_verify(args) -> int:
         reports.append(oracle.check_modular_bound(ctx, s_hat, alpha))
     if wanted in ("all", "alpha", "kappa"):
         # Certificates only hold above the lam threshold; build that instance.
-        consts = data_constants(train, val, q=valpart.q)
+        consts = data_constants(train, valpart.data, q=valpart.q)
         lam_cert = 1.5 * lambda_min_linear(args.C, valpart.q, consts)
-        cert_ctx = SetFnContext(
-            train=train, valpart=valpart, lam=lam_cert, C=args.C, trainer=trainer
-        )
-        measured_alpha = oracle.empirical_alpha(cert_ctx, max_n=12)
+        cert_ctx = replace(ctx, lam=lam_cert)
         if wanted in ("all", "alpha"):
             a_hat = alpha_hat_linear(lam_cert, args.C, valpart.q, consts)
-            reports.append(
-                oracle.OracleReport(
-                    property_name="alpha_certificate",
-                    instances_checked=1,
-                    worst_slack=measured_alpha - a_hat,
-                    tolerance=1e-9,
-                    passed=measured_alpha >= a_hat - 1e-9,
-                    details={"alpha_hat": a_hat, "empirical_alpha": measured_alpha},
-                )
-            )
+            reports.append(oracle.check_alpha_certificate(cert_ctx, a_hat))
         if wanted in ("all", "kappa"):
             k_hat = kappa_hat(args.C, valpart.q, consts.y_max, ell_star_linear(train, consts.x_max))
-            measured_kappa = oracle.empirical_kappa_max(cert_ctx, max_n=12)
-            reports.append(
-                oracle.OracleReport(
-                    property_name="kappa_certificate",
-                    instances_checked=1,
-                    worst_slack=k_hat - measured_kappa,
-                    tolerance=1e-9,
-                    passed=measured_kappa <= k_hat + 1e-9,
-                    details={"kappa_hat": k_hat, "empirical_kappa": measured_kappa},
-                )
-            )
+            reports.append(oracle.check_kappa_certificate(cert_ctx, k_hat))
 
     _emit(_json([r.as_dict() for r in reports]), args.out)
     return 0 if all(r.passed for r in reports) else 3
@@ -293,7 +272,8 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cp = _read_config(args.config)
-    ctx, train, val, test, trainer = _build_context(args, cp)
+    ctx, test, _ = _build_context(args, cp)
+    train, trainer = ctx.train, ctx.trainer
     ks = [int(v) for v in args.ks.split(",")]
 
     # select_seconds times the method; fit_seconds one exact fit on the
@@ -312,12 +292,7 @@ def cmd_bench(args) -> int:
     add(train.n, lambda: baselines.full_selection(ctx))
     add(train.n, lambda: baselines.full_with_constraints(ctx))
     for k in ks:
-        sel_cfg = SelconConfig(
-            k=k,
-            seed=trainer.seed,
-            alpha_mode=args.alpha_mode or "certified",
-            alpha_value=args.alpha_value,
-        )
+        sel_cfg = _selcon_config(cp, args, k, trainer.seed)
         add(k, lambda: run_selcon(replace(ctx), sel_cfg))  # cold cache per k
         add(k, lambda: run_selcon_unconstrained(ctx, sel_cfg))
         add(k, lambda: baselines.random_selection(ctx, k, trainer.seed))
@@ -331,23 +306,24 @@ def cmd_fairness(args) -> int:
     cp = _read_config(args.config)
     if args.group is None:
         raise NeedTwoGroups("fairness runs need --group naming the group column")
-    ctx, train, val, test, trainer = _build_context(args, cp)
+    ctx, _, k = _build_context(args, cp)
     if ctx.valpart.q < 2:
         raise NeedTwoGroups("the validation split contains fewer than two groups")
+    val, seed = ctx.valpart.data, ctx.trainer.seed
     base = ctx.valpart.delta
     deltas = (
         [float(v) for v in args.deltas.split(",")]
         if args.deltas
         else [2.0 * base, base, 0.5 * base, 0.25 * base]
     )
-    k = int(_cfg_get(cp, "problem", "k", args.k, max(1, train.n // 10), int))
+    sel_cfg = _selcon_config(cp, args, k, seed)
 
     out = {"q": ctx.valpart.q, "k": k, "rows": []}
     for delta in deltas:
         part = ctx.valpart.with_delta(delta)
         d_ctx = replace(ctx, valpart=part)
-        sel = run_selcon(d_ctx, SelconConfig(k=k, seed=trainer.seed))
-        rnd = baselines.random_with_constraints(d_ctx, k, trainer.seed)
+        sel = run_selcon(d_ctx, sel_cfg)
+        rnd = baselines.random_with_constraints(d_ctx, k, seed)
         out["rows"].append(
             {
                 "delta": float(delta),

@@ -34,14 +34,12 @@ __all__ = [
     "Dataset",
     "ValidationPartition",
     "SplitSpec",
-    "SyntheticTruth",
     "load_csv",
     "save_csv",
     "split",
     "partition_validation",
     "offset_augment",
     "gen_synthetic",
-    "synthetic_truth",
 ]
 
 
@@ -326,41 +324,6 @@ def offset_augment(data: Dataset, c: float) -> Dataset:
     )
 
 
-@dataclass(frozen=True)
-class SyntheticTruth:
-    """Hidden parameters behind :func:`gen_synthetic` for a given seed."""
-
-    w_true: np.ndarray
-    group_biases: np.ndarray
-    shift: float
-
-
-def _build_synthetic(n: int, d: int, noise_sd: float, n_groups: int, seed: int):
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(n, d))
-    w_true = rng.uniform(-1.0, 1.0, size=d)
-    if n_groups > 0:
-        groups = np.arange(n) % n_groups
-        biases = rng.uniform(-0.5, 0.5, size=n_groups)
-        bias_per_row = biases[groups]
-    else:
-        groups = None
-        biases = np.empty(0)
-        bias_per_row = 0.0
-    noise = rng.normal(0.0, noise_sd, size=n) if noise_sd > 0 else 0.0
-    raw = X @ w_true + bias_per_row + noise
-    # Keep min(y) strictly positive: the certified bounds need min|y| > 0.
-    shift = 0.25 - float(np.min(raw))
-    y = raw + shift
-    labels = tuple(f"g{g}" for g in range(n_groups)) if n_groups > 0 else ()
-    data = Dataset(features=X, targets=y, groups=groups, group_labels=labels)
-    return data, SyntheticTruth(w_true=w_true, group_biases=biases, shift=shift)
-
-
 def gen_synthetic(n: int, d: int, noise_sd: float = 0.0, n_groups: int = 0, seed: int = 0) -> Dataset:
     """Seeded synthetic regression data with features in [-1, 1].
 
@@ -368,11 +331,20 @@ def gen_synthetic(n: int, d: int, noise_sd: float = 0.0, n_groups: int = 0, seed
     Gaussian noise, then shifted so that min(y) > 0.  Groups cycle over
     0..n_groups-1 in row order.
     """
-    data, _ = _build_synthetic(n, d, noise_sd, n_groups, seed)
-    return data
-
-
-def synthetic_truth(n: int, d: int, noise_sd: float = 0.0, n_groups: int = 0, seed: int = 0) -> SyntheticTruth:
-    """Replay :func:`gen_synthetic` and return its hidden parameters."""
-    _, truth = _build_synthetic(n, d, noise_sd, n_groups, seed)
-    return truth
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if noise_sd < 0:
+        raise ValueError("noise_sd must be >= 0")
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    raw = X @ rng.uniform(-1.0, 1.0, size=d)
+    groups = None
+    if n_groups > 0:
+        groups = np.arange(n) % n_groups
+        raw = raw + rng.uniform(-0.5, 0.5, size=n_groups)[groups]
+    if noise_sd > 0:
+        raw = raw + rng.normal(0.0, noise_sd, size=n)
+    # Keep min(y) strictly positive: the certified bounds need min|y| > 0.
+    y = raw + (0.25 - float(np.min(raw)))
+    labels = tuple(f"g{g}" for g in range(n_groups)) if n_groups > 0 else ()
+    return Dataset(features=X, targets=y, groups=groups, group_labels=labels)

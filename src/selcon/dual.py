@@ -378,14 +378,6 @@ def train_dual_exact_many(
                             iterations_used=int(iters), backend="exact",
                             converged=bool(converged))
 
-    if C == 0.0:
-        # The multiplier box collapses to a point; one inner solve suffices.
-        # With S empty as well, the pseudo-inverse of A = 0 gives w = 0.
-        stack = _Stack(keys, train, valpart, lam)
-        mu = np.zeros((len(keys), Q))
-        w, _, phi, _, _ = stack.evaluate(np.arange(len(keys)), mu)
-        return [state(w[r], mu[r], phi[r], 0, True) for r in range(len(keys))]
-
     # With an empty training sum the dual is positively homogeneous in mu
     # and not differentiable at the origin, where it is 0.  A positive
     # maximum therefore lies on a face mu_q = C; each face is a smooth

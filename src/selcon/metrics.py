@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, ValidationPartition
+from .dataset import Dataset, ValidationPartition, partition_validation
 from .dual import TrainedState
 from .errors import EmptyDataset, NeedTwoGroups
 from .models import Model, predict_many
+from .setfn import SetFnContext
 
 __all__ = [
     "mse",
     "group_errors",
     "fairness_violation",
     "default_delta",
+    "auto_delta",
     "sweep_rows_to_csv",
 ]
 
@@ -71,6 +73,14 @@ def default_delta(full_state: TrainedState, val: Dataset, valpart: ValidationPar
     """30% of the mean per-group validation error of the full-data model."""
     errs, _ = group_errors(full_state.model, val, valpart)
     return 0.30 * float(np.mean(errs))
+
+
+def auto_delta(train: Dataset, val: Dataset, mode: str, lam: float) -> float:
+    """The 30% rule: :func:`default_delta` of the unconstrained (C = 0) exact
+    fit on the whole training pool, with the validation partition ``mode``."""
+    probe = partition_validation(val, mode, 0.0)
+    _, full_state = SetFnContext(train=train, valpart=probe, lam=lam, C=0.0).f_of(range(train.n))
+    return default_delta(full_state, val, probe)
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

@@ -30,6 +30,8 @@ __all__ = [
     "check_monotone",
     "check_sandwich",
     "check_modular_bound",
+    "check_alpha_certificate",
+    "check_kappa_certificate",
 ]
 
 DENOM_CUTOFF = 1e-12
@@ -179,6 +181,22 @@ def empirical_kappa_max(ctx: SetFnContext, max_n: int = 12,
     if not finite.any():
         return 0.0
     return float(np.max(1.0 - min_ratio[finite]))
+
+
+def check_alpha_certificate(ctx: SetFnContext, alpha_hat: float, max_n: int = 12,
+                            tol: float = 1e-9) -> OracleReport:
+    """The measured submodularity ratio must be at least the certified one."""
+    measured = empirical_alpha(ctx, max_n=max_n)
+    return _report("alpha_certificate", 1, measured - alpha_hat, tol,
+                   alpha_hat=alpha_hat, empirical_alpha=measured)
+
+
+def check_kappa_certificate(ctx: SetFnContext, kappa_hat: float, max_n: int = 12,
+                            tol: float = 1e-9) -> OracleReport:
+    """The largest measured curvature must be at most the certified one."""
+    measured = empirical_kappa_max(ctx, max_n=max_n)
+    return _report("kappa_certificate", 1, kappa_hat - measured, tol,
+                   kappa_hat=kappa_hat, empirical_kappa=measured)
 
 
 def _sample_pair(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], int]:

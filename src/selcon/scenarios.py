@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import random_with_constraints
 from .dataset import Dataset, partition_validation
-from .metrics import default_delta, fairness_violation, mse
+from .metrics import auto_delta, fairness_violation, mse
 from .selection import SelconConfig, run_selcon
 from .setfn import SetFnContext
 
@@ -64,13 +64,6 @@ def four_group_pool(seed: int) -> tuple[Dataset, Dataset, Dataset]:
     )
 
 
-def _base_delta(train: Dataset, val: Dataset, mode: str, lam: float) -> float:
-    """The 30% rule, from the unconstrained fit on the whole training pool."""
-    probe = partition_validation(val, mode, 0.0)
-    _, full_state = SetFnContext(train=train, valpart=probe, lam=lam, C=0.0).f_of(range(train.n))
-    return default_delta(full_state, val, probe)
-
-
 def delta_trend(seeds: int, scales: list[float], n: int, d: int, k: int,
                 lam: float, C: float) -> list[dict]:
     """Test MSE of the driver (L = 6) at each multiple of the base bound.
@@ -84,7 +77,7 @@ def delta_trend(seeds: int, scales: list[float], n: int, d: int, k: int,
     rows = []
     for seed in range(seeds):
         train, val, test = corrupted_pool(seed, n, d)
-        base = _base_delta(train, val, "single", lam)
+        base = auto_delta(train, val, "single", lam)
         for s in scales:
             vp = partition_validation(val, "single", base * s)
             ctx = SetFnContext(train=train, valpart=vp, lam=lam, C=C)
@@ -103,7 +96,7 @@ def fairness_study(seeds: int, scales: list[float], k: int, lam: float, C: float
     rnd_vals = [[] for _ in scales]
     for seed in range(seeds):
         train, val, test = four_group_pool(seed)
-        base = _base_delta(train, val, "by_group", lam)
+        base = auto_delta(train, val, "by_group", lam)
         for j, s in enumerate(scales):
             delta = base * s
             ctx = SetFnContext(train=train, valpart=partition_validation(val, "by_group", delta),

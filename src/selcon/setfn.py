@@ -13,7 +13,6 @@ go through it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -166,6 +165,3 @@ class SetFnContext:
     def dump_values(self) -> dict[str, float]:
         """JSON-able map from subset key to cached f value, for cross-checks."""
         return {",".join(map(str, k)): v for k, (v, _) in sorted(self._cache.items())}
-
-    def dump_values_json(self) -> str:
-        return json.dumps(self.dump_values(), sort_keys=True)

@@ -140,6 +140,30 @@ class TestSelect:
              "--config", str(cfg), "--k", "6", "--out", str(out2)])
         assert len(json.loads(out2.read_text())["selected"]) == 6
 
+    def test_selcon_section_reaches_every_command(self, grouped_csv, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[problem]\nlambda = 0.5\nC = 1.0\ndelta = 0.4\nk = 4\n"
+            "[selcon]\nL = 3\nalpha_mode = fixed\nalpha_value = 1\nalpha_floor = 0.5\n"
+        )
+        seen = {}
+        real = cli.run_selcon
+
+        def recording(ctx, sel_cfg):
+            seen.setdefault(command, []).append(sel_cfg)
+            return real(ctx, sel_cfg)
+
+        monkeypatch.setattr(cli, "run_selcon", recording)
+        common = ["--data", str(grouped_csv), "--target", "y", "--group", "group",
+                  "--partition", "by_group", "--config", str(cfg)]
+        for command, extra in (("select", []), ("bench", ["--ks", "4"]),
+                               ("fairness", ["--deltas", "0.4"])):
+            assert run([command, *common, *extra, "--out", str(tmp_path / command)]) == 0
+        assert set(seen) == {"select", "bench", "fairness"}
+        for configs in seen.values():
+            for c in configs:
+                assert (c.k, c.L, c.alpha_mode, c.alpha_value, c.alpha_floor) == (4, 3, "fixed", 1.0, 0.5)
+
 
 class TestVerify:
     def test_default_suite_passes(self, tmp_path):
@@ -160,6 +184,17 @@ class TestVerify:
         assert code == 0
         reports = json.loads(out.read_text())
         assert len(reports) == 1 and reports[0]["property"] == "monotone"
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_a_usage_error(self, tmp_path, trials):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--property", "monotone", "--n", "4", "--trials", trials,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_reports_refuse_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            cli._json({"worst_slack": float("inf")})
 
     def test_nonzero_exit_on_failure(self, tmp_path, monkeypatch):
         failed = oracle.OracleReport(

@@ -12,7 +12,6 @@ from selcon.dataset import (
     partition_validation,
     save_csv,
     split,
-    synthetic_truth,
 )
 from selcon.errors import (
     EmptyFile,
@@ -193,13 +192,13 @@ class TestSynthetic:
         assert np.min(np.abs(data.targets)) > 0
 
     def test_noise_free_residual_is_group_bias_pattern(self):
-        # Recompute the linear signal externally; what remains must be the
-        # per-group bias (plus the disclosed positivity shift).
+        # Noise-free targets are a linear signal plus one offset per group
+        # (the positivity shift folds into the offsets), so least squares on
+        # the features and the group indicators leaves no residual.
         data = gen_synthetic(12, 3, noise_sd=0.0, n_groups=4, seed=9)
-        truth = synthetic_truth(12, 3, noise_sd=0.0, n_groups=4, seed=9)
-        resid = data.targets - data.features @ truth.w_true - truth.shift
-        expected = truth.group_biases[data.groups]
-        assert np.allclose(resid, expected, atol=1e-12)
+        design = np.hstack([data.features, np.eye(4)[data.groups]])
+        coef, *_ = np.linalg.lstsq(design, data.targets, rcond=None)
+        assert np.allclose(design @ coef, data.targets, atol=1e-12)
 
     def test_features_bounded(self):
         data = gen_synthetic(40, 3, seed=2)

@@ -180,7 +180,7 @@ class TestCacheSemantics:
     def test_dump_json(self, tiny_ctx):
         tiny_ctx.f_of((0,))
         tiny_ctx.f_of((0, 2))
-        payload = json.loads(tiny_ctx.dump_values_json())
+        payload = json.loads(json.dumps(tiny_ctx.dump_values()))
         assert set(payload) == {"0", "0,2"}
 
     def test_sgd_negative_marginals_recorded(self):
