@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, ValidationPartition, partition_validation
+from . import baselines, dataset
+from .dataset import Dataset, ValidationPartition
 from .dual import TrainedState
 from .errors import EmptyDataset, NeedTwoGroups
 from .models import Model, predict_many
@@ -78,9 +79,9 @@ def default_delta(full_state: TrainedState, val: Dataset, valpart: ValidationPar
 def auto_delta(train: Dataset, val: Dataset, mode: str, lam: float) -> float:
     """The 30% rule: :func:`default_delta` of the unconstrained (C = 0) exact
     fit on the whole training pool, with the validation partition ``mode``."""
-    probe = partition_validation(val, mode, 0.0)
-    _, full_state = SetFnContext(train=train, valpart=probe, lam=lam, C=0.0).f_of(range(train.n))
-    return default_delta(full_state, val, probe)
+    probe = dataset.partition_validation(val, mode, 0.0)
+    full = baselines.full_selection(SetFnContext(train=train, valpart=probe, lam=lam, C=0.0))
+    return default_delta(full.state, val, probe)
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

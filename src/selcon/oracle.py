@@ -183,19 +183,17 @@ def empirical_kappa_max(ctx: SetFnContext, max_n: int = 12,
     return float(np.max(1.0 - min_ratio[finite]))
 
 
-def check_alpha_certificate(ctx: SetFnContext, alpha_hat: float, max_n: int = 12,
-                            tol: float = 1e-9) -> OracleReport:
+def check_alpha_certificate(ctx: SetFnContext, alpha_hat: float) -> OracleReport:
     """The measured submodularity ratio must be at least the certified one."""
-    measured = empirical_alpha(ctx, max_n=max_n)
-    return _report("alpha_certificate", 1, measured - alpha_hat, tol,
+    measured = empirical_alpha(ctx)
+    return _report("alpha_certificate", 1, measured - alpha_hat, 1e-9,
                    alpha_hat=alpha_hat, empirical_alpha=measured)
 
 
-def check_kappa_certificate(ctx: SetFnContext, kappa_hat: float, max_n: int = 12,
-                            tol: float = 1e-9) -> OracleReport:
+def check_kappa_certificate(ctx: SetFnContext, kappa_hat: float) -> OracleReport:
     """The largest measured curvature must be at most the certified one."""
-    measured = empirical_kappa_max(ctx, max_n=max_n)
-    return _report("kappa_certificate", 1, kappa_hat - measured, tol,
+    measured = empirical_kappa_max(ctx)
+    return _report("kappa_certificate", 1, kappa_hat - measured, 1e-9,
                    kappa_hat=kappa_hat, empirical_kappa=measured)
 
 
