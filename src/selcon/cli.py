@@ -241,10 +241,12 @@ def cmd_verify(args) -> int:
         raise ValueError("--trials must be >= 1")
     cp = _read_config(args.config)
     trainer = TrainerConfig(**_settings(cp, args, "trainer"))
+    wanted = args.property
+    if wanted in ("all", "modular", "alpha", "kappa") and args.n > oracle.MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"--property {wanted} enumerates all subsets of n = {args.n} > {oracle.MAX_EXHAUSTIVE_N}")
     train, valpart = _verify_instance(args)
     ctx = SetFnContext(train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer)
     reports = []
-    wanted = args.property
 
     if wanted in ("all", "monotone"):
         reports.append(oracle.check_monotone(ctx, trials=args.trials, seed=trainer.seed))
@@ -252,7 +254,7 @@ def cmd_verify(args) -> int:
         reports.append(oracle.check_sandwich(ctx, trials=args.trials, seed=trainer.seed))
     if wanted in ("all", "modular"):
         s_hat = baselines.random_subset(train.n, max(2, train.n // 3), trainer.seed)
-        alpha = oracle.empirical_alpha(ctx, max_n=12)
+        alpha = oracle.empirical_alpha(ctx)
         reports.append(oracle.check_modular_bound(ctx, s_hat, alpha))
     if wanted in ("all", "alpha", "kappa"):
         # Certificates only hold above the lam threshold; build that instance.

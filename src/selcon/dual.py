@@ -45,6 +45,7 @@ from .models import (
     Model,
     TwoLayerModel,
     model_from_params,
+    mse_grad,
     params_of,
     predict_many,
 )
@@ -116,7 +117,7 @@ class TrainedState:
 
 
 def _subset_arrays(subset: Sequence[int], train: Dataset):
-    idx = np.asarray(list(subset), dtype=int)
+    idx = np.asarray(subset, dtype=np.intp)
     return train.features[idx], train.targets[idx]
 
 
@@ -215,7 +216,7 @@ class _Stack:
     every stack it appears in.
     """
 
-    def __init__(self, subsets: Sequence[tuple[int, ...]], train: Dataset,
+    def __init__(self, subsets: Sequence[np.ndarray], train: Dataset,
                  valpart: ValidationPartition, lam: float):
         B, d = len(subsets), train.d
         eye = np.eye(d)
@@ -223,12 +224,12 @@ class _Stack:
         self.bs = np.zeros((B, d))
         self.cs = np.zeros(B)
         for r, subset in enumerate(subsets):
-            if subset:
+            if len(subset):
                 Xs, ys = _subset_arrays(subset, train)
                 self.base[r] = lam * len(subset) * eye + Xs.T @ Xs
                 self.bs[r] = Xs.T @ ys
                 self.cs[r] = ys @ ys
-        self.empty = np.array([not subset for subset in subsets])
+        self.empty = np.array([len(subset) == 0 for subset in subsets])
         self.Gbar, self.bbar, self.cbar = valpart.gram
         self.delta = valpart.delta
 
@@ -358,17 +359,18 @@ def train_dual_exact_many(
 ) -> list[TrainedState]:
     """:func:`train_dual_exact` for a stack of subsets, solved in lockstep.
 
-    The subsets are stacked into (B, d, d) systems and one projected Newton
-    loop runs over all of them (see :func:`_projected_newton`).  Each row's
-    arithmetic is independent of the other rows, so a subset's result is
-    bit-identical whatever stack it is solved in.  Memory grows as B d^2;
-    callers bound B.
+    Each subset is a sequence or array of training indices.  The subsets are
+    stacked into (B, d, d) systems and one projected Newton loop runs over
+    all of them (see :func:`_projected_newton`).  Each row's arithmetic is
+    independent of the other rows, so a subset's result is bit-identical
+    whatever stack it is solved in.  Memory grows as B d^2; callers bound B,
+    as ``SetFnContext`` does with ``setfn._CHUNK_FLOATS``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if C < 0:
         raise ValueError("C must be >= 0")
-    keys = [tuple(sorted(int(i) for i in s)) for s in subsets]
+    keys = [np.sort(np.asarray(s, dtype=np.intp)) for s in subsets]
     if not keys:
         return []
     Q, d = valpart.q, train.d
@@ -385,7 +387,7 @@ def train_dual_exact_many(
     # For Q = 1 the only face is the endpoint mu = C.
     rows, lo = [], []
     for key in keys:
-        if key:
+        if len(key):
             rows.append(key)
             lo.append(np.zeros(Q))
         else:
@@ -397,7 +399,7 @@ def train_dual_exact_many(
 
     out, r = [], 0
     for key in keys:
-        if key:
+        if len(key):
             out.append(state(w[r], mu[r], phi[r], iters[r], converged[r]))
             r += 1
             continue
@@ -447,19 +449,6 @@ def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Gener
         output = rng.normal(0.0, 1.0 / math.sqrt(hidden_width), size=hidden_width)
         return TwoLayerModel(hidden=hidden, output=output)
     raise ValueError(f"unknown model kind {model_kind!r}")
-
-
-def _mse_grad_flat(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of mean((y - h(x))^2) over the rows of X, flat layout."""
-    if isinstance(model, LinearModel):
-        r = X @ model.w - y
-        return (2.0 / len(y)) * (X.T @ r)
-    Z = X @ model.hidden.T
-    A = np.maximum(Z, 0.0)
-    r = A @ model.output - y
-    g_out = (2.0 / len(y)) * (A.T @ r)
-    g_hid = (2.0 / len(y)) * ((r[:, None] * (Z > 0.0) * model.output).T @ X)
-    return np.concatenate([g_hid.ravel(), g_out])
 
 
 def train_dual_sgd(
@@ -519,10 +508,10 @@ def train_dual_sgd(
             grad = np.zeros_like(params)
             if ns:
                 batch = order[start : start + b_eff]
-                grad += ns * (2.0 * lam * params + _mse_grad_flat(model, Xs[batch], ys[batch]))
+                grad += ns * (2.0 * lam * params + mse_grad(model, Xs[batch], ys[batch]))
             for q in range(Q):
                 if mu[q] != 0.0:
-                    grad += mu[q] * _mse_grad_flat(model, Xv[rows_per_q[q]], yv[rows_per_q[q]])
+                    grad += mu[q] * mse_grad(model, Xv[rows_per_q[q]], yv[rows_per_q[q]])
             step += 1
             m_t = beta1 * m_t + (1 - beta1) * grad
             v_t = beta2 * v_t + (1 - beta2) * grad * grad
@@ -588,8 +577,6 @@ def primal_value(
         model = LinearModel(w=np.linalg.solve(A, Xs.T @ ys))
     else:
         model = _init_model(model_kind, train.d, hidden_width, rng)
-        if model_kind == "linear":
-            model = LinearModel(w=np.zeros(train.d))
     params = params_of(model)
 
     def value_and_subgrad(p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -599,14 +586,14 @@ def primal_value(
         if ns:
             r = ys - predict_many(mdl, Xs)
             total += ns * lam * float(p @ p) + float(r @ r)
-            g += ns * (2.0 * lam * p + _mse_grad_flat(mdl, Xs, ys))
+            g += ns * (2.0 * lam * p + mse_grad(mdl, Xs, ys))
         val_resid = yv - predict_many(mdl, Xv)
         for q in range(Q):
             e_q = float(np.mean(val_resid[rows_per_q[q]] ** 2))
             gap = e_q - delta
             if gap > 0:
                 total += C * gap
-                g += C * _mse_grad_flat(mdl, Xv[rows_per_q[q]], yv[rows_per_q[q]])
+                g += C * mse_grad(mdl, Xv[rows_per_q[q]], yv[rows_per_q[q]])
         return total, g
 
     best_val, _ = value_and_subgrad(params)

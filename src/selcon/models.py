@@ -23,6 +23,7 @@ __all__ = [
     "predict",
     "predict_many",
     "loss_grad",
+    "mse_grad",
     "params_of",
     "model_from_params",
     "model_to_dict",
@@ -101,24 +102,26 @@ def predict_many(model: Model, X: np.ndarray) -> np.ndarray:
     return np.maximum(X @ model.hidden.T, 0.0) @ model.output
 
 
-def loss_grad(model: Model, x: np.ndarray, y: float) -> np.ndarray:
-    """Gradient of the squared loss (y - h(x))^2 in the flat parameter layout.
+def mse_grad(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of mean((y - h(x))^2) over the rows of X, in the flat
+    parameter layout; the relu subgradient at exactly 0 is taken as 0."""
+    if isinstance(model, LinearModel):
+        r = X @ model.w - y
+        return (2.0 / len(y)) * (X.T @ r)
+    Z = X @ model.hidden.T
+    A = np.maximum(Z, 0.0)
+    r = A @ model.output - y
+    g_out = (2.0 / len(y)) * (A.T @ r)
+    g_hid = (2.0 / len(y)) * ((r[:, None] * (Z > 0.0) * model.output).T @ X)
+    return np.concatenate([g_hid.ravel(), g_out])
 
-    The relu subgradient at exactly 0 is taken as 0.
-    """
+
+def loss_grad(model: Model, x: np.ndarray, y: float) -> np.ndarray:
+    """Gradient of the squared loss (y - h(x))^2: :func:`mse_grad` on one row."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise DimensionMismatch(f"expected input of length {model.d}, got shape {x.shape}")
-    if isinstance(model, LinearModel):
-        r = y - model.w @ x
-        return -2.0 * r * x
-    z = model.hidden @ x
-    a = np.maximum(z, 0.0)
-    r = y - model.output @ a
-    g_out = -2.0 * r * a
-    # d(h)/d(hidden) = outer(output * 1[z > 0], x)
-    g_hid = -2.0 * r * np.outer(model.output * (z > 0.0), x)
-    return np.concatenate([g_hid.ravel(), g_out])
+    return mse_grad(model, x[None, :], np.array([float(y)]))
 
 
 def params_of(model: Model) -> np.ndarray:

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 DENOM_CUTOFF = 1e-12
+# Largest ground set the exhaustive ratio, curvature and bound checks enumerate.
+MAX_EXHAUSTIVE_N = 12
 
 
 @dataclass
@@ -99,7 +101,7 @@ def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[t
     return best_set, best_val
 
 
-def empirical_alpha_detail(ctx: SetFnContext, max_n: int = 12,
+def empirical_alpha_detail(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N,
                            cutoff: float = DENOM_CUTOFF) -> tuple[float, int, int]:
     """Exact submodularity ratio plus (skipped, checked) triple counts.
 
@@ -108,8 +110,6 @@ def empirical_alpha_detail(ctx: SetFnContext, max_n: int = 12,
     are skipped and counted rather than silently dropped.
     """
     n = ctx.train.n
-    if n > max_n:
-        raise TooLarge(f"exhaustive ratio check on n = {n} exceeds max_n = {max_n}")
     f = f_table(ctx, max_n=max_n)
     masks = np.arange(1 << n)
     best = math.inf
@@ -140,7 +140,7 @@ def empirical_alpha_detail(ctx: SetFnContext, max_n: int = 12,
     return (best if checked else math.inf), skipped, checked
 
 
-def empirical_alpha(ctx: SetFnContext, max_n: int = 12) -> float:
+def empirical_alpha(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N) -> float:
     value, _, _ = empirical_alpha_detail(ctx, max_n=max_n)
     return value
 
@@ -162,7 +162,7 @@ def empirical_kappa(ctx: SetFnContext, subset, cutoff: float = DENOM_CUTOFF) -> 
     return 1.0 - min(ratios)
 
 
-def empirical_kappa_max(ctx: SetFnContext, max_n: int = 12,
+def empirical_kappa_max(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N,
                         cutoff: float = DENOM_CUTOFF) -> float:
     """Largest measured curvature over every subset of the ground set."""
     n = ctx.train.n
@@ -276,8 +276,8 @@ def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float,
     from .selection import modular_scores
 
     n = ctx.train.n
-    if n > 12:
-        raise TooLarge(f"modular-bound enumeration on n = {n} exceeds 12")
+    if n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"modular-bound enumeration on n = {n} exceeds {MAX_EXHAUSTIVE_N}")
     s_hat = tuple(sorted(int(i) for i in s_hat))
     scores = modular_scores(ctx, s_hat, alpha)
     f_hat = ctx.f_of(s_hat)[0]

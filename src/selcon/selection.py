@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -104,40 +105,25 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
     return min(max(a_hat, cfg.alpha_floor), 1.0)
 
 
-def modular_scores(ctx: SetFnContext, s_hat: tuple[int, ...], alpha: float,
+def modular_scores(ctx: SetFnContext, s_hat: Sequence[int], alpha: float,
                    warm_loo_epochs: int | None = None) -> np.ndarray:
     """Per-element scores whose k smallest minimize the modular bound.
 
     In-set:   alpha * (f(S_hat) - f(S_hat minus i))
     Out-set:  (f({i}) - f(empty)) / alpha
 
-    The leave-one-out values are one batched evaluation, unless the sgd
-    backend warm-starts them from S_hat's state (``warm_loo_epochs``).
+    The leave-one-out values come from one uncached
+    :meth:`SetFnContext.leave_one_out` sweep, which the sgd backend
+    warm-starts from S_hat's state when ``warm_loo_epochs`` is set.
     """
     if alpha <= 0:
         raise InvalidAlpha("the modular bound needs alpha > 0")
-    s_hat = tuple(sorted(s_hat))
-    if not s_hat:
+    s_hat = np.sort(np.asarray(s_hat, dtype=np.intp))
+    if not len(s_hat):
         raise ValueError("the reference subset must be non-empty")
-    n = ctx.train.n
-    f_hat, state_hat = ctx.f_of(s_hat)
-    in_set = set(s_hat)
-
-    rests = [tuple(j for j in s_hat if j != i) for i in s_hat]
-    if warm_loo_epochs is not None and ctx.backend == "sgd":
-        loo_values = [ctx.refine(rest, warm_loo_epochs, state_hat)[0] for rest in rests]
-    else:
-        loo_values = [v for v, _ in ctx.f_many(rests)]
-    loo = dict(zip(s_hat, loo_values))
-
-    f0 = ctx.f_empty()
-    singles = ctx.singletons()
-    scores = np.empty(n)
-    for i in range(n):
-        if i in in_set:
-            scores[i] = alpha * (f_hat - loo[i])
-        else:
-            scores[i] = (singles[i] - f0) / alpha
+    f_hat = ctx.f_of(s_hat)[0]
+    scores = (ctx.singletons() - ctx.f_empty()) / alpha
+    scores[s_hat] = alpha * (f_hat - ctx.leave_one_out(s_hat, warm_loo_epochs))
     return scores
 
 

@@ -6,15 +6,15 @@ path-independent: every f(S) trains from the configured initialization, and
 the exact backend's stacked solver computes each subset's row without
 reference to the other rows, so cached numbers do not depend on the order in
 which subsets were queried nor on the batch they were solved in.
-:meth:`SetFnContext.f_many` is the batched entry point; the singleton sweep,
-the leave-one-out sweeps of the selection driver and the brute-force oracles
-go through it.
+:meth:`SetFnContext.f_many` is the batched entry point; the singleton sweep
+and the brute-force oracles go through it.  Each leave-one-out value is used
+once, so :meth:`SetFnContext.leave_one_out` neither reads nor fills the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class SetFnContext:
     :meth:`f_of` evaluates one subset and :meth:`f_many` many at once; on the
     exact backend ``f_many`` solves its cache misses as stacks, and each value
     is bit-identical to the one :meth:`f_of` would give.
+    :meth:`leave_one_out` solves the sets S minus i the same way but leaves
+    the cache alone, so only cold, path-independent values are ever cached.
     """
 
     train: Dataset
@@ -76,7 +78,7 @@ class SetFnContext:
 
     # -- training -----------------------------------------------------------
 
-    def _train(self, key: tuple[int, ...], epochs: int | None = None,
+    def _train(self, key: Sequence[int], epochs: int | None = None,
                init_state: TrainedState | None = None) -> TrainedState:
         if self.backend == "exact":
             return train_dual_exact(key, self.train, self.valpart, self.lam, self.C, self.trainer)
@@ -105,41 +107,48 @@ class SetFnContext:
         self.cache_misses += 1
         return entry
 
+    def _solve_exact(self, subsets: Sequence) -> list[TrainedState]:
+        """Exact states of ``subsets``, in stacks of at most ``_CHUNK_FLOATS``
+        floats."""
+        step = max(1, _CHUNK_FLOATS // (self.train.d * (self.train.d + self.valpart.q)))
+        return [state for start in range(0, len(subsets), step)
+                for state in train_dual_exact_many(subsets[start:start + step], self.train,
+                                                   self.valpart, self.lam, self.C, self.trainer)]
+
     def f_many(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, TrainedState]]:
         """:meth:`f_of` for each subset, in input order.
 
         On the exact backend the distinct cache misses are solved in sorted
-        key order, in stacks of at most ``_CHUNK_FLOATS`` floats, and counted
-        as :meth:`f_of` would count them.  The sgd backend loops :meth:`f_of`.
+        key order as stacks, and counted as :meth:`f_of` would count them.
+        The sgd backend loops :meth:`f_of`.
         """
         if self.backend != "exact":
             return [self.f_of(s) for s in subsets]
         keys = [_canonical(s) for s in subsets]
-        missing = {key for key in keys if key not in self._cache}
+        missing = sorted({key for key in keys if key not in self._cache})
         self.cache_misses += len(missing)
         self.cache_hits += len(keys) - len(missing)
-        missing = sorted(missing)
-        step = max(1, _CHUNK_FLOATS // (self.train.d * (self.train.d + self.valpart.q)))
-        for start in range(0, len(missing), step):
-            chunk = missing[start:start + step]
-            states = train_dual_exact_many(
-                chunk, self.train, self.valpart, self.lam, self.C, self.trainer)
-            for key, state in zip(chunk, states):
-                self._cache[key] = (state.f_value, state)
+        for key, state in zip(missing, self._solve_exact(missing)):
+            self._cache[key] = (state.f_value, state)
         return [self._cache[key] for key in keys]
 
-    def refine(self, subset: Iterable[int], epochs: int,
-               init_state: TrainedState) -> tuple[float, TrainedState]:
-        """Warm-started short training (sgd only); bypasses and fills the cache.
+    def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None) -> np.ndarray:
+        """f(S_hat minus i) for every i of the sorted index array ``s_hat``,
+        in its order; uncached.
 
-        This is the opt-in speed mode for leave-one-out evaluations; it makes
-        cached values path-dependent and is therefore never used by default.
+        On the exact backend the rows are solved as stacks, each value
+        bit-identical to :meth:`f_of`'s.  The sgd backend trains each row
+        from scratch, or, when ``warm_epochs`` is set, for that many epochs
+        from S_hat's trained state; the exact backend ignores it.
         """
-        if self.backend != "sgd":
-            raise ValueError("warm-started refinement exists for the sgd backend only")
-        key = _canonical(subset)
-        state = self._train(key, epochs=epochs, init_state=init_state)
-        return self._cache.setdefault(key, (state.f_value, state))
+        s_hat = np.asarray(s_hat, dtype=np.intp)
+        rows = [np.delete(s_hat, j) for j in range(len(s_hat))]
+        if self.backend == "exact":
+            states = self._solve_exact(rows)
+        else:
+            init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
+            states = [self._train(row, warm_epochs, init_state) for row in rows]
+        return np.array([state.f_value for state in states])
 
     # -- derived quantities --------------------------------------------------
 

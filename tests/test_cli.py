@@ -185,6 +185,12 @@ class TestVerify:
         reports = json.loads(out.read_text())
         assert len(reports) == 1 and reports[0]["property"] == "monotone"
 
+    def test_enumeration_cap_checked_before_any_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "check_monotone", lambda *a, **kw: calls.append(a))
+        assert run(["verify", "--n", "13"]) == 2
+        assert calls == []
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_a_usage_error(self, tmp_path, trials):
         out = tmp_path / "v.json"

@@ -42,6 +42,13 @@ class TestModularScores:
                 want = ctx.f_of((i,))[0] - f0
             assert scores[i] == pytest.approx(want, abs=1e-12)
 
+    def test_leave_one_out_sets_not_cached(self):
+        ctx = make_ctx(44, n=7)
+        s_hat = (1, 2, 4, 6)
+        modular_scores(ctx, s_hat, alpha=1.0)
+        sizes = {len(key.split(",")) if key else 0 for key in ctx.dump_values()}
+        assert len(s_hat) in sizes and len(s_hat) - 1 not in sizes
+
     def test_requires_positive_alpha(self):
         ctx = make_ctx(43, n=5)
         with pytest.raises(InvalidAlpha):
@@ -164,11 +171,15 @@ class TestWarmLeaveOneOut:
         assert len(result.selected) == 2
         assert result.state.backend == "sgd"
 
-    def test_refine_rejected_on_exact_backend(self):
-        ctx = make_ctx(63, n=4)
-        _, state = ctx.f_of((0, 1))
-        with pytest.raises(ValueError):
-            ctx.refine((0,), epochs=3, init_state=state)
+    def test_warm_values_stay_out_of_the_cache(self):
+        from selcon.dual import TrainerConfig
+
+        trainer = TrainerConfig(epochs=40, seed=0)
+        ctx = make_ctx(62, n=6, backend="sgd", trainer=trainer)
+        modular_scores(ctx, (0, 2, 5), alpha=1.0, warm_loo_epochs=3)
+        cold = make_ctx(62, n=6, backend="sgd", trainer=trainer)
+        for rest in ((2, 5), (0, 5), (0, 2)):
+            assert ctx.f_of(rest)[0] == cold.f_of(rest)[0]
 
 
 class TestBoundDominance:

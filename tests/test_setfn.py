@@ -127,6 +127,33 @@ class TestFMany:
         assert (a.cache_hits, a.cache_misses) == (1, 3)
 
 
+class TestLeaveOneOut:
+    """A leave-one-out sweep equals one-at-a-time f_of values bit for bit and
+    leaves the cache alone."""
+
+    @pytest.mark.parametrize("chunk_floats", [1, 7, setfn._CHUNK_FLOATS],
+                             ids=["1", "7", "default"])
+    @pytest.mark.parametrize("C", [0.0, 1.5])
+    def test_bitwise_equal_to_f_of(self, monkeypatch, chunk_floats, C):
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+        ref = make_ctx(34, n=9, d=3, q=2, C=C)
+        for s_hat in (np.array([4]), np.array([0, 2, 3, 5, 8])):
+            ctx = make_ctx(34, n=9, d=3, q=2, C=C)
+            got = ctx.leave_one_out(s_hat)
+            want = [ref.f_of(np.delete(s_hat, j))[0] for j in range(len(s_hat))]
+            assert np.array_equal(got, want)
+            assert ctx.dump_values() == {}
+
+    def test_sgd_equal_to_f_of(self):
+        trainer = TrainerConfig(epochs=3, seed=0)
+        ctx = make_ctx(32, n=5, backend="sgd", trainer=trainer)
+        ref = make_ctx(32, n=5, backend="sgd", trainer=trainer)
+        s_hat = np.array([0, 2, 4])
+        got = ctx.leave_one_out(s_hat)
+        assert np.array_equal(got, [ref.f_of(np.delete(s_hat, j))[0] for j in range(3)])
+        assert ctx.dump_values() == {}
+
+
 class TestFEmpty:
     def test_zero_when_slack(self):
         ctx = make_ctx(25, delta=100.0, C=2.0)
