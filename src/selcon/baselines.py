@@ -1,7 +1,10 @@
 """Comparison methods sharing the SelectionResult schema with the driver.
 
 Full-data training with and without constraints, and uniform random subsets
-with and without constraints.  Each returns the same result type as the
+with and without constraints.  The random subsets are
+:func:`selection.random_subset`, the draw the selection driver starts from,
+so at equal k and seed the driver and the random baselines begin alike;
+this module re-exports it.  Each returns the same result type as the
 selection driver so the metrics layer is method-agnostic; the ``method``
 slot also leaves room for merging externally computed numbers into reports.
 """
@@ -11,10 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-import numpy as np
-
-from .errors import InvalidK
-from .selection import SelectionResult, _digest
+from .selection import SelectionResult, _digest, random_subset
 from .setfn import SetFnContext
 
 __all__ = [
@@ -50,23 +50,11 @@ def full_with_constraints(ctx: SetFnContext) -> SelectionResult:
     return _train_fixed(ctx, everything, "full-constrained")
 
 
-def random_subset(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """Uniform k-subset without replacement, sorted, deterministic per seed."""
-    if not (1 <= k <= n):
-        raise InvalidK(f"k = {k} is outside [1, {n}]")
-    rng = np.random.default_rng(seed)
-    return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
-
-
 def random_with_constraints(ctx: SetFnContext, k: int, seed: int) -> SelectionResult:
     """Random subset trained with the configured constraints."""
-    subset = random_subset(ctx.train.n, k, seed)
-    result = _train_fixed(ctx, subset, "random-constrained")
-    return result
+    return _train_fixed(ctx, random_subset(ctx.train.n, k, seed), "random-constrained")
 
 
 def random_selection(ctx: SetFnContext, k: int, seed: int) -> SelectionResult:
     """Random subset trained without constraints."""
-    subset = random_subset(ctx.train.n, k, seed)
-    result = _train_fixed(replace(ctx, C=0.0), subset, "random")
-    return result
+    return _train_fixed(replace(ctx, C=0.0), random_subset(ctx.train.n, k, seed), "random")

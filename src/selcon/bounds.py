@@ -17,6 +17,7 @@ import numpy as np
 import scipy.optimize
 
 from .dataset import Dataset
+from .dual import DEFAULT_HIDDEN_WIDTH
 from .errors import InvalidAlpha, ZeroTarget
 from .models import TwoLayerModel, predict
 
@@ -125,7 +126,7 @@ def _two_layer_element_min(lam: float, y: float, x: np.ndarray, width: int, seed
 
 
 def ell(train: Dataset, lam: float, model_kind: str = "linear",
-        hidden_width: int = 5, seed: int = 0) -> float:
+        hidden_width: int = DEFAULT_HIDDEN_WIDTH, seed: int = 0) -> float:
     """min over elements of min over w of lam*||w||^2 + (y_i - h_w(x_i))^2.
 
     Closed form per element for the linear model; numeric minimization with

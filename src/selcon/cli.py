@@ -6,8 +6,9 @@ Subcommands: ``gen`` (synthetic CSV), ``select`` (run the selection driver),
 file: ``select``, ``bench`` and ``fairness`` read its [problem], [trainer]
 and [selcon] sections, ``verify`` only [trainer].  Command-line flags override
 the file, and the SELCON_SEED environment variable overrides the seed.  Exit
-codes: 0 ok, 1 runtime error, 2 usage or precondition error, 3 verification
-failure.
+codes: 0 ok, 1 runtime error, 2 usage or precondition error (a
+:class:`~selcon.errors.UsageError`, a ``ValueError``, a missing file or a
+directory given as a file), 3 verification failure.
 
 Reports are deterministic for fixed flags, files and seeds; measured wall
 times are excluded from ``select`` output unless ``--timing`` is passed,
@@ -48,37 +49,9 @@ from .dataset import (
 )
 from .dual import TrainerConfig, train_dual_exact
 from .models import model_to_dict
-from .errors import (
-    EmptyFile,
-    EmptySplit,
-    InvalidK,
-    MissingColumn,
-    MissingGroups,
-    NeedTwoGroups,
-    NonFiniteValue,
-    ParseFailure,
-    SelconError,
-    TooLarge,
-    ZeroTarget,
-)
+from .errors import NeedTwoGroups, SelconError, TooLarge, UsageError
 from .selection import SelconConfig, run_selcon, run_selcon_unconstrained
 from .setfn import SetFnContext
-
-USAGE_ERRORS = (
-    InvalidK,
-    MissingColumn,
-    MissingGroups,
-    NeedTwoGroups,
-    EmptySplit,
-    EmptyFile,
-    ParseFailure,
-    NonFiniteValue,
-    TooLarge,
-    ZeroTarget,
-    ValueError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -218,7 +191,7 @@ def cmd_select(args) -> int:
         # Loss-floor variant of ell_star used by the linear certificate proof.
         bounds["ell_star_loss_floor"] = ctx.lam * consts.y_min**2 / (ctx.lam + consts.x_max**2)
         report["bounds"] = bounds
-    except ZeroTarget:
+    except UsageError:  # ZeroTarget: the certificates need every |y| > 0
         report["bounds"] = None
     if args.timing:
         report["timing"] = {"wall_time_seconds": result.wall_time}
@@ -253,7 +226,7 @@ def cmd_verify(args) -> int:
     if wanted in ("all", "sandwich"):
         reports.append(oracle.check_sandwich(ctx, trials=args.trials, seed=trainer.seed))
     if wanted in ("all", "modular"):
-        s_hat = baselines.random_subset(train.n, max(2, train.n // 3), trainer.seed)
+        s_hat = baselines.random_subset(train.n, min(train.n, max(2, train.n // 3)), trainer.seed)
         alpha = oracle.empirical_alpha(ctx)
         reports.append(oracle.check_modular_bound(ctx, s_hat, alpha))
     if wanted in ("all", "alpha", "kappa"):
@@ -422,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (UsageError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SelconError, OSError) as exc:

@@ -113,7 +113,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ValidationPartition:
-    """Disjoint cover of a validation dataset's rows plus the error bound."""
+    """Disjoint cover of a validation dataset's rows plus the error bound;
+    :meth:`errors` is the one definition of a group's validation error."""
 
     data: Dataset
     subsets: tuple[np.ndarray, ...]
@@ -136,18 +137,21 @@ class ValidationPartition:
     def q(self) -> int:
         return len(self.subsets)
 
+    def errors(self, resid: np.ndarray) -> np.ndarray:
+        """Per-group mean of the squared residuals ``resid`` (one per row)."""
+        return np.array([np.mean(resid[rows] ** 2) for rows in self.subsets])
+
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-group validation moments (G_q, b_q, c_q), built once.
 
-        G_q = X_q'X_q / |V_q|, b_q = X_q'y_q / |V_q| and c_q = mean(y_q^2),
-        so the group error of a linear model is w'G_q w - 2 b_q'w + c_q.
+        G_q = X_q'X_q / |V_q|, b_q = X_q'y_q / |V_q| and c_q = errors(y), so
+        the group error of a linear model is w'G_q w - 2 b_q'w + c_q.
         """
         X, y = self.data.features, self.data.targets
         G = np.stack([X[rows].T @ X[rows] / len(rows) for rows in self.subsets])
         b = np.stack([X[rows].T @ y[rows] / len(rows) for rows in self.subsets])
-        c = np.array([float(np.mean(y[rows] ** 2)) for rows in self.subsets])
-        return _frozen(G), _frozen(b), _frozen(c)
+        return _frozen(G), _frozen(b), _frozen(self.errors(y))
 
     def with_delta(self, delta: float) -> "ValidationPartition":
         return ValidationPartition(self.data, self.subsets, delta)

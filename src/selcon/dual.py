@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 DEFAULT_HIDDEN_WIDTH = 5
+# Round budget of primal_value's subgradient method, and steps per round.
+_PRIMAL_ROUNDS = 80
+_PRIMAL_STEPS = 150
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,9 @@ def dual_objective(
         Xs, ys = _subset_arrays(subset, train)
         resid = ys - predict_many(model, Xs)
         total += len(subset) * lam * float(w_flat @ w_flat) + float(resid @ resid)
-    val_pred = predict_many(model, valpart.data.features)
-    val_resid = valpart.data.targets - val_pred
-    for q, rows in enumerate(valpart.subsets):
-        e_q = float(np.mean(val_resid[rows] ** 2))
-        total += float(mu[q]) * (e_q - valpart.delta)
+    errs = valpart.errors(valpart.data.targets - predict_many(model, valpart.data.features))
+    for mu_q, e_q in zip(mu.tolist(), errs.tolist()):
+        total += mu_q * (e_q - valpart.delta)
     return total
 
 
@@ -359,7 +360,9 @@ def train_dual_exact_many(
 ) -> list[TrainedState]:
     """:func:`train_dual_exact` for a stack of subsets, solved in lockstep.
 
-    Each subset is a sequence or array of training indices.  The subsets are
+    Each subset is an array or sequence of training indices that must be
+    sorted: its order is the order its Gram block is summed in, and only
+    sorted input matches :func:`train_dual_exact` bit for bit.  The subsets are
     stacked into (B, d, d) systems and one projected Newton loop runs over
     all of them (see :func:`_projected_newton`).  Each row's arithmetic is
     independent of the other rows, so a subset's result is bit-identical
@@ -370,7 +373,7 @@ def train_dual_exact_many(
         raise ValueError("lam must be positive")
     if C < 0:
         raise ValueError("C must be >= 0")
-    keys = [np.sort(np.asarray(s, dtype=np.intp)) for s in subsets]
+    keys = [np.asarray(s, dtype=np.intp) for s in subsets]
     if not keys:
         return []
     Q, d = valpart.q, train.d
@@ -426,7 +429,8 @@ def train_dual_exact(
 ) -> TrainedState:
     """Solve max over mu in [0, C]^Q of min over w of F for the linear model.
 
-    This is the one-subset call of :func:`train_dual_exact_many`.  The inner
+    This is the one-subset call of :func:`train_dual_exact_many` on the
+    sorted subset, so every order of one set gives the same bits.  The inner
     minimum is solved in closed form at every mu.  The concave dual is
     maximized by projected Newton (Bertsekas 1982): each iterate takes one
     inverse of A(mu), a Newton step on the free multipliers with the exact
@@ -438,7 +442,7 @@ def train_dual_exact(
     ``f_value`` is the dual value phi the solver ends at, in the Gram form
     above; :func:`dual_objective` recomputes it from residuals.
     """
-    return train_dual_exact_many([subset], train, valpart, lam, C, cfg)[0]
+    return train_dual_exact_many([np.sort(np.asarray(subset, np.intp))], train, valpart, lam, C, cfg)[0]
 
 
 def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Generator) -> Model:
@@ -474,7 +478,6 @@ def train_dual_sgd(
         raise ValueError("lam must be positive")
     subset = sorted(int(i) for i in subset)
     ns = len(subset)
-    Q = valpart.q
     rng = np.random.default_rng([cfg.seed, 1 + ns, *subset])
 
     if init_state is not None:
@@ -482,7 +485,7 @@ def train_dual_sgd(
         mu = init_state.mu.copy()
     else:
         model = _init_model(model_kind, train.d, hidden_width, rng)
-        mu = np.zeros(Q)
+        mu = np.zeros(valpart.q)
     params = params_of(model)
 
     lr_w = cfg.learning_rate_w
@@ -493,7 +496,6 @@ def train_dual_sgd(
 
     Xs, ys = _subset_arrays(subset, train)
     Xv, yv = valpart.data.features, valpart.data.targets
-    rows_per_q = valpart.subsets
     b_eff = min(ns, cfg.batch_size) if ns else 0
     n_epochs = epochs if epochs is not None else cfg.epochs
 
@@ -509,9 +511,9 @@ def train_dual_sgd(
             if ns:
                 batch = order[start : start + b_eff]
                 grad += ns * (2.0 * lam * params + mse_grad(model, Xs[batch], ys[batch]))
-            for q in range(Q):
+            for q, rows in enumerate(valpart.subsets):
                 if mu[q] != 0.0:
-                    grad += mu[q] * mse_grad(model, Xv[rows_per_q[q]], yv[rows_per_q[q]])
+                    grad += mu[q] * mse_grad(model, Xv[rows], yv[rows])
             step += 1
             m_t = beta1 * m_t + (1 - beta1) * grad
             v_t = beta2 * v_t + (1 - beta2) * grad * grad
@@ -520,8 +522,7 @@ def train_dual_sgd(
             params = params - lr_w * m_hat / (np.sqrt(v_hat) + eps)
             model = model_from_params(model, params)
             if C > 0:
-                val_resid = yv - predict_many(model, Xv)
-                errs = np.array([float(np.mean(val_resid[r] ** 2)) for r in rows_per_q])
+                errs = valpart.errors(yv - predict_many(model, Xv))
                 mu = np.clip(mu + lr_mu * (errs - valpart.delta), 0.0, C)
 
     f = dual_objective(model, mu, subset, train, valpart, lam)
@@ -547,8 +548,6 @@ def primal_value(
     model_kind: str = "linear",
     hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     seed: int = 0,
-    max_rounds: int = 80,
-    inner_steps: int = 150,
 ) -> float:
     """Minimize the penalized primal directly:
 
@@ -600,10 +599,10 @@ def primal_value(
     best_params = params.copy()
     theta = max(0.5 * abs(best_val), 1.0)
     p = params
-    for _ in range(max_rounds):
+    for _ in range(_PRIMAL_ROUNDS):
         target = max(best_val - theta, 0.0)
         round_start = best_val
-        for _ in range(inner_steps):
+        for _ in range(_PRIMAL_STEPS):
             val, g = value_and_subgrad(p)
             if val < best_val:
                 best_val, best_params = val, p.copy()

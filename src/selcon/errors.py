@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from :class:`SelconError` so that
-CLI entry points can map library failures onto exit codes uniformly.
+Every error raised by the library derives from :class:`SelconError`; those
+that blame the input derive from :class:`UsageError`, on which the CLI exits
+with code 2 rather than 1.
 """
 
 
@@ -9,37 +10,41 @@ class SelconError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(SelconError):
+    """The input or the requested size is invalid; the CLI exits with 2."""
+
+
 # --- dataset ---------------------------------------------------------------
 
-class MissingColumn(SelconError):
+class MissingColumn(UsageError):
     def __init__(self, column: str):
         super().__init__(f"column {column!r} not found in header")
         self.column = column
 
 
-class ParseFailure(SelconError):
+class ParseFailure(UsageError):
     def __init__(self, row: int, col: str, value: str):
         super().__init__(f"cannot parse cell {value!r} at row {row}, column {col!r}")
         self.row = row
         self.col = col
 
 
-class NonFiniteValue(SelconError):
+class NonFiniteValue(UsageError):
     def __init__(self, row: int, col: str):
         super().__init__(f"non-finite value at row {row}, column {col!r}")
         self.row = row
         self.col = col
 
 
-class EmptyFile(SelconError):
+class EmptyFile(UsageError):
     pass
 
 
-class EmptySplit(SelconError):
+class EmptySplit(UsageError):
     pass
 
 
-class MissingGroups(SelconError):
+class MissingGroups(UsageError):
     pass
 
 
@@ -73,7 +78,7 @@ class ElementAlreadyPresent(SelconError):
     pass
 
 
-class InvalidK(SelconError):
+class InvalidK(UsageError):
     pass
 
 
@@ -81,13 +86,13 @@ class InvalidAlpha(SelconError):
     pass
 
 
-class TooLarge(SelconError):
+class TooLarge(UsageError):
     pass
 
 
 # --- bounds / metrics ----------------------------------------------------------
 
-class ZeroTarget(SelconError):
+class ZeroTarget(UsageError):
     def __init__(self):
         super().__init__(
             "some |y| is zero; add an offset to the targets "
@@ -99,5 +104,5 @@ class EmptyDataset(SelconError):
     pass
 
 
-class NeedTwoGroups(SelconError):
+class NeedTwoGroups(UsageError):
     pass

@@ -37,7 +37,7 @@ def mse(model: Model, data: Dataset) -> float:
 def group_errors(model: Model, val: Dataset, valpart: ValidationPartition) -> tuple[np.ndarray, np.ndarray]:
     """Per-group mean squared validation error and satisfaction flags."""
     resid = val.targets - predict_many(model, val.features)
-    errs = np.array([float(np.mean(resid[rows] ** 2)) for rows in valpart.subsets])
+    errs = valpart.errors(resid)
     return errs, errs <= valpart.delta
 
 

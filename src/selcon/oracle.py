@@ -37,6 +37,11 @@ __all__ = [
 DENOM_CUTOFF = 1e-12
 # Largest ground set the exhaustive ratio, curvature and bound checks enumerate.
 MAX_EXHAUSTIVE_N = 12
+# Slack each check tolerates; TIGHT_TOL is the modular bound's gap at S_hat.
+MONOTONE_TOL = 1e-8
+SANDWICH_TOL = 1e-7
+MODULAR_TOL = 1e-8
+TIGHT_TOL = 1e-9
 
 
 @dataclass
@@ -101,13 +106,12 @@ def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[t
     return best_set, best_val
 
 
-def empirical_alpha_detail(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N,
-                           cutoff: float = DENOM_CUTOFF) -> tuple[float, int, int]:
+def empirical_alpha_detail(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N) -> tuple[float, int, int]:
     """Exact submodularity ratio plus (skipped, checked) triple counts.
 
     The ratio is min over nested pairs S within T and elements a outside T of
-    gain(a, S) / gain(a, T); triples whose denominator is at most ``cutoff``
-    are skipped and counted rather than silently dropped.
+    gain(a, S) / gain(a, T); triples whose denominator is at most
+    ``DENOM_CUTOFF`` are skipped and counted rather than silently dropped.
     """
     n = ctx.train.n
     f = f_table(ctx, max_n=max_n)
@@ -132,7 +136,7 @@ def empirical_alpha_detail(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N,
         for t_mask in no_a:
             n_triples = 1 << int(t_mask).bit_count()
             g_t = gains[t_mask]
-            if g_t <= cutoff:
+            if g_t <= DENOM_CUTOFF:
                 skipped += n_triples
                 continue
             checked += n_triples
@@ -145,14 +149,14 @@ def empirical_alpha(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N) -> float:
     return value
 
 
-def empirical_kappa(ctx: SetFnContext, subset, cutoff: float = DENOM_CUTOFF) -> float:
+def empirical_kappa(ctx: SetFnContext, subset) -> float:
     """Measured generalized curvature of a single subset:
     1 - min over elements a of gain(a, S minus a) / gain(a, empty).
     Elements with near-zero empty-set gain are skipped."""
     key = tuple(sorted(int(i) for i in subset))
     f0 = ctx.f_of(())[0]
     denoms = {a: v - f0 for a, (v, _) in enumerate(ctx.f_many((a,) for a in range(ctx.train.n)))}
-    active = [a for a, denom in denoms.items() if denom > cutoff]
+    active = [a for a, denom in denoms.items() if denom > DENOM_CUTOFF]
     rests = [tuple(i for i in key if i != a) for a in active]
     with_a = ctx.f_many(rest + (a,) for rest, a in zip(rests, active))
     without = ctx.f_many(rests)
@@ -162,16 +166,15 @@ def empirical_kappa(ctx: SetFnContext, subset, cutoff: float = DENOM_CUTOFF) -> 
     return 1.0 - min(ratios)
 
 
-def empirical_kappa_max(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N,
-                        cutoff: float = DENOM_CUTOFF) -> float:
+def empirical_kappa_max(ctx: SetFnContext) -> float:
     """Largest measured curvature over every subset of the ground set."""
     n = ctx.train.n
-    f = f_table(ctx, max_n=max_n)
+    f = f_table(ctx, max_n=MAX_EXHAUSTIVE_N)
     masks = np.arange(1 << n)
     denoms = np.array([f[1 << a] - f[0] for a in range(n)])
     min_ratio = np.full(1 << n, np.inf)
     for a in range(n):
-        if denoms[a] <= cutoff:
+        if denoms[a] <= DENOM_CUTOFF:
             continue
         bit = 1 << a
         rest = masks & ~bit
@@ -214,9 +217,8 @@ def _sample_pairs(ctx: SetFnContext, trials: int, seed: int) -> list[tuple[tuple
     return pairs
 
 
-def check_monotone(ctx: SetFnContext, trials: int = 200, seed: int = 0,
-                   tol: float = 1e-8) -> OracleReport:
-    """Sampled marginal gains must all be non-negative (up to tol)."""
+def check_monotone(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> OracleReport:
+    """Sampled marginal gains must all be non-negative (up to MONOTONE_TOL)."""
     worst = math.inf
     witness = None
     for subset, a in _sample_pairs(ctx, trials, seed):
@@ -224,11 +226,10 @@ def check_monotone(ctx: SetFnContext, trials: int = 200, seed: int = 0,
         if gain < worst:
             worst = gain
             witness = {"subset": list(subset), "element": a, "gain": float(gain)}
-    return _report("monotone", trials, worst, tol, witness)
+    return _report("monotone", trials, worst, MONOTONE_TOL, witness)
 
 
-def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0,
-                   tol: float = 1e-7) -> OracleReport:
+def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> OracleReport:
     """Marginal gains must sit between the two cross-evaluated closed forms.
 
     Lower: the loss of element a at the parameters trained on S + a with the
@@ -266,11 +267,10 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0,
                     "lower": float(lower),
                     "upper": float(upper),
                 }
-    return _report("sandwich", trials, worst, tol, witness)
+    return _report("sandwich", trials, worst, SANDWICH_TOL, witness)
 
 
-def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float,
-                        tol: float = 1e-8, tight_tol: float = 1e-9) -> OracleReport:
+def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float) -> OracleReport:
     """The modular bound built at s_hat must dominate f everywhere and be
     tight at s_hat; verified over every subset of the ground set."""
     from .selection import modular_scores
@@ -301,10 +301,10 @@ def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float,
         "modular_bound",
         1 << n,
         worst,
-        tol,
+        MODULAR_TOL,
         witness,
         tight_gap=float(tight_gap),
         alpha=float(alpha),
     )
-    report.passed = report.passed and tight_gap <= tight_tol
+    report.passed = report.passed and tight_gap <= TIGHT_TOL
     return report

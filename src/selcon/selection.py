@@ -5,7 +5,9 @@ subset S_hat: in-set elements are scored by alpha times their leave-one-out
 marginal, out-of-set elements by their empty-set marginal divided by alpha.
 Minimizing the bound over k-subsets is then just picking the k smallest
 scores.  With exact training the objective value never increases from one
-iteration to the next.
+iteration to the next.  The driver starts from :func:`random_subset`, the
+seeded draw the random baselines train on, so at equal k and seed both
+start from one subset.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .dual import TrainedState
 from .errors import InvalidAlpha, InvalidK, ZeroTarget
 from .setfn import SetFnContext
 
-__all__ = ["SelconConfig", "SelectionResult", "modular_scores", "run_selcon", "run_selcon_unconstrained"]
+__all__ = ["SelconConfig", "SelectionResult", "modular_scores", "random_subset", "run_selcon",
+           "run_selcon_unconstrained"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,14 @@ def _digest(key: tuple[int, ...]) -> str:
     return hashlib.sha1(",".join(map(str, key)).encode()).hexdigest()[:12]
 
 
+def random_subset(n: int, k: int, seed: int) -> tuple[int, ...]:
+    """Uniform k-subset without replacement, sorted, deterministic per seed."""
+    if not (1 <= k <= n):
+        raise InvalidK(f"k = {k} is outside [1, {n}]")
+    rng = np.random.default_rng(seed)
+    return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
+
+
 def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
     """Alpha actually fed to the bound, per ``cfg.alpha_mode``."""
     if cfg.alpha_mode == "fixed":
@@ -134,14 +145,10 @@ def _k_smallest(scores: np.ndarray, k: int) -> tuple[int, ...]:
 
 
 def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
-    """Iterated modular-bound minimization from a seeded random k-subset."""
-    n = ctx.train.n
-    if cfg.k > n:
-        raise InvalidK(f"k = {cfg.k} exceeds the {n} training elements")
+    """Iterated modular-bound minimization from :func:`random_subset`."""
     t0 = time.perf_counter()
+    s_hat = random_subset(ctx.train.n, cfg.k, cfg.seed)
     alpha = resolve_alpha(ctx, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    s_hat = tuple(sorted(int(i) for i in rng.choice(n, size=cfg.k, replace=False)))
 
     trace: list[tuple[int, float, str]] = []
     for it in range(cfg.L):

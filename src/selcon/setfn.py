@@ -9,6 +9,8 @@ which subsets were queried nor on the batch they were solved in.
 :meth:`SetFnContext.f_many` is the batched entry point; the singleton sweep
 and the brute-force oracles go through it.  Each leave-one-out value is used
 once, so :meth:`SetFnContext.leave_one_out` neither reads nor fills the cache.
+Subset order is decided here: cache keys are sorted tuples and
+``leave_one_out`` takes a sorted array, as ``train_dual_exact_many`` needs.
 """
 
 from __future__ import annotations

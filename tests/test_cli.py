@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from selcon import cli, oracle
+from selcon import cli, errors, oracle
 
 
 def run(argv):
@@ -77,6 +77,14 @@ class TestSelect:
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["select", "--data", str(tmp_path / "nope.csv"), "--target", "y",
                     "--delta", "0.5"]) == 2
+
+    def test_zero_target_leaves_bounds_null(self, tmp_path):
+        data = tmp_path / "zero.csv"
+        data.write_text("f0,y\n" + "".join(f"{i / 40},{(i % 3) * 0.5}\n" for i in range(40)))
+        out = tmp_path / "report.json"
+        assert run(["select", "--data", str(data), "--target", "y", "--k", "4", "--delta", "0.5",
+                    "--alpha-mode", "fixed", "--alpha-value", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["bounds"] is None
 
     def test_timing_flag_adds_field(self, data_csv, tmp_path):
         out = tmp_path / "t.json"
@@ -185,6 +193,13 @@ class TestVerify:
         reports = json.loads(out.read_text())
         assert len(reports) == 1 and reports[0]["property"] == "monotone"
 
+    @pytest.mark.parametrize("Q", ["1", "2"])
+    def test_single_training_row(self, tmp_path, Q):
+        # The modular-bound reference subset is capped at the n rows there are.
+        out = tmp_path / "v.json"
+        assert run(["verify", "--n", "1", "--Q", Q, "--out", str(out)]) == 0
+        assert all(r["passed"] for r in json.loads(out.read_text()))
+
     def test_enumeration_cap_checked_before_any_check(self, monkeypatch):
         calls = []
         monkeypatch.setattr(oracle, "check_monotone", lambda *a, **kw: calls.append(a))
@@ -263,3 +278,46 @@ class TestFairnessCmd:
         assert len(payload["rows"]) == 4
         for row in payload["rows"]:
             assert {"delta", "selcon", "random_constrained"} <= set(row)
+
+
+USAGE_ERRORS = (
+    errors.InvalidK,
+    errors.MissingColumn,
+    errors.MissingGroups,
+    errors.NeedTwoGroups,
+    errors.EmptySplit,
+    errors.EmptyFile,
+    errors.ParseFailure,
+    errors.NonFiniteValue,
+    errors.TooLarge,
+    errors.ZeroTarget,
+)
+_ERROR_ARGS = {
+    errors.MissingColumn: ("y",),
+    errors.ParseFailure: (0, "y", "x"),
+    errors.NonFiniteValue: (0, "y"),
+    errors.ZeroTarget: (),
+}
+
+
+class TestExitCodes:
+    @staticmethod
+    def _exit_code(monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.oracle, "check_monotone", fail)
+        return run(["verify", "--property", "monotone", "--n", "4"])
+
+    @pytest.mark.parametrize("cls", USAGE_ERRORS, ids=lambda cls: cls.__name__)
+    def test_usage_errors_exit_2(self, monkeypatch, cls):
+        assert self._exit_code(monkeypatch, cls(*_ERROR_ARGS.get(cls, ("bad input",)))) == 2
+
+    def test_other_library_errors_exit_1(self, monkeypatch):
+        assert self._exit_code(monkeypatch, errors.NotConverged("no", value=1.0)) == 1
+
+    def test_usage_errors_are_exactly_these(self):
+        def subclasses(cls):
+            return {sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))}
+
+        assert subclasses(errors.UsageError) == set(USAGE_ERRORS)

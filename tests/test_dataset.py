@@ -142,6 +142,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             G[0, 0, 0] = 1.0  # read-only
 
+    def test_errors_are_group_mean_squares(self):
+        val = gen_synthetic(30, 3, noise_sd=0.2, n_groups=3, seed=4)
+        part = partition_validation(val, "by_group", 0.5)
+        resid = val.targets - val.features @ np.array([0.3, -1.0, 0.5])
+        want = [np.mean(resid[rows] ** 2) for rows in part.subsets]
+        assert np.array_equal(part.errors(resid), want)
+        assert np.array_equal(part.gram[2], part.errors(val.targets))
+
 
 class TestOffsetAugment:
     def test_shifts_targets_and_appends_ones(self):

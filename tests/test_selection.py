@@ -8,7 +8,9 @@ from selcon.metrics import mse
 from selcon.oracle import empirical_alpha
 from selcon.selection import (
     SelconConfig,
+    _digest,
     modular_scores,
+    random_subset,
     run_selcon,
     run_selcon_unconstrained,
 )
@@ -65,6 +67,11 @@ class TestRunSelcon:
         ctx = make_ctx(45, n=4)
         with pytest.raises(InvalidK):
             run_selcon(ctx, SelconConfig(k=5, seed=0))
+
+    def test_starts_from_random_subset(self):
+        ctx = make_ctx(46, n=9)
+        result = run_selcon(ctx, SelconConfig(k=4, seed=5, alpha_mode="fixed", alpha_value=1.0))
+        assert result.trace[0][2] == _digest(random_subset(9, 4, 5))
 
     def test_trace_non_increasing_exact(self):
         for seed in range(8):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_ctx
 from selcon.bounds import claim1_min
-from selcon.dual import TrainerConfig, solve_inner_linear
+from selcon.dual import TrainerConfig, solve_inner_linear, train_dual_exact
 from selcon.errors import ElementAlreadyPresent
 from selcon import setfn
 from selcon.setfn import SetFnContext
@@ -79,6 +79,17 @@ class TestSingletons:
     def test_closed_forms(self, tiny_ctx):
         assert np.allclose(tiny_ctx.singletons(), [0.5, 2.0, 0.2], atol=1e-12)
 
+
+
+class TestTrainDualExact:
+    @pytest.mark.parametrize("C", [0.0, 1.5])
+    def test_order_of_subset_does_not_matter(self, C):
+        ctx = make_ctx(35, n=9, d=3, q=2, C=C)
+        f, state = ctx.f_of((1, 3, 4, 6, 8))
+        got = train_dual_exact([6, 1, 8, 4, 3], ctx.train, ctx.valpart, ctx.lam, ctx.C, ctx.trainer)
+        assert got.f_value == f
+        assert np.array_equal(got.mu, state.mu)
+        assert np.array_equal(got.model.w, state.model.w)
 
 
 class TestFMany:
