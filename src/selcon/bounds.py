@@ -5,7 +5,9 @@ scalars: the per-element regularized-loss minimum and its closed form, the
 certified submodularity-ratio lower bound ``alpha_hat``, the certified
 curvature upper bound ``kappa_hat``, the regularization threshold that makes
 those certificates valid, the trained-parameter norm bound, and the
-approximation ratios for exact and imperfect training.
+approximation ratios for exact and imperfect training.  :func:`bound_report`
+assembles them all: ``select`` reports it, and ``verify`` checks its
+``alpha_hat`` and ``kappa_hat``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class BoundReport:
     alpha_hat: float
     kappa_hat: float
     ell_star: float
+    ell_star_loss_floor: float
     ell: float
     lambda_min: float
     ratio_perfect: float
@@ -223,6 +226,8 @@ def bound_report(train: Dataset, val: Dataset, lam: float, C: float, q: int,
         alpha_hat=a_hat,
         kappa_hat=k_hat,
         ell_star=e_star,
+        # The loss-floor form of ell_star the linear certificate proof uses.
+        ell_star_loss_floor=lam * consts.y_min**2 / (lam + consts.x_max**2),
         ell=e,
         lambda_min=lambda_min_linear(C, q, consts),
         ratio_perfect=perfect,

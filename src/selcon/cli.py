@@ -29,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics, oracle
-from .bounds import (
-    alpha_hat_linear,
-    bound_report,
-    data_constants,
-    kappa_hat,
-    lambda_min_linear,
-    ell_star_linear,
-)
+from .bounds import bound_report, data_constants, lambda_min_linear
 from .dataset import (
     Dataset,
     SplitSpec,
@@ -107,7 +100,11 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not Path(path).exists():
             raise ValueError(f"config file {path} does not exist")
-        cp.read(path)
+        with open(path, encoding="utf-8") as fh:  # a directory raises here
+            try:
+                cp.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"config file {path} is not a valid INI file: {exc}") from None
     return cp
 
 
@@ -185,12 +182,7 @@ def cmd_select(args) -> int:
     report["groups_satisfied"] = [bool(b) for b in ok]
     report["delta"] = float(ctx.valpart.delta)
     try:
-        br = bound_report(train, val, ctx.lam, ctx.C, ctx.valpart.q, k)
-        bounds = br.as_dict()
-        consts = data_constants(train, val, q=ctx.valpart.q)
-        # Loss-floor variant of ell_star used by the linear certificate proof.
-        bounds["ell_star_loss_floor"] = ctx.lam * consts.y_min**2 / (ctx.lam + consts.x_max**2)
-        report["bounds"] = bounds
+        report["bounds"] = bound_report(train, val, ctx.lam, ctx.C, ctx.valpart.q, k).as_dict()
     except UsageError:  # ZeroTarget: the certificates need every |y| > 0
         report["bounds"] = None
     if args.timing:
@@ -233,13 +225,12 @@ def cmd_verify(args) -> int:
         # Certificates only hold above the lam threshold; build that instance.
         consts = data_constants(train, valpart.data, q=valpart.q)
         lam_cert = 1.5 * lambda_min_linear(args.C, valpart.q, consts)
+        cert = bound_report(train, valpart.data, lam_cert, args.C, valpart.q, train.n)
         cert_ctx = replace(ctx, lam=lam_cert)
         if wanted in ("all", "alpha"):
-            a_hat = alpha_hat_linear(lam_cert, args.C, valpart.q, consts)
-            reports.append(oracle.check_alpha_certificate(cert_ctx, a_hat))
+            reports.append(oracle.check_alpha_certificate(cert_ctx, cert.alpha_hat))
         if wanted in ("all", "kappa"):
-            k_hat = kappa_hat(args.C, valpart.q, consts.y_max, ell_star_linear(train, consts.x_max))
-            reports.append(oracle.check_kappa_certificate(cert_ctx, k_hat))
+            reports.append(oracle.check_kappa_certificate(cert_ctx, cert.kappa_hat))
 
     _emit(_json([r.as_dict() for r in reports]), args.out)
     return 0 if all(r.passed for r in reports) else 3

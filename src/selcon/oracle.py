@@ -3,9 +3,13 @@
 These are the independent reference implementations every guarantee is
 checked against at desk scale: exhaustive subset enumeration for the optimal
 k-subset, the exact (measured) submodularity ratio and generalized curvature,
-and samplers for monotonicity, the marginal-gain sandwich bounds and the
-modular upper bound.  All checkers run on the exact backend and return a
-machine-readable :class:`OracleReport`.
+samplers for monotonicity and the marginal-gain sandwich bounds, and the
+modular upper bound over every subset.  All checkers run on the exact backend
+and return a machine-readable :class:`OracleReport`.
+
+Every 2^n enumeration reads :func:`f_table`, which raises :class:`TooLarge`
+above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
+``--alpha-mode empirical`` share one cap.
 """
 
 from __future__ import annotations
@@ -79,12 +83,17 @@ def _report(name: str, checked: int, worst: float, tol: float,
     )
 
 
-def f_table(ctx: SetFnContext, max_n: int = 14) -> np.ndarray:
+def _members(n: int) -> np.ndarray:
+    """(2^n, n) membership table: row ``mask`` has column i set when bit i is."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+
+
+def f_table(ctx: SetFnContext) -> np.ndarray:
     """f over all subsets, indexed by bitmask (bit i = training element i)."""
     n = ctx.train.n
-    if n > max_n:
-        raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{max_n}")
-    subsets = [tuple(i for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)]
+    if n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{MAX_EXHAUSTIVE_N}")
+    subsets = [tuple(np.flatnonzero(row).tolist()) for row in _members(n)]
     return np.array([v for v, _ in ctx.f_many(subsets)])
 
 
@@ -106,7 +115,7 @@ def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[t
     return best_set, best_val
 
 
-def empirical_alpha_detail(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N) -> tuple[float, int, int]:
+def empirical_alpha_detail(ctx: SetFnContext) -> tuple[float, int, int]:
     """Exact submodularity ratio plus (skipped, checked) triple counts.
 
     The ratio is min over nested pairs S within T and elements a outside T of
@@ -114,38 +123,32 @@ def empirical_alpha_detail(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N) -> 
     ``DENOM_CUTOFF`` are skipped and counted rather than silently dropped.
     """
     n = ctx.train.n
-    f = f_table(ctx, max_n=max_n)
+    f = f_table(ctx)
+    members = _members(n)
     masks = np.arange(1 << n)
+    triples = 1 << members.sum(axis=1)  # the subsets S of each T
     best = math.inf
-    skipped = 0
-    checked = 0
+    skipped = checked = 0
     for a in range(n):
-        bit = 1 << a
-        no_a = masks[(masks & bit) == 0]
+        no_a = ~members[:, a]
         gains = np.full(1 << n, np.inf)
-        gains[no_a] = f[no_a | bit] - f[no_a]
+        gains[no_a] = f[masks[no_a] | (1 << a)] - f[no_a]
         # Subset-minimum over the lattice: after the sweep, m[T] is the
-        # smallest gain over every S contained in T.
+        # smallest gain over every S contained in T (sets holding a stay
+        # apart from those without it, so sweeping bit a too is harmless).
         m = gains.copy()
         for j in range(n):
-            if j == a:
-                continue
-            bj = 1 << j
-            has = masks[(masks & bj) != 0]
-            m[has] = np.minimum(m[has], m[has ^ bj])
-        for t_mask in no_a:
-            n_triples = 1 << int(t_mask).bit_count()
-            g_t = gains[t_mask]
-            if g_t <= DENOM_CUTOFF:
-                skipped += n_triples
-                continue
-            checked += n_triples
-            best = min(best, m[t_mask] / g_t)
-    return (best if checked else math.inf), skipped, checked
+            has = members[:, j]
+            m[has] = np.minimum(m[has], m[masks[has] ^ (1 << j)])
+        ok = no_a & (gains > DENOM_CUTOFF)
+        skipped += int(triples[no_a & ~ok].sum())
+        checked += int(triples[ok].sum())
+        best = min(best, np.min(m[ok] / gains[ok], initial=math.inf))
+    return best, skipped, checked
 
 
-def empirical_alpha(ctx: SetFnContext, max_n: int = MAX_EXHAUSTIVE_N) -> float:
-    value, _, _ = empirical_alpha_detail(ctx, max_n=max_n)
+def empirical_alpha(ctx: SetFnContext) -> float:
+    value, _, _ = empirical_alpha_detail(ctx)
     return value
 
 
@@ -168,18 +171,13 @@ def empirical_kappa(ctx: SetFnContext, subset) -> float:
 
 def empirical_kappa_max(ctx: SetFnContext) -> float:
     """Largest measured curvature over every subset of the ground set."""
-    n = ctx.train.n
-    f = f_table(ctx, max_n=MAX_EXHAUSTIVE_N)
-    masks = np.arange(1 << n)
-    denoms = np.array([f[1 << a] - f[0] for a in range(n)])
-    min_ratio = np.full(1 << n, np.inf)
-    for a in range(n):
-        if denoms[a] <= DENOM_CUTOFF:
-            continue
-        bit = 1 << a
-        rest = masks & ~bit
-        ratios = (f[rest | bit] - f[rest]) / denoms[a]
-        np.minimum(min_ratio, ratios, out=min_ratio)
+    f = f_table(ctx)
+    masks = np.arange(len(f))
+    denoms = f[1 << np.arange(ctx.train.n)] - f[0]
+    min_ratio = np.full(len(f), np.inf)
+    for a in np.flatnonzero(denoms > DENOM_CUTOFF):
+        rest = masks & ~(1 << a)
+        np.minimum(min_ratio, (f[rest | (1 << a)] - f[rest]) / denoms[a], out=min_ratio)
     finite = np.isfinite(min_ratio)
     if not finite.any():
         return 0.0
@@ -275,32 +273,26 @@ def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float) -> OracleReport:
     tight at s_hat; verified over every subset of the ground set."""
     from .selection import modular_scores
 
-    n = ctx.train.n
-    if n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"modular-bound enumeration on n = {n} exceeds {MAX_EXHAUSTIVE_N}")
+    f = f_table(ctx)
     s_hat = tuple(sorted(int(i) for i in s_hat))
     scores = modular_scores(ctx, s_hat, alpha)
-    f_hat = ctx.f_of(s_hat)[0]
-    const = f_hat - float(sum(scores[i] for i in s_hat))
-    f = f_table(ctx)
-
-    worst = math.inf
-    witness = None
-    for mask in range(1 << n):
-        members = [i for i in range(n) if (mask >> i) & 1]
-        bound = const + float(sum(scores[i] for i in members))
-        slack = bound - f[mask]
-        if slack < worst:
-            worst = slack
-            witness = {"subset": members, "bound": float(bound), "f": float(f[mask])}
-    s_hat_mask = sum(1 << i for i in s_hat)
-    bound_at_hat = const + float(sum(scores[i] for i in s_hat))
-    tight_gap = abs(bound_at_hat - f[s_hat_mask])
+    members = _members(ctx.train.n)
+    # Column by column in index order: the bits of a per-subset sum.
+    total = np.zeros(len(f))
+    for i, column in enumerate(members.T):
+        total[column] += scores[i]
+    hat = sum(1 << i for i in s_hat)
+    bound = ctx.f_of(s_hat)[0] - total[hat] + total
+    slack = bound - f
+    worst = int(np.argmin(slack))  # the first minimum, as a strict < scan keeps
+    witness = {"subset": np.flatnonzero(members[worst]).tolist(),
+               "bound": float(bound[worst]), "f": float(f[worst])}
+    tight_gap = abs(slack[hat])
 
     report = _report(
         "modular_bound",
-        1 << n,
-        worst,
+        len(f),
+        slack[worst],
         MODULAR_TOL,
         witness,
         tight_gap=float(tight_gap),

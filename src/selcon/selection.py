@@ -104,7 +104,7 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
     if cfg.alpha_mode == "empirical":
         from .oracle import empirical_alpha
 
-        alpha = empirical_alpha(ctx, max_n=14)
+        alpha = empirical_alpha(ctx)
         if alpha <= 0:
             raise InvalidAlpha(f"measured alpha {alpha} is not positive")
         return min(alpha, 1.0)

@@ -219,6 +219,13 @@ class TestBoundReport:
         assert report.ratio_imperfect == report.ratio_perfect  # epsilon 0
         d = report.as_dict()
         assert set(d) == {
-            "alpha_hat", "kappa_hat", "ell_star", "ell", "lambda_min",
+            "alpha_hat", "kappa_hat", "ell_star", "ell_star_loss_floor", "ell", "lambda_min",
             "ratio_perfect", "ratio_imperfect", "epsilon_used",
         }
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_loss_floor_formula(self, seed):
+        train, val, _, lam, _ = make_problem(seed, q=2, signed=True)
+        consts = data_constants(train, val, q=2)
+        report = bound_report(train, val, lam, 1.0, 2, k=3)
+        assert report.ell_star_loss_floor == lam * consts.y_min**2 / (lam + consts.x_max**2)

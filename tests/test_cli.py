@@ -78,6 +78,15 @@ class TestSelect:
         assert run(["select", "--data", str(tmp_path / "nope.csv"), "--target", "y",
                     "--delta", "0.5"]) == 2
 
+    def test_empirical_alpha_shares_the_enumeration_cap(self, tmp_path):
+        # 15 rows split 0.8/0.1/0.1 leave 13 training rows, one over the cap.
+        data = tmp_path / "d.csv"
+        assert run(["gen", "--n", "15", "--d", "2", "--seed", "1", "--out", str(data)]) == 0
+        out = tmp_path / "report.json"
+        assert run(["select", "--data", str(data), "--target", "y", "--k", "2",
+                    "--alpha-mode", "empirical", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_zero_target_leaves_bounds_null(self, tmp_path):
         data = tmp_path / "zero.csv"
         data.write_text("f0,y\n" + "".join(f"{i / 40},{(i % 3) * 0.5}\n" for i in range(40)))
@@ -171,6 +180,36 @@ class TestSelect:
         for configs in seen.values():
             for c in configs:
                 assert (c.k, c.L, c.alpha_mode, c.alpha_value, c.alpha_floor) == (4, 3, "fixed", 1.0, 0.5)
+
+
+class TestBrokenConfig:
+    """A config that cannot be read as an INI file is a usage error: exit 2,
+    one ``error:`` line and no traceback."""
+
+    BROKEN = {
+        "directory": None,
+        "no_section_header": "k = 4\n",
+        "repeated_key": "[problem]\nk = 4\nk = 5\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    @pytest.mark.parametrize("command", ["select", "verify"])
+    def test_exits_2(self, data_csv, tmp_path, capsys, command, case):
+        cfg = tmp_path / "cfg.ini"
+        if self.BROKEN[case] is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(self.BROKEN[case])
+        if command == "select":
+            argv = ["select", "--data", str(data_csv), "--target", "y"]
+        else:
+            argv = ["verify", "--property", "monotone", "--n", "4", "--trials", "5"]
+        out = tmp_path / "out.json"
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestVerify:

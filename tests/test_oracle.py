@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from selcon.bounds import (
 )
 from selcon.errors import InvalidK, TooLarge
 from selcon.oracle import (
+    DENOM_CUTOFF,
+    MAX_EXHAUSTIVE_N,
+    MODULAR_TOL,
+    TIGHT_TOL,
     brute_force_optimum,
     check_modular_bound,
     check_monotone,
@@ -19,7 +25,9 @@ from selcon.oracle import (
     empirical_alpha_detail,
     empirical_kappa,
     empirical_kappa_max,
+    f_table,
 )
+from selcon.selection import SelconConfig, modular_scores, run_selcon
 from selcon.setfn import SetFnContext
 
 
@@ -87,9 +95,53 @@ class TestEmpiricalAlpha:
         assert value <= 1.0 + 1e-12
 
     def test_too_large(self):
-        ctx = make_ctx(74, n=5)
+        ctx = make_ctx(74, n=MAX_EXHAUSTIVE_N + 1)
         with pytest.raises(TooLarge):
-            empirical_alpha(ctx, max_n=4)
+            empirical_alpha(ctx)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_detail_matches_brute_force(self, n, q):
+        ctx = make_ctx(90 + n, n=n, q=q)
+        best, skipped, checked = math.inf, 0, 0
+        for t in range(1 << n):
+            t_set = [i for i in range(n) if t >> i & 1]
+            for a in set(range(n)) - set(t_set):
+                g_t = ctx.marginal(a, t_set)
+                for s in range(1 << n):
+                    if s & ~t:
+                        continue
+                    if g_t <= DENOM_CUTOFF:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    g_s = ctx.marginal(a, [i for i in t_set if s >> i & 1])
+                    best = min(best, g_s / g_t)
+        value, got_skipped, got_checked = empirical_alpha_detail(make_ctx(90 + n, n=n, q=q))
+        assert (got_skipped, got_checked) == (skipped, checked)
+        assert np.float64(value).tobytes() == np.float64(best).tobytes()
+
+
+class TestEnumerationCap:
+    """One cap, MAX_EXHAUSTIVE_N, stops every 2^n enumeration before any solve."""
+
+    def test_f_table(self):
+        ctx = make_ctx(75, n=MAX_EXHAUSTIVE_N + 1)
+        with pytest.raises(TooLarge):
+            f_table(ctx)
+        assert ctx.cache_misses == 0
+
+    def test_empirical_alpha_mode(self):
+        ctx = make_ctx(75, n=MAX_EXHAUSTIVE_N + 1)
+        with pytest.raises(TooLarge):
+            run_selcon(ctx, SelconConfig(k=3, alpha_mode="empirical"))
+        assert ctx.cache_misses == 0
+
+    def test_modular_bound(self):
+        ctx = make_ctx(75, n=MAX_EXHAUSTIVE_N + 1)
+        with pytest.raises(TooLarge):
+            check_modular_bound(ctx, (0, 1), 1.0)
+        assert ctx.cache_misses == 0
 
 
 class TestEmpiricalKappa:
@@ -157,3 +209,53 @@ class TestCheckers:
         a = check_monotone(make_ctx(83, n=5), trials=20, seed=5)
         b = check_monotone(make_ctx(83, n=5), trials=20, seed=5)
         assert a.as_dict() == b.as_dict()
+
+
+def modular_bound_reference(ctx, s_hat, alpha):
+    """check_modular_bound's report, one subset at a time."""
+    n = ctx.train.n
+    scores = modular_scores(ctx, s_hat, alpha)
+    const = ctx.f_of(s_hat)[0] - float(sum(scores[i] for i in s_hat))
+    worst, witness = math.inf, None
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        f = ctx.f_of(members)[0]
+        bound = const + float(sum(scores[i] for i in members))
+        if bound - f < worst:
+            worst = bound - f
+            witness = {"subset": members, "bound": float(bound), "f": float(f)}
+    tight_gap = abs(const + float(sum(scores[i] for i in s_hat)) - ctx.f_of(s_hat)[0])
+    return {
+        "property": "modular_bound",
+        "instances_checked": 1 << n,
+        "worst_slack": float(worst),
+        "tolerance": MODULAR_TOL,
+        "passed": bool(worst >= -MODULAR_TOL and tight_gap <= TIGHT_TOL),
+        "witness": witness if worst < -MODULAR_TOL else None,
+        "details": {"tight_gap": float(tight_gap), "alpha": float(alpha)},
+    }
+
+
+# (seed, n, Q, alpha): every n from 1 to 12, both Q and three alphas.
+MODULAR_CASES = [
+    (100 + i, 1 + i % 12, 1 + (i // 12) % 2, (0.2, 1.0, 5.0)[i % 3]) for i in range(24)
+]
+
+
+def modular_case(seed, n, q, alpha):
+    ctx = make_ctx(seed, n=n, q=q)
+    s_hat = tuple(sorted(np.random.default_rng(seed).choice(n, (n + 1) // 2, replace=False)))
+    return ctx, s_hat
+
+
+class TestModularBoundReference:
+    @pytest.mark.parametrize("case", MODULAR_CASES)
+    def test_matches_per_subset_loop(self, case):
+        ctx, s_hat = modular_case(*case)
+        got = check_modular_bound(ctx, s_hat, case[3]).as_dict()
+        assert got == modular_bound_reference(ctx, s_hat, case[3])
+
+    def test_cases_include_failures_with_witnesses(self):
+        witnesses = [check_modular_bound(*modular_case(*case), case[3]).witness
+                     for case in MODULAR_CASES]
+        assert sum(w is not None for w in witnesses) >= 3
