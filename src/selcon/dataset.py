@@ -5,16 +5,17 @@ optional integer group labels and the original row ids.  The validation side of
 a problem is carried by a :class:`ValidationPartition`, which binds a validation
 dataset to a disjoint cover of its rows plus the per-group error bound ``delta``.
 
-CSV is the only ingestion format: UTF-8, comma separated, one header row,
-decimal-point reals.  Column order defines the feature index order.  Group
-column values are arbitrary strings mapped to dense integer ids by first
-appearance.
+CSV is the only ingestion format: UTF-8, comma separated, ``"``-quoted
+fields, one header row, blank lines skipped, ASCII decimal reals (the
+grammar is in :func:`load_csv`).  Column order defines the feature index
+order.  Group labels map to dense integer ids by first appearance.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import (
     MissingGroups,
     NonFiniteValue,
     ParseFailure,
+    UsageError,
 )
 
 __all__ = [
@@ -175,70 +177,69 @@ class SplitSpec:
 
 
 def load_csv(path: str | Path, target_column: str, group_column: str | None = None) -> Dataset:
-    """Load a dataset from a CSV file.
+    """Load a dataset from a CSV file, its body in one ``np.loadtxt`` pass.
 
-    All non-group cells must parse as finite reals.  Raises
-    :class:`MissingColumn`, :class:`ParseFailure`, :class:`NonFiniteValue`
-    or :class:`EmptyFile` on malformed input.
+    A field may be quoted with ``"`` (``""`` inside is one quote) to hold
+    commas, quotes or line breaks; ``#`` is ordinary.  Blank lines are
+    skipped and not counted in error rows.  Cells outside the group column
+    are finite ASCII decimal reals (``-2.5e-3``), maybe space-padded, without
+    ``_``.  Raises :class:`MissingColumn`, :class:`ParseFailure`,
+    :class:`NonFiniteValue` or :class:`EmptyFile` on malformed input.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
-        if target_column not in header:
-            raise MissingColumn(target_column)
-        if group_column is not None and group_column not in header:
-            raise MissingColumn(group_column)
+        for column in (target_column, group_column):
+            if column is not None and column not in header:
+                raise MissingColumn(column)
         tgt_idx = header.index(target_column)
         grp_idx = header.index(group_column) if group_column is not None else None
-        feat_cols = [
-            (j, name)
-            for j, name in enumerate(header)
-            if j != tgt_idx and j != grp_idx
-        ]
-
-        feats, targs, raw_groups = [], [], []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseFailure(r, "<row>", ",".join(row))
-            vals = []
-            for j, name in feat_cols + [(tgt_idx, target_column)]:
-                try:
-                    v = float(row[j])
-                except ValueError:
-                    raise ParseFailure(r, name, row[j]) from None
-                if not math.isfinite(v):
-                    raise NonFiniteValue(r, name)
-                vals.append(v)
-            feats.append(vals[:-1])
-            targs.append(vals[-1])
-            if grp_idx is not None:
-                raw_groups.append(row[grp_idx])
-
-    if not targs:
+        # Feature columns in file order, then the target.
+        numeric = [j for j in range(len(header)) if j != tgt_idx and j != grp_idx] + [tgt_idx]
+        dtype = np.dtype([(f"c{j}", object if j == grp_idx else float) for j in range(len(header))])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+            values = np.array([table[f"c{j}"] for j in numeric], dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite value")
+        except ValueError as exc:
+            raise _first_bad_cell(path, header, numeric) or ParseFailure(-1, "<file>", str(exc)) from exc
+    if table.size == 0:
         raise EmptyFile(f"{path} has a header but no data rows")
 
-    groups = None
-    labels: tuple[str, ...] = ()
-    if group_column is not None:
-        # Dense ids by first appearance of the raw label.
-        mapping: dict[str, int] = {}
-        groups = np.empty(len(raw_groups), dtype=int)
-        for i, lab in enumerate(raw_groups):
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            groups[i] = mapping[lab]
-        labels = tuple(mapping)
+    groups, labels = None, ()
+    if grp_idx is not None:
+        raw = table[f"c{grp_idx}"].tolist()
+        ids = {lab: g for g, lab in enumerate(dict.fromkeys(raw))}  # by first appearance
+        groups, labels = np.array([ids[lab] for lab in raw], dtype=int), tuple(ids)
+    return Dataset(features=values[:-1].T, targets=values[-1], groups=groups, group_labels=labels)
 
-    return Dataset(
-        features=np.asarray(feats, dtype=float),
-        targets=np.asarray(targs, dtype=float),
-        groups=groups,
-        group_labels=labels,
-    )
+
+def _first_bad_cell(path: Path, header: list[str], numeric: list[int]) -> UsageError | None:
+    """The error for the first bad cell (by row; features, then the target) of a
+    body ``np.loadtxt`` refused: a real, as for numpy, is ASCII and free of ``_``
+    once stripped, and ``float`` reads it.  Runs on failure only; returns no data."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for r, row in enumerate(filter(None, rows)):  # blank lines are skipped
+            if len(row) != len(header):
+                return ParseFailure(r, "<row>", ",".join(row))
+            for j in numeric:
+                cell = row[j].strip()
+                try:
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
+                    v = float(cell)
+                except ValueError:
+                    return ParseFailure(r, header[j], row[j])
+                if not math.isfinite(v):
+                    return NonFiniteValue(r, header[j])
 
 
 def save_csv(
@@ -258,17 +259,14 @@ def save_csv(
     header = list(names) + [target_column]
     if data.groups is not None:
         header.append(group_column)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            row.append(repr(float(data.targets[i])))
+            row = [repr(float(v)) for v in (*data.features[i], data.targets[i])]
             if data.groups is not None:
                 gid = int(data.groups[i])
-                lab = data.group_labels[gid] if gid < len(data.group_labels) else str(gid)
-                row.append(lab)
+                row.append(data.group_labels[gid] if gid < len(data.group_labels) else str(gid))
             writer.writerow(row)
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,17 @@ class TestSelect:
             "--k", "4", "--timing", "--out", str(out),
         ])
         assert "timing" in json.loads(out.read_text())
+
+    def test_timing_block_is_the_only_difference(self, data_csv, tmp_path):
+        argv = ["select", "--data", str(data_csv), "--target", "y", "--delta", "0.5", "--k", "4"]
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert run([*argv, "--out", str(plain)]) == 0
+        assert run([*argv, "--timing", "--out", str(timed)]) == 0
+        report = json.loads(timed.read_text())
+        timing = report.pop("timing")
+        assert report == json.loads(plain.read_text())
+        assert set(timing) == {"wall_time_seconds", "load_seconds"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
 
     def test_thread_invariance(self, data_csv, tmp_path):
         outs = []
@@ -360,3 +373,19 @@ class TestExitCodes:
             return {sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))}
 
         assert subclasses(errors.UsageError) == set(USAGE_ERRORS)
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argv of every ``selcon ...`` line in the README's CLI block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("selcon ")]
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["gen", "select", "verify", "bench", "fairness"]
+    for argv in commands:
+        assert run(argv) == 0, argv

@@ -1,8 +1,13 @@
+import csv
+import inspect
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from selcon import cli, dataset
 from selcon.dataset import (
     Dataset,
     SplitSpec,
@@ -75,6 +80,198 @@ class TestLoadCsv:
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.targets, data.targets)
         assert np.array_equal(back.groups, data.groups)
+
+
+def reference_load_csv(path, target_column, group_column=None):
+    """The per-cell loader that ``load_csv`` replaced, kept as the reference
+    for the parity table below."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path} is empty") from None
+        if target_column not in header:
+            raise MissingColumn(target_column)
+        if group_column is not None and group_column not in header:
+            raise MissingColumn(group_column)
+        tgt_idx = header.index(target_column)
+        grp_idx = header.index(group_column) if group_column is not None else None
+        feat_cols = [(j, name) for j, name in enumerate(header) if j != tgt_idx and j != grp_idx]
+
+        feats, targs, raw_groups = [], [], []
+        for r, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ParseFailure(r, "<row>", ",".join(row))
+            vals = []
+            for j, name in feat_cols + [(tgt_idx, target_column)]:
+                try:
+                    v = float(row[j])
+                except ValueError:
+                    raise ParseFailure(r, name, row[j]) from None
+                if not math.isfinite(v):
+                    raise NonFiniteValue(r, name)
+                vals.append(v)
+            feats.append(vals[:-1])
+            targs.append(vals[-1])
+            if grp_idx is not None:
+                raw_groups.append(row[grp_idx])
+
+    if not targs:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    groups, labels = None, ()
+    if group_column is not None:
+        mapping = {}
+        groups = np.empty(len(raw_groups), dtype=int)
+        for i, lab in enumerate(raw_groups):
+            if lab not in mapping:
+                mapping[lab] = len(mapping)
+            groups[i] = mapping[lab]
+        labels = tuple(mapping)
+    return Dataset(features=np.asarray(feats, dtype=float), targets=np.asarray(targs, dtype=float),
+                   groups=groups, group_labels=labels)
+
+
+def outcome(loader, path, target, group):
+    """Arrays as bytes, or the error's type, row, column and message."""
+    try:
+        data = loader(path, target, group)
+    except (EmptyFile, MissingColumn, NonFiniteValue, ParseFailure) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None), str(exc)
+    groups = None if data.groups is None else data.groups.tolist()
+    return (data.features.shape, data.features.tobytes(), data.targets.tobytes(), groups,
+            data.group_labels)
+
+
+PARITY = {
+    # name: (file text, or "gen:<groups>" for a generated pool; target; group)
+    "pool_with_groups": ("gen:3", "y", "group"),
+    "pool_without_groups": ("gen:0", "y", None),
+    "pool_group_read_as_feature": ("gen:3", "y", None),
+    "target_only": ("y\n1.5\n-2\n0\n", "y", None),
+    "target_only_bad": ("y\n1.5\n\"\"\n", "y", None),
+    "duplicated_feature_name": ("a,a,y\n1,2,3\n4,5,6\n", "y", None),
+    "duplicated_target_name": ("y,a,y\n1,2,3\n4,5,6\n", "y", None),
+    "quoted_numbers": ('f0,y\n"1.5","-2"\n" 3 ",4e-1\n', "y", None),
+    "crlf": ('f0,y,g\r\n1,2,a\r\n3,4,"b\r\nc"\r\n', "y", "g"),
+    "labels": ('f0,y,g\n1,2,"a,b"\n3,4,#c\n5,6,"x\ny"\n7,8,"q""r"\n9,10, \xe9 \n', "y", "g"),
+    "labels_in_first_column": ('g,f0,y\n"#x",1,2\n"",3,4\n#x,5,6\n', "y", "g"),
+    "whitespace_around_numbers": ("f0,y\n 1 ,\t2\n\xa03\u2003,4\n", "y", None),
+    "short_row": ("f0,y\n1,2\n3\n", "y", None),
+    "long_row": ("f0,y\n1,2\n3,4,5\n", "y", None),
+    "long_first_row": ("f0,y\n1,2,5\n3,4\n", "y", None),
+    "non_numeric": ("f0,y\n1,2\nabc,4\n", "y", None),
+    "empty_cell": ("f0,y\n1,2\n,4\n", "y", None),
+    "bad_target": ("f0,y\n1,2\n3,x\n", "y", None),
+    "nan": ("f0,y\n1,nan\n", "y", None),
+    "inf": ("f0,y\n1,2\ninf,1\n", "y", None),
+    "minus_inf": ("f0,y\n1,-inf\n", "y", None),
+    "overflow": ("f0,y\n1e500,1\n", "y", None),
+    "non_finite_before_bad_cell": ("f0,f1,y\n1,2,3\nnan,x,4\n", "y", None),
+    "bad_cell_before_non_finite": ("f0,f1,y\n1,2,3\nx,nan,4\n", "y", None),
+    "bad_feature_before_non_finite_target": ("f0,y\n1,2\nx,inf\n", "y", None),
+    "non_finite_then_short_row": ("f0,y\ninf,2\n3\n", "y", None),
+    "missing_target": ("f0,f1\n1,2\n", "y", None),
+    "missing_group": ("f0,y\n1,2\n", "y", "g"),
+    "empty_file": ("", "y", None),
+    "header_only": ("f0,y\n", "y", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_matches_reference_loader(tmp_path, name):
+    text, target, group = PARITY[name]
+    p = tmp_path / "data.csv"
+    if text.startswith("gen:"):
+        save_csv(gen_synthetic(40, 3, noise_sd=0.7, n_groups=int(text[4:]), seed=5), p)
+    else:
+        p.write_bytes(text.encode("utf-8"))
+    assert outcome(load_csv, p, target, group) == outcome(reference_load_csv, p, target, group)
+
+
+class TestIntendedChanges:
+    """Where the loader departs from the reference on purpose."""
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = write(tmp_path, "f0,y\n1,2\n\n3,4\n\n")
+        data = load_csv(p, target_column="y")
+        assert np.array_equal(data.targets, [2.0, 4.0])
+        with pytest.raises(ParseFailure):
+            reference_load_csv(p, "y")
+
+    def test_error_rows_do_not_count_blank_lines(self, tmp_path):
+        p = write(tmp_path, "f0,y\n\n1,2\n\n\nx,4\n")
+        with pytest.raises(ParseFailure) as exc:
+            load_csv(p, target_column="y")
+        assert (exc.value.row, exc.value.col) == (1, "f0")
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\uff11", "2.5e1_0"])
+    def test_digit_separators_and_non_ascii_digits_are_refused(self, tmp_path, cell):
+        p = write(tmp_path, f"f0,y\n1,2\n3,{cell}\n")
+        assert math.isfinite(float(cell))
+        with pytest.raises(ParseFailure) as exc:
+            load_csv(p, target_column="y")
+        assert (exc.value.row, exc.value.col) == (1, "y")
+        assert repr(cell) in str(exc.value)
+
+    def test_whitespace_is_what_str_isspace_says(self, tmp_path):
+        # The separator controls \x1c-\x1f are whitespace to str.strip, not to float().
+        p = write(tmp_path, "f0,y\n\x1c1\x1f,2\n")
+        assert np.array_equal(load_csv(p, target_column="y").features, [[1.0]])
+
+    def test_numpy_refusal_without_a_bad_cell_names_numpy_error(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(ParseFailure) as exc:
+            load_csv(write(tmp_path, "f0,y\n1,2\n"), target_column="y")
+        assert "refused" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
+class TestLoaderInterface:
+    def test_cli_calls_the_dataset_loader_by_name(self):
+        # The benchmark's trace wraps both of these names.
+        assert cli.load_csv is dataset.load_csv
+        assert list(inspect.signature(load_csv).parameters) == ["path", "target_column", "group_column"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        with pytest.raises(EmptyFile):
+            load_csv(write(tmp_path, "f0,y,g\n"), target_column="y", group_column="g")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_REALS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_LABELS = st.text(st.one_of(st.sampled_from(list(',"\n\r# \xe9')),
+                            st.characters(categories=("L", "Nd", "Zs"))), max_size=6)
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 3))
+    X = np.array(draw(st.lists(_REALS, min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(_REALS, min_size=n, max_size=n)), dtype=float)
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True))
+    groups = np.array(draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n)))
+    return Dataset(features=X, targets=y, groups=groups, group_labels=tuple(labels))
+
+
+@given(data=_datasets())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_then_load_round_trips(tmp_path, data):
+    p = tmp_path / "rt.csv"
+    save_csv(data, p)
+    back = load_csv(p, target_column="y", group_column="group")
+    assert back.features.shape == data.features.shape
+    assert back.features.tobytes() == data.features.tobytes()
+    assert back.targets.tobytes() == data.targets.tobytes()
+    raw = [data.group_labels[g] for g in data.groups]
+    assert [back.group_labels[g] for g in back.groups] == raw
+    assert back.group_labels == tuple(dict.fromkeys(raw))
 
 
 class TestSplit:
