@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ColumnConflict,
     EmptyFile,
     EmptySplit,
     MissingColumn,
@@ -183,8 +184,8 @@ def load_csv(path: str | Path, target_column: str, group_column: str | None = No
     commas, quotes or line breaks; ``#`` is ordinary.  Blank lines are
     skipped and not counted in error rows.  Cells outside the group column
     are finite ASCII decimal reals (``-2.5e-3``), maybe space-padded, without
-    ``_``.  Raises :class:`MissingColumn`, :class:`ParseFailure`,
-    :class:`NonFiniteValue` or :class:`EmptyFile` on malformed input.
+    ``_``.  Raises :class:`MissingColumn`, :class:`ColumnConflict`,
+    :class:`ParseFailure`, :class:`NonFiniteValue` or :class:`EmptyFile`.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -195,6 +196,8 @@ def load_csv(path: str | Path, target_column: str, group_column: str | None = No
         for column in (target_column, group_column):
             if column is not None and column not in header:
                 raise MissingColumn(column)
+        if group_column == target_column:
+            raise ColumnConflict(f"group column {group_column!r} is the target column")
         tgt_idx = header.index(target_column)
         grp_idx = header.index(group_column) if group_column is not None else None
         # Feature columns in file order, then the target.

@@ -13,13 +13,12 @@ realize it:
 * ``exact`` (linear model only): the inner minimum has a closed form, and the
   outer maximization of the smooth concave dual runs projected Newton on the
   box (Bertsekas 1982) with the exact dual Hessian -2 V'A(mu)^-1 V.  It
-  solves a stack of B subsets at once: the systems A(mu) form a (B, d, d)
-  stack inverted by one call, the curvatures a (B, Q, Q) stack, and Newton
-  runs in lockstep with a step length and stopping test per row.  Every
-  subset shares the validation blocks and differs only in its training Gram
-  block, and no operation mixes rows, so a subset's value does not depend
-  on the stack it was solved in.  This backend is the ground truth for
-  every property check.
+  solves a stack of B subsets at once and returns arrays, not states: the
+  training Gram blocks are assembled per subset size by one batched product,
+  the systems A(mu) form a (B, d, d) stack inverted by one call, and Newton
+  runs in lockstep with a step length and stopping test per row.  No
+  operation mixes rows, so a subset's value does not depend on the stack it
+  was solved in.  This backend is the ground truth for every property check.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
@@ -55,6 +54,7 @@ __all__ = [
     "TrainedState",
     "dual_objective",
     "solve_inner_linear",
+    "exact_state",
     "train_dual_exact",
     "train_dual_exact_many",
     "train_dual_sgd",
@@ -211,26 +211,28 @@ class _Stack:
 
     Row r holds the training side of its subset's system, lam n_S I + X_S'X_S,
     with b_S = X_S'y_S and c_S = y_S'y_S; every row shares the partition's
-    cached validation blocks.  Each row is built and solved by operations that
-    never mix rows (one Gram product per subset, stacked ``inv``, ``eigh``
-    and ``matmul``, row-wise sums), so a row's numbers are bit-identical in
-    every stack it appears in.
+    cached validation blocks.  Rows of one size m share one (B_m, m) gather
+    and one batched product each for X'X, X'y and y'y, which round as
+    per-row products do; no later operation mixes rows, so a row's numbers
+    are bit-identical in every stack it appears in.
     """
 
-    def __init__(self, subsets: Sequence[np.ndarray], train: Dataset,
+    def __init__(self, subsets: Sequence[Sequence[int]], train: Dataset,
                  valpart: ValidationPartition, lam: float):
         B, d = len(subsets), train.d
-        eye = np.eye(d)
+        sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=B)
         self.base = np.zeros((B, d, d))
         self.bs = np.zeros((B, d))
         self.cs = np.zeros(B)
-        for r, subset in enumerate(subsets):
-            if len(subset):
-                Xs, ys = _subset_arrays(subset, train)
-                self.base[r] = lam * len(subset) * eye + Xs.T @ Xs
-                self.bs[r] = Xs.T @ ys
-                self.cs[r] = ys @ ys
-        self.empty = np.array([len(subset) == 0 for subset in subsets])
+        for m in sorted(set(sizes.tolist()) - {0}):
+            rows = np.flatnonzero(sizes == m)
+            idx = np.array([subsets[r] for r in rows], dtype=np.intp)
+            X, y = train.features[idx], train.targets[idx]
+            Xt = X.transpose(0, 2, 1)
+            self.base[rows] = lam * m * np.eye(d) + Xt @ X
+            self.bs[rows] = (Xt @ y[:, :, None])[:, :, 0]
+            self.cs[rows] = (y[:, None, :] @ y[:, :, None])[:, 0, 0]
+        self.empty = sizes == 0
         self.Gbar, self.bbar, self.cbar = valpart.gram
         self.delta = valpart.delta
 
@@ -350,14 +352,9 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, cfg: Traine
     return w, mu, phi, iters, converged
 
 
-def train_dual_exact_many(
-    subsets: Sequence[Sequence[int]],
-    train: Dataset,
-    valpart: ValidationPartition,
-    lam: float,
-    C: float,
-    cfg: TrainerConfig,
-) -> list[TrainedState]:
+def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
+                          valpart: ValidationPartition, lam: float, C: float,
+                          cfg: TrainerConfig) -> tuple[np.ndarray, ...]:
     """:func:`train_dual_exact` for a stack of subsets, solved in lockstep.
 
     Each subset is an array or sequence of training indices that must be
@@ -366,67 +363,52 @@ def train_dual_exact_many(
     stacked into (B, d, d) systems and one projected Newton loop runs over
     all of them (see :func:`_projected_newton`).  Each row's arithmetic is
     independent of the other rows, so a subset's result is bit-identical
-    whatever stack it is solved in.  Memory grows as B d^2; callers bound B,
-    as ``SetFnContext`` does with ``setfn._CHUNK_FLOATS``.
+    whatever stack it is solved in.  Returns arrays (w, mu, f, iterations,
+    converged) with one row per subset.  Memory grows as B (d^2 + m d);
+    callers bound B, as ``SetFnContext`` does with ``setfn._CHUNK_FLOATS``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if C < 0:
         raise ValueError("C must be >= 0")
-    keys = [np.asarray(s, dtype=np.intp) for s in subsets]
-    if not keys:
-        return []
-    Q, d = valpart.q, train.d
-
-    def state(w, mu, f, iters, converged):
-        return TrainedState(model=LinearModel(w=w), mu=mu, f_value=float(f),
-                            iterations_used=int(iters), backend="exact",
-                            converged=bool(converged))
-
+    B, Q = len(subsets), valpart.q
     # With an empty training sum the dual is positively homogeneous in mu
     # and not differentiable at the origin, where it is 0.  A positive
     # maximum therefore lies on a face mu_q = C; each face is a smooth
     # problem and gets its own row, with lower bound C on its coordinate.
-    # For Q = 1 the only face is the endpoint mu = C.
-    rows, lo = [], []
-    for key in keys:
-        if len(key):
-            rows.append(key)
-            lo.append(np.zeros(Q))
-        else:
-            rows.extend([key] * Q)
-            lo.extend(C * np.eye(Q))
-    lo = np.array(lo)
-    w, mu, phi, iters, converged = _projected_newton(
+    # Row i of an empty subset is its face 0 (for Q = 1, the endpoint
+    # mu = C), and its faces 1..Q-1 are appended after the B rows.
+    empty = [i for i, subset in enumerate(subsets) if not len(subset)]
+    faces = [[i, *range(B + j * (Q - 1), B + (j + 1) * (Q - 1))] for j, i in enumerate(empty)]
+    rows = [*subsets, *[()] * (len(empty) * (Q - 1))]
+    lo = np.zeros((len(rows), Q))
+    for rows_i in faces:
+        lo[rows_i, np.arange(Q)] = C
+    w, mu, f, iters, converged = _projected_newton(
         _Stack(rows, train, valpart, lam), lo, np.full(lo.shape, C), cfg)
-
-    out, r = [], 0
-    for key in keys:
-        if len(key):
-            out.append(state(w[r], mu[r], phi[r], iters[r], converged[r]))
-            r += 1
-            continue
-        faces = slice(r, r + Q)
-        best = r + int(np.argmax(phi[faces]))
-        r += Q
-        if phi[best] <= 0.0:
+    for i, rows_i in zip(empty, faces):
+        best = rows_i[int(np.argmax(f[rows_i]))]
+        iters[i] = iters[rows_i].sum()
+        if f[best] <= 0.0:
             # The zero multiplier is always feasible here and yields objective
             # 0, so a non-positive best means the origin is the exact maximum.
-            out.append(state(np.zeros(d), np.zeros(Q), 0.0, iters[faces].sum(), True))
+            w[i], mu[i], f[i], converged[i] = 0.0, 0.0, 0.0, True
         else:
-            out.append(state(w[best], mu[best], phi[best], iters[faces].sum(),
-                             converged[faces].all()))
-    return out
+            w[i], mu[i], f[i], converged[i] = w[best], mu[best], f[best], converged[rows_i].all()
+    if not np.isfinite(w[:B]).all():
+        raise ValueError("weight entries must be finite")
+    return tuple(a[:B] for a in (w, mu, f, iters, converged))
 
 
-def train_dual_exact(
-    subset: Sequence[int],
-    train: Dataset,
-    valpart: ValidationPartition,
-    lam: float,
-    C: float,
-    cfg: TrainerConfig,
-) -> TrainedState:
+def exact_state(solved: tuple[np.ndarray, ...], r: int) -> TrainedState:
+    """Row ``r`` of :func:`train_dual_exact_many`'s arrays as a :class:`TrainedState`."""
+    w, mu, f, iters, converged = (a[r] for a in solved)
+    return TrainedState(model=LinearModel(w=w), mu=mu, f_value=float(f),
+                        iterations_used=int(iters), backend="exact", converged=bool(converged))
+
+
+def train_dual_exact(subset: Sequence[int], train: Dataset, valpart: ValidationPartition,
+                     lam: float, C: float, cfg: TrainerConfig) -> TrainedState:
     """Solve max over mu in [0, C]^Q of min over w of F for the linear model.
 
     This is the one-subset call of :func:`train_dual_exact_many` on the
@@ -442,7 +424,8 @@ def train_dual_exact(
     ``f_value`` is the dual value phi the solver ends at, in the Gram form
     above; :func:`dual_objective` recomputes it from residuals.
     """
-    return train_dual_exact_many([np.sort(np.asarray(subset, np.intp))], train, valpart, lam, C, cfg)[0]
+    subsets = [np.sort(np.asarray(subset, np.intp))]
+    return exact_state(train_dual_exact_many(subsets, train, valpart, lam, C, cfg), 0)
 
 
 def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Generator) -> Model:

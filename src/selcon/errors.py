@@ -22,6 +22,10 @@ class MissingColumn(UsageError):
         self.column = column
 
 
+class ColumnConflict(UsageError):
+    """The group column is the target column."""
+
+
 class ParseFailure(UsageError):
     def __init__(self, row: int, col: str, value: str):
         super().__init__(f"cannot parse cell {value!r} at row {row}, column {col!r}")

@@ -94,7 +94,7 @@ def f_table(ctx: SetFnContext) -> np.ndarray:
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{MAX_EXHAUSTIVE_N}")
     subsets = [tuple(np.flatnonzero(row).tolist()) for row in _members(n)]
-    return np.array([v for v, _ in ctx.f_many(subsets)])
+    return ctx.f_many(subsets)
 
 
 def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[tuple[int, ...], float]:
@@ -107,12 +107,9 @@ def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[t
     if count > cap:
         raise TooLarge(f"{count} candidate subsets exceed the cap {cap}")
     combs = list(itertools.combinations(range(n), k))
-    best_val = math.inf
-    best_set: tuple[int, ...] = ()
-    for comb, (v, _) in zip(combs, ctx.f_many(combs)):
-        if v < best_val:
-            best_val, best_set = v, comb
-    return best_set, best_val
+    values = ctx.f_many(combs)
+    best = int(np.argmin(values))  # the first minimum, so ties keep the first subset
+    return combs[best], float(values[best])
 
 
 def empirical_alpha_detail(ctx: SetFnContext) -> tuple[float, int, int]:
@@ -157,16 +154,12 @@ def empirical_kappa(ctx: SetFnContext, subset) -> float:
     1 - min over elements a of gain(a, S minus a) / gain(a, empty).
     Elements with near-zero empty-set gain are skipped."""
     key = tuple(sorted(int(i) for i in subset))
-    f0 = ctx.f_of(())[0]
-    denoms = {a: v - f0 for a, (v, _) in enumerate(ctx.f_many((a,) for a in range(ctx.train.n)))}
-    active = [a for a, denom in denoms.items() if denom > DENOM_CUTOFF]
+    denoms = ctx.singletons() - ctx.f_empty()
+    active = np.flatnonzero(denoms > DENOM_CUTOFF).tolist()
     rests = [tuple(i for i in key if i != a) for a in active]
     with_a = ctx.f_many(rest + (a,) for rest, a in zip(rests, active))
-    without = ctx.f_many(rests)
-    ratios = [(fw - fr) / denoms[a] for a, (fw, _), (fr, _) in zip(active, with_a, without)]
-    if not ratios:
-        return 0.0
-    return 1.0 - min(ratios)
+    ratios = (with_a - ctx.f_many(rests)) / denoms[active]
+    return 1.0 - min(ratios.tolist(), default=1.0)
 
 
 def empirical_kappa_max(ctx: SetFnContext) -> float:

@@ -6,11 +6,12 @@ path-independent: every f(S) trains from the configured initialization, and
 the exact backend's stacked solver computes each subset's row without
 reference to the other rows, so cached numbers do not depend on the order in
 which subsets were queried nor on the batch they were solved in.
-:meth:`SetFnContext.f_many` is the batched entry point; the singleton sweep
-and the brute-force oracles go through it.  Each leave-one-out value is used
-once, so :meth:`SetFnContext.leave_one_out` neither reads nor fills the cache.
-Subset order is decided here: cache keys are sorted tuples and
-``leave_one_out`` takes a sorted array, as ``train_dual_exact_many`` needs.
+:meth:`SetFnContext.f_many` returns an array of values; the singleton sweep
+(once per context) and the oracles use it, and a state is built only when
+:meth:`SetFnContext.f_of` asks for it.  Each leave-one-out value is used
+once, so :meth:`SetFnContext.leave_one_out` returns values and leaves the
+cache alone.  Cache keys are sorted tuples and ``leave_one_out`` takes a
+sorted array, as ``train_dual_exact_many`` needs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .dual import (
     DEFAULT_HIDDEN_WIDTH,
     TrainedState,
     TrainerConfig,
+    exact_state,
     train_dual_exact,
     train_dual_exact_many,
     train_dual_sgd,
@@ -33,13 +35,13 @@ from .errors import ElementAlreadyPresent
 
 __all__ = ["SetFnContext"]
 
-# Cap on the floats of one stacked exact solve, about d (d + Q) per subset:
-# 2^21 floats are 16 MB per stacked array (about 500 subsets at d = 64).
+# Cap on the floats of one stacked exact solve, max(d (d + Q), m d) per subset
+# of m elements: 2^21 floats are 16 MB (about 500 subsets at d = 64).
 _CHUNK_FLOATS = 1 << 21
 
 
 def _canonical(subset: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(int(i) for i in subset))
+    return tuple(sorted(map(int, subset)))
 
 
 @dataclass
@@ -73,7 +75,9 @@ class SetFnContext:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "exact" and self.model_kind != "linear":
             raise ValueError("the exact backend supports the linear model only")
-        self._cache: dict[tuple[int, ...], tuple[float, TrainedState]] = {}
+        # key -> (value, state), or for a value f_many solved (value, (arrays, row)).
+        self._cache: dict[tuple[int, ...], tuple[float, object]] = {}
+        self._singletons: np.ndarray | None = None
         self.cache_hits = 0
         self.cache_misses = 0
         self.negative_marginals: list[tuple[int, tuple[int, ...], float]] = []
@@ -101,56 +105,66 @@ class SetFnContext:
         """Value and trained state for a subset, from cache when available."""
         key = _canonical(subset)
         cached = self._cache.get(key)
-        if cached is not None:
+        if cached is None:
+            state = self._train(key)
+            self.cache_misses += 1
+            cached = self._cache[key] = (state.f_value, state)
+        else:
             self.cache_hits += 1
-            return cached
-        state = self._train(key)
-        entry = self._cache[key] = (state.f_value, state)
-        self.cache_misses += 1
-        return entry
+            if not isinstance(cached[1], TrainedState):
+                cached = self._cache[key] = (cached[0], exact_state(*cached[1]))
+        return cached
 
-    def _solve_exact(self, subsets: Sequence) -> list[TrainedState]:
-        """Exact states of ``subsets``, in stacks of at most ``_CHUNK_FLOATS``
-        floats."""
-        step = max(1, _CHUNK_FLOATS // (self.train.d * (self.train.d + self.valpart.q)))
-        return [state for start in range(0, len(subsets), step)
-                for state in train_dual_exact_many(subsets[start:start + step], self.train,
-                                                   self.valpart, self.lam, self.C, self.trainer)]
+    def _solve_exact(self, count: int, size: int, rows):
+        """Solve ``count`` subsets of at most ``size`` elements in stacks under
+        ``_CHUNK_FLOATS``, built by ``rows(start, stop)``; yields each stack's
+        subsets and ``train_dual_exact_many``'s arrays."""
+        d = self.train.d
+        step = max(1, _CHUNK_FLOATS // max(d * (d + self.valpart.q), size * d))
+        for start in range(0, count, step):
+            subsets = rows(start, min(start + step, count))
+            yield subsets, train_dual_exact_many(subsets, self.train, self.valpart, self.lam,
+                                                 self.C, self.trainer)
 
-    def f_many(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, TrainedState]]:
-        """:meth:`f_of` for each subset, in input order.
+    def f_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
+        """f of each subset, in input order, from cache when available.
 
         On the exact backend the distinct cache misses are solved in sorted
         key order as stacks, and counted as :meth:`f_of` would count them.
         The sgd backend loops :meth:`f_of`.
         """
-        if self.backend != "exact":
-            return [self.f_of(s) for s in subsets]
         keys = [_canonical(s) for s in subsets]
+        if self.backend != "exact":
+            return np.array([self.f_of(key)[0] for key in keys])
         missing = sorted({key for key in keys if key not in self._cache})
         self.cache_misses += len(missing)
         self.cache_hits += len(keys) - len(missing)
-        for key, state in zip(missing, self._solve_exact(missing)):
-            self._cache[key] = (state.f_value, state)
-        return [self._cache[key] for key in keys]
+        size = max(map(len, missing), default=0)
+        for chunk, solved in self._solve_exact(len(missing), size, lambda a, b: missing[a:b]):
+            for r, (key, value) in enumerate(zip(chunk, solved[2].tolist())):
+                self._cache[key] = (value, (solved, r))
+        return np.array([self._cache[key][0] for key in keys])
 
     def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None) -> np.ndarray:
-        """f(S_hat minus i) for every i of the sorted index array ``s_hat``,
-        in its order; uncached.
+        """f(S_hat minus i) for every i of the sorted, non-empty index array ``s_hat``,
+        in its order; uncached, and no state is built.
 
-        On the exact backend the rows are solved as stacks, each value
-        bit-identical to :meth:`f_of`'s.  The sgd backend trains each row
-        from scratch, or, when ``warm_epochs`` is set, for that many epochs
-        from S_hat's trained state; the exact backend ignores it.
+        On the exact backend the rows are built and solved one stack at a
+        time, each value bit-identical to :meth:`f_of`'s.  The sgd backend
+        trains each row from scratch, or, when ``warm_epochs`` is set, for
+        that many epochs from S_hat's trained state.
         """
         s_hat = np.asarray(s_hat, dtype=np.intp)
-        rows = [np.delete(s_hat, j) for j in range(len(s_hat))]
+        k = len(s_hat)
+
+        def rows(start, stop):
+            keep = np.arange(start, stop)[:, None] != np.arange(k)
+            return np.broadcast_to(s_hat, keep.shape)[keep].reshape(stop - start, k - 1)
+
         if self.backend == "exact":
-            states = self._solve_exact(rows)
-        else:
-            init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
-            states = [self._train(row, warm_epochs, init_state) for row in rows]
-        return np.array([state.f_value for state in states])
+            return np.concatenate([solved[2] for _, solved in self._solve_exact(k, k - 1, rows)])
+        init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
+        return np.array([self._train(row, warm_epochs, init_state).f_value for row in rows(0, k)])
 
     # -- derived quantities --------------------------------------------------
 
@@ -165,8 +179,11 @@ class SetFnContext:
         return gain
 
     def singletons(self) -> np.ndarray:
-        """f({i}) for every training element, as one batched evaluation."""
-        return np.array([v for v, _ in self.f_many((i,) for i in range(self.train.n))])
+        """f({i}) for every training element: one batched sweep per context, read-only."""
+        if self._singletons is None:
+            self._singletons = self.f_many((i,) for i in range(self.train.n))
+            self._singletons.setflags(write=False)
+        return self._singletons
 
     def f_empty(self) -> float:
         return self.f_of(())[0]

@@ -76,6 +76,10 @@ class TestSelect:
         assert run(["select", "--data", str(data_csv), "--target", "nope",
                     "--delta", "0.5"]) == 2
 
+    def test_group_naming_the_target_exit_code(self, data_csv):
+        assert run(["select", "--data", str(data_csv), "--target", "y", "--group", "y",
+                    "--delta", "0.5"]) == 2
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run(["select", "--data", str(tmp_path / "nope.csv"), "--target", "y",
                     "--delta", "0.5"]) == 2
@@ -333,6 +337,7 @@ class TestFairnessCmd:
 
 
 USAGE_ERRORS = (
+    errors.ColumnConflict,
     errors.InvalidK,
     errors.MissingColumn,
     errors.MissingGroups,

@@ -19,12 +19,14 @@ from selcon.dataset import (
     split,
 )
 from selcon.errors import (
+    ColumnConflict,
     EmptyFile,
     EmptySplit,
     MissingColumn,
     MissingGroups,
     NonFiniteValue,
     ParseFailure,
+    UsageError,
 )
 from selcon.models import LinearModel, predict
 
@@ -213,6 +215,13 @@ class TestIntendedChanges:
             load_csv(p, target_column="y")
         assert (exc.value.row, exc.value.col) == (1, "y")
         assert repr(cell) in str(exc.value)
+
+    def test_group_column_may_not_be_the_target(self, tmp_path):
+        # Read as a group label, the target would reach float() unchecked: 1_0 as 10.0.
+        p = write(tmp_path, "f0,y\n1,1_0\n2,3\n")
+        with pytest.raises(ColumnConflict):
+            load_csv(p, target_column="y", group_column="y")
+        assert issubclass(ColumnConflict, UsageError)
 
     def test_whitespace_is_what_str_isspace_says(self, tmp_path):
         # The separator controls \x1c-\x1f are whitespace to str.strip, not to float().

@@ -6,6 +6,7 @@ from conftest import make_problem
 from selcon.dataset import Dataset, SplitSpec, gen_synthetic, partition_validation, split
 from selcon.dual import (
     TrainerConfig,
+    _Stack,
     dual_objective,
     primal_value,
     solve_inner_linear,
@@ -230,6 +231,26 @@ class TestExactTrainer:
             st = train_dual_exact(subset, train, vp, lam, C, CFG)
             ref = dual_objective(st.model, st.mu, subset, train, vp, lam)
             assert abs(st.f_value - ref) <= 1e-12 * abs(ref), (seed, st.f_value, ref)
+
+
+class TestStackAssembly:
+    """The per-size batched Gram products equal the per-row ones bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_bitwise_equal_to_per_row_products(self, d):
+        train, _, vp, lam, _ = make_problem(d, n=30, d=d, q=2)
+        rng = np.random.default_rng(d)
+        # Empty rows, size-1 rows and several sizes, the sizes in no order.
+        sizes = [5, 0, 1, 12, 1, 30, 5, 0, 2, 12, 1, 7, 5]
+        subsets = [np.sort(rng.choice(30, size=m, replace=False)) for m in sizes]
+        stack = _Stack(subsets, train, vp, lam)
+        for r, subset in enumerate(subsets):
+            Xs, ys = train.features[subset], train.targets[subset]
+            base = lam * len(subset) * np.eye(d) + Xs.T @ Xs if len(subset) else np.zeros((d, d))
+            assert np.array_equal(stack.base[r], base)
+            assert np.array_equal(stack.bs[r], Xs.T @ ys if len(subset) else np.zeros(d))
+            assert np.array_equal(stack.cs[r], ys @ ys if len(subset) else 0.0)
+            assert stack.empty[r] == (not len(subset))
 
 
 class TestSgdTrainer:

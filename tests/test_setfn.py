@@ -6,7 +6,9 @@ import pytest
 
 from conftest import make_ctx
 from selcon.bounds import claim1_min
+from selcon import dual
 from selcon.dual import TrainerConfig, solve_inner_linear, train_dual_exact
+from selcon.selection import SelconConfig, run_selcon
 from selcon.errors import ElementAlreadyPresent
 from selcon import setfn
 from selcon.setfn import SetFnContext
@@ -117,11 +119,14 @@ class TestFMany:
         want = [ref.f_of(s) for s in subsets]
         ctx = make_ctx(24, n=9, d=3, q=2, C=C)
         got = ctx.f_many(subsets)
-        for (fa, sa), (fb, sb) in zip(want, got):
+        assert isinstance(got, np.ndarray)
+        assert (ctx.cache_hits, ctx.cache_misses) == (ref.cache_hits, ref.cache_misses)
+        for s, (fa, sa), fb in zip(subsets, want, got):
             assert fa == fb
+            sb = ctx.f_of(s)[1]  # built from the stacked arrays f_many cached
+            assert sb.f_value == fa
             assert np.array_equal(sa.mu, sb.mu)
             assert np.array_equal(sa.model.w, sb.model.w)
-        assert (ctx.cache_hits, ctx.cache_misses) == (ref.cache_hits, ref.cache_misses)
 
         fresh = make_ctx(24, n=9, d=3, q=2, C=C)
         singles = fresh.singletons()
@@ -134,7 +139,7 @@ class TestFMany:
         a = make_ctx(32, n=5, backend="sgd", trainer=trainer)
         b = make_ctx(32, n=5, backend="sgd", trainer=trainer)
         subsets = [(0, 1), (2,), (1, 0), ()]
-        assert [v for v, _ in a.f_many(subsets)] == [b.f_of(s)[0] for s in subsets]
+        assert a.f_many(subsets).tolist() == [b.f_of(s)[0] for s in subsets]
         assert (a.cache_hits, a.cache_misses) == (1, 3)
 
 
@@ -163,6 +168,68 @@ class TestLeaveOneOut:
         got = ctx.leave_one_out(s_hat)
         assert np.array_equal(got, [ref.f_of(np.delete(s_hat, j))[0] for j in range(3)])
         assert ctx.dump_values() == {}
+
+
+class TestStacks:
+    """How the exact sweeps cut their stacks and what they build."""
+
+    @pytest.mark.parametrize("chunk_floats", [1, 40, 100, 300])
+    def test_stacks_stay_under_the_cap(self, monkeypatch, chunk_floats):
+        d, q = 3, 2
+        stacks = []
+
+        def record(subsets, *args):
+            stacks.append([len(s) for s in subsets])
+            return many(subsets, *args)
+
+        many = setfn.train_dual_exact_many
+        monkeypatch.setattr(setfn, "train_dual_exact_many", record)
+        ref = make_ctx(34, n=40, d=d, q=q, C=1.5)
+        s_hat = np.arange(0, 40, 2)
+        want = ref.leave_one_out(s_hat)
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+        stacks.clear()
+        ctx = make_ctx(34, n=40, d=d, q=q, C=1.5)
+        assert np.array_equal(ctx.leave_one_out(s_hat), want)
+        ctx.f_many([tuple(range(m)) for m in range(12)])
+        assert sum(map(len, stacks)) == len(s_hat) + 12
+        for sizes in stacks:
+            if len(sizes) > 1:
+                assert len(sizes) * max(d * (d + q), max(sizes) * d) <= chunk_floats
+
+    def test_sweeps_build_no_state(self, monkeypatch):
+        built = []
+        post_init = dual.TrainedState.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(dual.TrainedState, "__post_init__", counting)
+        ctx = make_ctx(35, n=30, d=3, q=2, C=1.5)
+        f_of = SetFnContext.f_of
+        keys = set()
+
+        def recording(self, subset):
+            key = tuple(sorted(int(i) for i in subset))
+            if key not in self._cache:
+                keys.add(key)
+            return f_of(self, subset)
+
+        monkeypatch.setattr(SetFnContext, "f_of", recording)
+        result = run_selcon(ctx, SelconConfig(k=6, L=4, alpha_mode="fixed", alpha_value=1.0))
+        assert len(result.trace) > 1
+        assert len(built) <= len(keys) < ctx.train.n
+        assert isinstance(ctx.f_many([(0,), (1, 2)]), np.ndarray)
+        assert len(built) <= len(keys)
+
+    def test_singletons_computed_once(self):
+        ctx = make_ctx(36, n=9, d=3, q=2, C=1.5)
+        first = ctx.singletons()
+        misses, hits = ctx.cache_misses, ctx.cache_hits
+        assert ctx.singletons() is first
+        assert (ctx.cache_misses, ctx.cache_hits) == (misses, hits)
+        assert not first.flags.writeable
 
 
 class TestFEmpty:
