@@ -11,7 +11,6 @@ slot also leaves room for merging externally computed numbers into reports.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 from .selection import SelectionResult, _digest, random_subset
@@ -26,14 +25,12 @@ __all__ = [
 
 
 def _train_fixed(ctx: SetFnContext, subset: tuple[int, ...], method: str) -> SelectionResult:
-    t0 = time.perf_counter()
     f_value, state = ctx.f_of(subset)
     return SelectionResult(
         selected=subset,
         f_value=f_value,
         trace=[(0, f_value, _digest(subset))],
         state=state,
-        wall_time=time.perf_counter() - t0,
         method=method,
     )
 

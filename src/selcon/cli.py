@@ -4,11 +4,12 @@ Subcommands: ``gen`` (synthetic CSV), ``select`` (run the selection driver),
 ``verify`` (run the property checkers), ``bench`` (baseline grid), and
 ``fairness`` (per-group error-bound sweep).  Settings come from an INI config
 file: ``select``, ``bench`` and ``fairness`` read its [problem], [trainer]
-and [selcon] sections, ``verify`` only [trainer].  Command-line flags override
-the file, and the SELCON_SEED environment variable overrides the seed.  Exit
-codes: 0 ok, 1 runtime error, 2 usage or precondition error (a
-:class:`~selcon.errors.UsageError`, a ``ValueError``, a missing file or a
-directory given as a file), 3 verification failure.
+and [selcon] sections, ``verify`` only [trainer]; a section or key that
+:data:`SETTINGS` does not list, or any [DEFAULT] key, is a usage error.
+Command-line flags override the file, and the SELCON_SEED environment
+variable overrides the seed.  Exit codes: 0 ok, 1 runtime error, 2 usage or
+precondition error (a :class:`~selcon.errors.UsageError`, a ``ValueError``,
+a missing file or a directory given as a file), 3 verification failure.
 
 Reports are deterministic for fixed flags, files and seeds; measured wall
 times are excluded from ``select`` output unless ``--timing`` is passed,
@@ -61,10 +62,6 @@ def _json(obj) -> str:
 # -- configuration ------------------------------------------------------------
 
 
-def _auto_or_float(text: str) -> float | None:
-    return None if text.lower() == "auto" else float(text)
-
-
 # INI section -> key -> (argparse dest or None, field, parser of the INI text).
 # A field takes its flag's value, else the file's; fields set by neither keep
 # the default of TrainerConfig, SelconConfig or PROBLEM_DEFAULTS.
@@ -77,10 +74,6 @@ SETTINGS = {
     },
     "trainer": {
         "epochs": ("epochs", "epochs", int),
-        "batch_size": (None, "batch_size", int),
-        "lr_w": (None, "learning_rate_w", float),
-        "lr_mu": (None, "learning_rate_mu", _auto_or_float),
-        "mu_tol": (None, "mu_tolerance", float),
         "max_outer": (None, "max_outer_iters", int),
         "seed": ("seed", "seed", int),
     },
@@ -88,7 +81,6 @@ SETTINGS = {
         "L": ("iters", "L", int),
         "alpha_mode": ("alpha_mode", "alpha_mode", str),
         "alpha_value": ("alpha_value", "alpha_value", float),
-        "alpha_floor": (None, "alpha_floor", float),
     },
 }
 # k defaults to a tenth of the training rows.
@@ -96,15 +88,28 @@ PROBLEM_DEFAULTS = {"lam": 1.0, "C": 1.0, "delta": "0.5"}
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
+    """The parsed INI file; a section, key or [DEFAULT] entry that SETTINGS
+    does not list raises :class:`UsageError`.  configparser lowercases keys."""
     cp = configparser.ConfigParser()
-    if path:
-        if not Path(path).exists():
-            raise ValueError(f"config file {path} does not exist")
-        with open(path, encoding="utf-8") as fh:  # a directory raises here
-            try:
-                cp.read_file(fh)
-            except configparser.Error as exc:
-                raise ValueError(f"config file {path} is not a valid INI file: {exc}") from None
+    if not path:
+        return cp
+    if not Path(path).exists():
+        raise ValueError(f"config file {path} does not exist")
+    with open(path, encoding="utf-8") as fh:  # a directory raises here
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"config file {path} is not a valid INI file: {exc}") from None
+    if cp.defaults():
+        key = next(iter(cp.defaults()))
+        raise UsageError(f"config file {path}: key {key!r} in section [DEFAULT] is not read")
+    for section in cp.sections():
+        if section not in SETTINGS:
+            raise UsageError(f"config file {path}: unknown section [{section}]")
+        known = {key.lower() for key in SETTINGS[section]}
+        for key in cp.options(section):
+            if key not in known:
+                raise UsageError(f"config file {path}: unknown key {key!r} in section [{section}]")
     return cp
 
 
@@ -172,7 +177,9 @@ def cmd_select(args) -> int:
     cp = _read_config(args.config)
     ctx, test, k, load_seconds = _build_context(args, cp)
     train, val = ctx.train, ctx.valpart.data
+    t0 = time.perf_counter()
     result = run_selcon(ctx, _selcon_config(cp, args, k, ctx.trainer.seed))
+    wall_time = time.perf_counter() - t0
 
     report = result.as_dict()
     report["selected_ids"] = [int(train.ids[i]) for i in result.selected]
@@ -188,7 +195,7 @@ def cmd_select(args) -> int:
     except UsageError:  # ZeroTarget: the certificates need every |y| > 0
         report["bounds"] = None
     if args.timing:
-        report["timing"] = {"wall_time_seconds": result.wall_time, "load_seconds": load_seconds}
+        report["timing"] = {"wall_time_seconds": wall_time, "load_seconds": load_seconds}
     _emit(_json(report), args.out)
     return 0
 

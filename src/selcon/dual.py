@@ -71,29 +71,19 @@ _PRIMAL_STEPS = 150
 class TrainerConfig:
     """Settings of the two trainer backends.
 
-    The exact backend reads only ``max_outer_iters``, which caps its Newton
-    iterations, and ``mu_tolerance``, the projected-gradient norm at which it
-    stops; Newton steps need no step size.  The other fields drive the sgd
-    backend, where ``learning_rate_mu=None`` resolves to 0.05 (swept so the
-    multiplier can cross its box within the default epoch budget without
-    oscillating).
+    ``epochs`` is the sgd backend's epoch budget, ``max_outer_iters`` caps the
+    exact backend's Newton iterations, and ``seed`` seeds the sgd backend's
+    initialization and batch order.  The exact backend's stopping tolerance
+    and the sgd batch size and step sizes are module constants.
     """
 
     epochs: int = 2000
-    batch_size: int = 1000
-    learning_rate_w: float = 0.01
-    learning_rate_mu: float | None = None
-    mu_tolerance: float = 1e-10
     max_outer_iters: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.max_outer_iters < 1:
-            raise ValueError("epochs, batch_size and max_outer_iters must be >= 1")
-        if self.learning_rate_w <= 0 or self.mu_tolerance <= 0:
-            raise ValueError("learning_rate_w and mu_tolerance must be positive")
-        if self.learning_rate_mu is not None and self.learning_rate_mu <= 0:
-            raise ValueError("learning_rate_mu must be positive when given")
+        if self.epochs < 1 or self.max_outer_iters < 1:
+            raise ValueError("epochs and max_outer_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -265,6 +255,8 @@ class _Stack:
         return w, grad, phi, A_inv, Gw - self.bbar
 
 
+# Projected-gradient norm at which a row of the Newton loop has converged.
+_MU_TOLERANCE = 1e-10
 # Armijo fraction of the predicted ascent an arc step must realize.
 _ARMIJO = 1e-4
 # Curvatures below this share of the largest one are floored to it.  The dual
@@ -313,7 +305,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, cfg: Traine
     while live.size:
         pg = np.clip(mu[live] + grad[live], lo[live], hi[live]) - mu[live]
         pg_norm = np.sqrt(_dot(pg, pg))
-        done = pg_norm <= cfg.mu_tolerance
+        done = pg_norm <= _MU_TOLERANCE
         converged[live[done]] = True
         keep = ~done & (iters[live] < cfg.max_outer_iters)
         live, pg_norm = live[keep], pg_norm[keep]
@@ -418,7 +410,7 @@ def train_dual_exact(subset: Sequence[int], train: Dataset, valpart: ValidationP
     inverse of A(mu), a Newton step on the free multipliers with the exact
     curvature 2 V'A^-1 V, a scaled gradient step on those held at a bound,
     and an Armijo search along the projection arc.  It stops when the
-    projected-gradient norm drops below ``cfg.mu_tolerance``.  After
+    projected-gradient norm drops below ``_MU_TOLERANCE``.  After
     ``cfg.max_outer_iters`` Newton iterations, or when the arc search
     stalls, the last (best) iterate is returned with ``converged=False``.
     ``f_value`` is the dual value phi the solver ends at, in the Gram form
@@ -436,6 +428,14 @@ def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Gener
         output = rng.normal(0.0, 1.0 / math.sqrt(hidden_width), size=hidden_width)
         return TwoLayerModel(hidden=hidden, output=output)
     raise ValueError(f"unknown model kind {model_kind!r}")
+
+
+# Mini-batch size of the sgd trainer, its Adam step size on the parameters,
+# and its ascent step on the multipliers (swept so a multiplier can cross its
+# box within the default epoch budget without oscillating).
+_SGD_BATCH = 1000
+_SGD_LR_W = 0.01
+_SGD_LR_MU = 0.05
 
 
 def train_dual_sgd(
@@ -471,15 +471,13 @@ def train_dual_sgd(
         mu = np.zeros(valpart.q)
     params = params_of(model)
 
-    lr_w = cfg.learning_rate_w
-    lr_mu = cfg.learning_rate_mu if cfg.learning_rate_mu is not None else 0.05
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m_t = np.zeros_like(params)
     v_t = np.zeros_like(params)
 
     Xs, ys = _subset_arrays(subset, train)
     Xv, yv = valpart.data.features, valpart.data.targets
-    b_eff = min(ns, cfg.batch_size) if ns else 0
+    b_eff = min(ns, _SGD_BATCH) if ns else 0
     n_epochs = epochs if epochs is not None else cfg.epochs
 
     step = 0
@@ -502,11 +500,11 @@ def train_dual_sgd(
             v_t = beta2 * v_t + (1 - beta2) * grad * grad
             m_hat = m_t / (1 - beta1**step)
             v_hat = v_t / (1 - beta2**step)
-            params = params - lr_w * m_hat / (np.sqrt(v_hat) + eps)
+            params = params - _SGD_LR_W * m_hat / (np.sqrt(v_hat) + eps)
             model = model_from_params(model, params)
             if C > 0:
                 errs = valpart.errors(yv - predict_many(model, Xv))
-                mu = np.clip(mu + lr_mu * (errs - valpart.delta), 0.0, C)
+                mu = np.clip(mu + _SGD_LR_MU * (errs - valpart.delta), 0.0, C)
 
     f = dual_objective(model, mu, subset, train, valpart, lam)
     if not math.isfinite(f):

@@ -13,7 +13,6 @@ start from one subset.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,6 +27,11 @@ __all__ = ["SelconConfig", "SelectionResult", "modular_scores", "random_subset",
            "run_selcon_unconstrained"]
 
 
+# The certified alpha is clamped up to this floor, since the certificate can
+# be non-positive below the lam threshold.
+ALPHA_FLOOR = 0.05
+
+
 @dataclass(frozen=True)
 class SelconConfig:
     """Driver settings.
@@ -35,7 +39,7 @@ class SelconConfig:
     ``alpha_mode`` picks the submodularity ratio the bound is built with:
 
     * ``certified`` — the closed-form linear certificate, clamped to
-      [alpha_floor, 1] because it can be non-positive below the lam threshold;
+      [ALPHA_FLOOR, 1] because it can be non-positive below the lam threshold;
     * ``empirical`` — the exhaustively measured ratio of the instance
       (desk-scale only, enumerates all subsets);
     * ``fixed`` — ``alpha_value`` as given.
@@ -45,7 +49,6 @@ class SelconConfig:
     L: int = 10
     alpha_mode: str = "certified"
     alpha_value: float | None = None
-    alpha_floor: float = 0.05
     seed: int = 0
     warm_loo_epochs: int | None = None
 
@@ -58,8 +61,6 @@ class SelconConfig:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.alpha_mode == "fixed" and (self.alpha_value is None or self.alpha_value <= 0):
             raise ValueError("fixed alpha_mode needs a positive alpha_value")
-        if not (0.0 < self.alpha_floor <= 1.0):
-            raise ValueError("alpha_floor must lie in (0, 1]")
 
 
 @dataclass
@@ -68,7 +69,6 @@ class SelectionResult:
     f_value: float
     trace: list[tuple[int, float, str]]
     state: TrainedState
-    wall_time: float
     method: str = "selcon"
     alpha_used: float | None = None
 
@@ -113,7 +113,7 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
         a_hat = alpha_hat_linear(ctx.lam, ctx.C, ctx.valpart.q, consts)
     except ZeroTarget:
         a_hat = -float("inf")  # certificate undefined; fall back to the floor
-    return min(max(a_hat, cfg.alpha_floor), 1.0)
+    return min(max(a_hat, ALPHA_FLOOR), 1.0)
 
 
 def modular_scores(ctx: SetFnContext, s_hat: Sequence[int], alpha: float,
@@ -146,7 +146,6 @@ def _k_smallest(scores: np.ndarray, k: int) -> tuple[int, ...]:
 
 def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     """Iterated modular-bound minimization from :func:`random_subset`."""
-    t0 = time.perf_counter()
     s_hat = random_subset(ctx.train.n, cfg.k, cfg.seed)
     alpha = resolve_alpha(ctx, cfg)
 
@@ -168,7 +167,6 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
         f_value=f_final,
         trace=trace,
         state=state,
-        wall_time=time.perf_counter() - t0,
         method="selcon",
         alpha_used=alpha,
     )

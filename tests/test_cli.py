@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from selcon import cli, errors, oracle
+from selcon.dual import TrainerConfig
 
 
 def run(argv):
@@ -178,7 +179,7 @@ class TestSelect:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
             "[problem]\nlambda = 0.5\nC = 1.0\ndelta = 0.4\nk = 4\n"
-            "[selcon]\nL = 3\nalpha_mode = fixed\nalpha_value = 1\nalpha_floor = 0.5\n"
+            "[selcon]\nL = 3\nalpha_mode = fixed\nalpha_value = 1\n"
         )
         seen = {}
         real = cli.run_selcon
@@ -196,7 +197,7 @@ class TestSelect:
         assert set(seen) == {"select", "bench", "fairness"}
         for configs in seen.values():
             for c in configs:
-                assert (c.k, c.L, c.alpha_mode, c.alpha_value, c.alpha_floor) == (4, 3, "fixed", 1.0, 0.5)
+                assert (c.k, c.L, c.alpha_mode, c.alpha_value) == (4, 3, "fixed", 1.0)
 
 
 class TestBrokenConfig:
@@ -227,6 +228,58 @@ class TestBrokenConfig:
         assert err.startswith("error: ") and str(cfg) in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestUnreadConfig:
+    """A section or key that no command reads is a usage error: exit 2 and
+    one ``error:`` line naming the file, the section and the key."""
+
+    UNREAD = {
+        "batch_size": "[trainer]\nbatch_size = 100\n",
+        "lr_w": "[trainer]\nlr_w = 0.1\n",
+        "lr_mu": "[trainer]\nlr_mu = auto\n",
+        "mu_tol": "[trainer]\nmu_tol = 1e-8\n",
+        "alpha_floor": "[selcon]\nalpha_floor = 0.5\n",
+        "alpha_mod": "[selcon]\nalpha_mod = fixed\n",
+        "solver": "[solver]\nepochs = 5\n",
+        "default": "[DEFAULT]\nseed = 3\n[trainer]\nepochs = 5\n",
+    }
+    NAMED = {"solver": ("[solver]",), "default": ("[DEFAULT]", "'seed'")}
+
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    @pytest.mark.parametrize("command", ["select", "verify"])
+    def test_exits_2(self, data_csv, tmp_path, capsys, command, case):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(self.UNREAD[case])
+        if command == "select":
+            argv = ["select", "--data", str(data_csv), "--target", "y"]
+        else:
+            argv = ["verify", "--property", "monotone", "--n", "4", "--trials", "5"]
+        out = tmp_path / "out.json"
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        section = self.UNREAD[case].split("]")[0] + "]"
+        for name in (str(cfg), *self.NAMED.get(case, (section, repr(case)))):
+            assert name in err
+        assert not out.exists()
+
+    def test_trainer_section_reaches_trainer_config(self, data_csv, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[trainer]\nepochs = 7\nmax_outer = 500\nseed = 5\n")
+        seen = []
+        real_select, real_monotone = cli.run_selcon, cli.oracle.check_monotone
+        monkeypatch.setattr(cli, "run_selcon",
+                            lambda ctx, c: seen.append(ctx.trainer) or real_select(ctx, c))
+        monkeypatch.setattr(cli.oracle, "check_monotone",
+                            lambda ctx, **kw: seen.append(ctx.trainer) or real_monotone(ctx, **kw))
+        assert run(["select", "--data", str(data_csv), "--target", "y", "--config", str(cfg),
+                    "--out", str(tmp_path / "s.json")]) == 0
+        assert run(["verify", "--property", "monotone", "--n", "4", "--trials", "5",
+                    "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
+        # verify's --seed flag defaults to 0, and a flag overrides the file.
+        assert seen == [TrainerConfig(epochs=7, max_outer_iters=500, seed=5),
+                        TrainerConfig(epochs=7, max_outer_iters=500, seed=0)]
 
 
 class TestVerify:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from conftest import make_problem
+from selcon import dual
 from selcon.dataset import Dataset, SplitSpec, gen_synthetic, partition_validation, split
 from selcon.dual import (
     TrainerConfig,
@@ -271,8 +274,7 @@ class TestSgdTrainer:
             assert abs(approx.f_value - exact.f_value) <= 0.01 * abs(exact.f_value)
 
     def test_default_learning_rates(self):
-        assert CFG.learning_rate_w == 0.01
-        assert CFG.learning_rate_mu is None  # sgd resolves this to 0.05
+        assert (dual._SGD_LR_W, dual._SGD_LR_MU) == (0.01, 0.05)
 
     def test_two_layer_runs_and_is_finite(self):
         train, _, vp, lam, C = make_problem(10)
@@ -314,7 +316,11 @@ class TestTrainerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainerConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(learning_rate_mu=-1.0)
-        with pytest.raises(ValueError):
-            TrainerConfig(batch_size=0)
+
+    def test_only_the_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainerConfig)] == [
+            "epochs", "max_outer_iters", "seed"]
+        assert (dual._SGD_BATCH, dual._MU_TOLERANCE) == (1000, 1e-10)
+        for removed in ("batch_size", "learning_rate_w", "learning_rate_mu", "mu_tolerance"):
+            with pytest.raises(TypeError):
+                TrainerConfig(**{removed: 1.0})

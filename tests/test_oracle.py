@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
+from selcon import dual, oracle
 from selcon.bounds import (
     alpha_hat_linear,
     data_constants,
@@ -204,6 +205,31 @@ class TestCheckers:
             pytest.skip("instance is too close to modular")
         report = check_modular_bound(ctx, (0, 2), min(1.0, alpha * 3.0))
         assert not report.passed
+
+    @pytest.mark.parametrize("seed", [84, 85, 86])
+    def test_monotone_reads_the_batch(self, monkeypatch, seed):
+        # Gains come from the batched values, not one marginal per pair, and
+        # the witness is the first minimum, as a strict < scan picks it.
+        built = []
+        post_init = dual.TrainedState.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(dual.TrainedState, "__post_init__", counting)
+        monkeypatch.setattr(oracle, "MONOTONE_TOL", -math.inf)  # always report the witness
+        report = check_monotone(make_ctx(seed, n=7, q=2), trials=60, seed=seed)
+        assert built == []
+        rng = np.random.default_rng(seed)
+        ctx = make_ctx(seed, n=7, q=2)
+        worst, witness = math.inf, None
+        for _ in range(60):
+            subset, a = oracle._sample_pair(rng, 7)
+            gain = ctx.marginal(a, subset)
+            if gain < worst:
+                worst, witness = gain, {"subset": list(subset), "element": a, "gain": gain}
+        assert (report.worst_slack, report.witness) == (worst, witness)
 
     def test_deterministic_reports(self):
         a = check_monotone(make_ctx(83, n=5), trials=20, seed=5)

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_ctx
-from selcon import cli, setfn
+from selcon import cli, selection, setfn
 from selcon.bounds import claim1_min
 from selcon.errors import InvalidAlpha, InvalidK
 from selcon.metrics import mse
@@ -109,9 +109,14 @@ class TestRunSelcon:
     def test_alpha_floor_when_certificate_vacuous(self):
         # Small lam: the certified ratio is negative, so the floor applies.
         ctx = make_ctx(56, n=6, lam=0.5, C=1.0)
-        cfg = SelconConfig(k=2, seed=0, alpha_mode="certified", alpha_floor=0.05)
+        cfg = SelconConfig(k=2, seed=0, alpha_mode="certified")
         result = run_selcon(ctx, cfg)
         assert result.alpha_used == pytest.approx(0.05)
+
+    def test_alpha_floor_is_a_constant(self):
+        assert selection.ALPHA_FLOOR == 0.05
+        with pytest.raises(TypeError):
+            SelconConfig(k=2, alpha_floor=0.5)
 
     def test_certified_alpha_used_when_valid(self):
         from selcon.bounds import alpha_hat_linear, data_constants, lambda_min_linear
