@@ -21,7 +21,7 @@ import scipy.optimize
 from .dataset import Dataset
 from .dual import DEFAULT_HIDDEN_WIDTH
 from .errors import InvalidAlpha, ZeroTarget
-from .models import TwoLayerModel, predict
+from .models import TwoLayerModel, predict, row_dots
 
 __all__ = [
     "DataConstants",
@@ -136,8 +136,11 @@ def ell(train: Dataset, lam: float, model_kind: str = "linear",
     restarts for the two-layer model.
     """
     if model_kind == "linear":
-        vals = [claim1_min(lam, y, x) for x, y in zip(train.features, train.targets)]
-        return float(min(vals))
+        if lam <= 0:
+            raise ValueError("lam must be positive")
+        y = train.targets
+        # Each row's value has the bits of claim1_min on that row.
+        return float(np.min(lam * y * y / (lam + row_dots(train.features, train.features))))
     vals = [
         _two_layer_element_min(lam, y, x, hidden_width, seed + i)
         for i, (x, y) in enumerate(zip(train.features, train.targets))
@@ -210,10 +213,11 @@ def approx_ratio(k: int, alpha: float, kappa: float, epsilon: float, ell_value: 
     return perfect, perfect + 2.0 * k * epsilon / ell_value
 
 
-def bound_report(train: Dataset, val: Dataset, lam: float, C: float, q: int,
+def bound_report(train: Dataset, consts: DataConstants, lam: float, C: float,
                  k: int, epsilon: float = 0.0) -> BoundReport:
-    """Assemble every certificate for a linear problem into one report."""
-    consts = data_constants(train, val, q=q)
+    """Assemble every certificate for a linear problem into one report, from
+    the caller's :func:`data_constants` (which carry Q)."""
+    q = consts.q
     e_star = ell_star_linear(train, consts.x_max)
     e = ell(train, lam)
     a_hat = alpha_hat_linear(lam, C, q, consts)

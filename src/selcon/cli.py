@@ -191,7 +191,8 @@ def cmd_select(args) -> int:
     report["groups_satisfied"] = [bool(b) for b in ok]
     report["delta"] = float(ctx.valpart.delta)
     try:
-        report["bounds"] = bound_report(train, val, ctx.lam, ctx.C, ctx.valpart.q, k).as_dict()
+        consts = data_constants(train, val, q=ctx.valpart.q)
+        report["bounds"] = bound_report(train, consts, ctx.lam, ctx.C, k).as_dict()
     except UsageError:  # ZeroTarget: the certificates need every |y| > 0
         report["bounds"] = None
     if args.timing:
@@ -200,11 +201,11 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _verify_instance(args) -> tuple[Dataset, ValidationPartition]:
-    """Seeded training and validation sets; with --Q 2 the validation rows
-    split into halves."""
-    train = gen_synthetic(args.n, args.d, noise_sd=0.3, seed=args.seed)
-    val = gen_synthetic(max(4, args.n // 2), args.d, noise_sd=0.3, seed=args.seed + 1000)
+def _verify_instance(args, seed: int) -> tuple[Dataset, ValidationPartition]:
+    """Training and validation sets drawn from the trainer ``seed``; with
+    --Q 2 the validation rows split into halves."""
+    train = gen_synthetic(args.n, args.d, noise_sd=0.3, seed=seed)
+    val = gen_synthetic(max(4, args.n // 2), args.d, noise_sd=0.3, seed=seed + 1000)
     cuts = [val.n // 2] if args.Q == 2 else []
     subsets = tuple(np.split(np.arange(val.n), cuts))
     return train, ValidationPartition(data=val, subsets=subsets, delta=args.delta)
@@ -218,7 +219,7 @@ def cmd_verify(args) -> int:
     wanted = args.property
     if wanted in ("all", "modular", "alpha", "kappa") and args.n > oracle.MAX_EXHAUSTIVE_N:
         raise TooLarge(f"--property {wanted} enumerates all subsets of n = {args.n} > {oracle.MAX_EXHAUSTIVE_N}")
-    train, valpart = _verify_instance(args)
+    train, valpart = _verify_instance(args, trainer.seed)
     ctx = SetFnContext(train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer)
     reports = []
 
@@ -234,7 +235,7 @@ def cmd_verify(args) -> int:
         # Certificates only hold above the lam threshold; build that instance.
         consts = data_constants(train, valpart.data, q=valpart.q)
         lam_cert = 1.5 * lambda_min_linear(args.C, valpart.q, consts)
-        cert = bound_report(train, valpart.data, lam_cert, args.C, valpart.q, train.n)
+        cert = bound_report(train, consts, lam_cert, args.C, train.n)
         cert_ctx = replace(ctx, lam=lam_cert)
         if wanted in ("all", "alpha"):
             reports.append(oracle.check_alpha_certificate(cert_ctx, cert.alpha_hat))
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -13,6 +13,7 @@ order.  Group labels map to dense integer ids by first appearance.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import warnings
@@ -129,10 +130,12 @@ class ValidationPartition:
         if len(self.subsets) < 1:
             raise ValueError("need at least one validation subset")
         subs = tuple(_frozen(np.asarray(s, dtype=int)) for s in self.subsets)
-        seen = np.concatenate(subs) if subs else np.empty(0, int)
         if any(s.size == 0 for s in subs):
             raise ValueError("validation subsets must be non-empty")
-        if len(seen) != self.data.n or len(np.unique(seen)) != self.data.n:
+        # n rows below n, each counted at least once, are each counted once;
+        # np.bincount raises its own ValueError on a negative row.
+        n, seen = self.data.n, np.concatenate(subs)
+        if len(seen) != n or seen.max() >= n or not np.bincount(seen, minlength=n).all():
             raise ValueError("subsets must cover the validation rows exactly once")
         object.__setattr__(self, "subsets", subs)
 
@@ -157,7 +160,13 @@ class ValidationPartition:
         return _frozen(G), _frozen(b), _frozen(self.errors(y))
 
     def with_delta(self, delta: float) -> "ValidationPartition":
-        return ValidationPartition(self.data, self.subsets, delta)
+        """This cover at another bound ``delta``.  Neither the validated
+        subsets nor the cached :attr:`gram` depend on delta, so both carry over."""
+        if delta < 0:
+            raise ValueError("delta must be >= 0")
+        part = copy.copy(self)  # a shallow copy shares the cached gram
+        object.__setattr__(part, "delta", delta)
+        return part
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ realize it:
   objective is trained at scale.  Its error relative to ``exact`` is the
   imperfect-estimate epsilon quoted by the approximation guarantee.
 
+``solve_inner_linear_many`` solves the inner minimum alone at given
+multipliers, for a stack of subsets with one row of mu each; the sandwich
+oracle cross-evaluates every sampled pair with two such stacks, and
+``solve_inner_linear`` is its one-subset call.
+
 ``primal_value`` solves the equivalent penalized primal directly by a
 restarted Polyak subgradient method; it is kept deliberately independent of
 the dual path so the two can cross-check each other.
@@ -47,6 +52,7 @@ from .models import (
     mse_grad,
     params_of,
     predict_many,
+    row_dots,
 )
 
 __all__ = [
@@ -54,6 +60,7 @@ __all__ = [
     "TrainedState",
     "dual_objective",
     "solve_inner_linear",
+    "solve_inner_linear_many",
     "exact_state",
     "train_dual_exact",
     "train_dual_exact_many",
@@ -143,40 +150,6 @@ def dual_objective(
     return total
 
 
-def solve_inner_linear(
-    mu: np.ndarray,
-    subset: Sequence[int],
-    train: Dataset,
-    valpart: ValidationPartition,
-    lam: float,
-    allow_degenerate: bool = False,
-) -> LinearModel:
-    """Exact minimizer of F(., mu, S) for the linear model.
-
-    With S empty and mu = 0 the objective is identically zero; that case is
-    only defined when ``allow_degenerate`` is set, and returns w = 0.  This
-    is a plain one-subset solve, kept apart from the trainer's stacked one
-    so that tests and oracles can check the trainer against it.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    mu = np.asarray(mu, dtype=float)
-    subset = list(subset)
-    if not subset and not np.any(mu > 0):
-        if allow_degenerate:
-            return LinearModel(w=np.zeros(train.d))
-        raise SingularSystem("empty subset with mu = 0 leaves the inner problem degenerate")
-    Xs, ys = _subset_arrays(subset, train)
-    Gbar, bbar, _ = valpart.gram
-    A = lam * len(subset) * np.eye(train.d) + Xs.T @ Xs + np.tensordot(mu, Gbar, axes=1)
-    b = Xs.T @ ys + mu @ bbar
-    if subset:
-        return LinearModel(w=np.linalg.solve(A, b))
-    # Empty training sum: A is only PSD; b lies in its range, so the
-    # least-squares solution is a true minimizer.
-    return LinearModel(w=np.linalg.lstsq(A, b, rcond=None)[0])
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner product over the last axis."""
     return (a * b).sum(axis=-1)
@@ -221,7 +194,7 @@ class _Stack:
             Xt = X.transpose(0, 2, 1)
             self.base[rows] = lam * m * np.eye(d) + Xt @ X
             self.bs[rows] = (Xt @ y[:, :, None])[:, :, 0]
-            self.cs[rows] = (y[:, None, :] @ y[:, :, None])[:, 0, 0]
+            self.cs[rows] = row_dots(y, y)
         self.empty = sizes == 0
         self.Gbar, self.bbar, self.cbar = valpart.gram
         self.delta = valpart.delta
@@ -253,6 +226,53 @@ class _Stack:
         fit = self.cs[rows] - 2.0 * _dot(w, self.bs[rows]) + _dot(w, (base @ w[:, :, None])[:, :, 0])
         phi = _dot(mu, grad) + fit
         return w, grad, phi, A_inv, Gw - self.bbar
+
+
+def solve_inner_linear_many(mu: np.ndarray, subsets: Sequence[Sequence[int]], train: Dataset,
+                            valpart: ValidationPartition, lam: float,
+                            allow_degenerate: bool = False) -> np.ndarray:
+    """Exact minimizers of F(., mu_r, S_r) for the linear model, as a (B, d)
+    array: one row per subset and per row of the (B, Q) ``mu``.
+
+    The training blocks are gathered per subset size as in :class:`_Stack`,
+    mu is mixed one q at a time as :func:`_mix` does, and one batched solve
+    serves the stack, so no operation mixes rows and a row's bits do not
+    depend on its stack.  An empty S takes the least-norm minimizer through
+    the pseudo-inverse, or with mu = 0 (the objective is then identically
+    zero) w = 0 when ``allow_degenerate`` is set.  None of the trainer's
+    solves run here, so tests and oracles can check the trainer against it.
+    Memory grows as B (d^2 + m d); callers bound B, as
+    ``SetFnContext.stack_bounds`` does.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    mu = np.asarray(mu, dtype=float).reshape(len(subsets), valpart.q)
+    stack = _Stack(subsets, train, valpart, lam)
+    least_norm = stack.empty & (mu > 0).any(axis=1)
+    if not allow_degenerate and (stack.empty & ~least_norm).any():
+        raise SingularSystem("empty subset with mu = 0 leaves the inner problem degenerate")
+    A = stack.base + _mix(mu, stack.Gbar)
+    b = (stack.bs + _mix(mu, stack.bbar))[:, :, None]
+    w = np.zeros((len(subsets), train.d))
+    full = ~stack.empty
+    w[full] = np.linalg.solve(A[full], b[full])[:, :, 0]
+    w[least_norm] = (np.linalg.pinv(A[least_norm], hermitian=True) @ b[least_norm])[:, :, 0]
+    return w
+
+
+def solve_inner_linear(
+    mu: np.ndarray,
+    subset: Sequence[int],
+    train: Dataset,
+    valpart: ValidationPartition,
+    lam: float,
+    allow_degenerate: bool = False,
+) -> LinearModel:
+    """Exact minimizer of F(., mu, S) for the linear model: the one-subset
+    call of :func:`solve_inner_linear_many`, which says how an empty S is
+    solved."""
+    w = solve_inner_linear_many(mu, [list(subset)], train, valpart, lam, allow_degenerate)
+    return LinearModel(w=w[0])
 
 
 # Projected-gradient norm at which a row of the Newton loop has converged.

@@ -28,6 +28,7 @@ __all__ = [
     "model_from_params",
     "model_to_dict",
     "model_from_dict",
+    "row_dots",
 ]
 
 
@@ -81,6 +82,16 @@ class TwoLayerModel:
 
 
 Model = LinearModel | TwoLayerModel
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_r . b_r for every row r of two (B, d) arrays.
+
+    A stack of (1, d) @ (d, 1) products: each row has the bits of the
+    one-row product ``a[r] @ b[r]``, which a row sum of ``a * b`` or an
+    einsum does not reproduce.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def predict(model: Model, x: np.ndarray) -> float:

@@ -9,7 +9,10 @@ and return a machine-readable :class:`OracleReport`.
 
 Every 2^n enumeration reads :func:`f_table`, which raises :class:`TooLarge`
 above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
-``--alpha-mode empirical`` share one cap.
+``--alpha-mode empirical`` share one cap.  The sampled checks share one
+draw of (S, a) pairs per context, with every f of the draw evaluated in one
+batch; the sandwich check then cross-evaluates all pairs as stacked inner
+solves, not one solve per pair.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import solve_inner_linear
+from .dual import solve_inner_linear_many
 from .errors import InvalidK, TooLarge
+from .models import row_dots
 from .setfn import SetFnContext
 
 __all__ = [
@@ -202,11 +206,17 @@ def _sample_pair(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], int
 def _sample_pairs(ctx: SetFnContext, trials: int,
                   seed: int) -> tuple[list[tuple[tuple[int, ...], int]], np.ndarray]:
     """``trials`` seeded (S, a) pairs, and f(S + a) - f(S) for each, with
-    every f evaluated in one batch (cached for later checks to read)."""
-    rng = np.random.default_rng(seed)
-    pairs = [_sample_pair(rng, ctx.train.n) for _ in range(trials)]
-    f = ctx.f_many([s for s, _ in pairs] + [s + (a,) for s, a in pairs])
-    return pairs, f[trials:] - f[:trials]
+    every f evaluated in one batch.  Drawn once per context, trials and
+    seed, so the monotone and sandwich checks of one run share the draw."""
+    key = (trials, seed)
+    if key not in ctx.pair_draws:
+        rng = np.random.default_rng(seed)
+        pairs = [_sample_pair(rng, ctx.train.n) for _ in range(trials)]
+        f = ctx.f_many([s for s, _ in pairs] + [s + (a,) for s, a in pairs])
+        gains = f[trials:] - f[:trials]
+        gains.setflags(write=False)
+        ctx.pair_draws[key] = pairs, gains
+    return ctx.pair_draws[key]
 
 
 def check_monotone(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> OracleReport:
@@ -223,40 +233,40 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
 
     Lower: the loss of element a at the parameters trained on S + a with the
     multipliers frozen at S's optimum.  Upper: the same expression with the
-    roles of the two subsets swapped.
+    roles of the two subsets swapped.  The pairs and gains are
+    :func:`check_monotone`'s draw.  For each stack of pairs that
+    ``SetFnContext.stack_bounds`` allows (one stack at desk scale), the
+    multipliers of both sides are read in one batch and each side is one
+    call of :func:`solve_inner_linear_many`; no state is built.  The witness
+    is the first minimum over the pairs' (lower, upper) slacks in turn, as a
+    strict ``<`` scan keeps.
     """
     if ctx.backend != "exact" or ctx.model_kind != "linear":
         raise ValueError("the sandwich check needs the exact linear backend")
-    lam = ctx.lam
-    worst = math.inf
-    witness = None
-    for subset, a in _sample_pairs(ctx, trials, seed)[0]:
-        with_a = tuple(sorted(subset + (a,)))
-        f_s, st_s = ctx.f_of(subset)
-        f_sa, st_sa = ctx.f_of(with_a)
-        gain = f_sa - f_s
-        x_a = ctx.train.features[a]
-        y_a = ctx.train.targets[a]
-
-        w_lo = solve_inner_linear(st_s.mu, with_a, ctx.train, ctx.valpart, lam).w
-        lower = lam * float(w_lo @ w_lo) + float(y_a - w_lo @ x_a) ** 2
-        w_up = solve_inner_linear(
-            st_sa.mu, subset, ctx.train, ctx.valpart, lam, allow_degenerate=True
-        ).w
-        upper = lam * float(w_up @ w_up) + float(y_a - w_up @ x_a) ** 2
-
-        for name, slack in (("lower", gain - lower), ("upper", upper - gain)):
-            if slack < worst:
-                worst = slack
-                witness = {
-                    "subset": list(subset),
-                    "element": a,
-                    "side": name,
-                    "gain": float(gain),
-                    "lower": float(lower),
-                    "upper": float(upper),
-                }
-    return _report("sandwich", trials, worst, SANDWICH_TOL, witness)
+    pairs, gains = _sample_pairs(ctx, trials, seed)
+    lower, upper = np.empty(trials), np.empty(trials)
+    for lo, hi in ctx.stack_bounds(trials, max(len(s) for s, _ in pairs) + 1):
+        subsets = [s for s, _ in pairs[lo:hi]]
+        with_a = [tuple(sorted(s + (a,))) for s, a in pairs[lo:hi]]
+        mu = ctx.mu_many(subsets + with_a)
+        elements = np.array([a for _, a in pairs[lo:hi]], dtype=np.intp)
+        x_a, y_a = ctx.train.features[elements], ctx.train.targets[elements]
+        for out, mu_rows, sets, degenerate in ((lower, mu[:hi - lo], with_a, False),
+                                               (upper, mu[hi - lo:], subsets, True)):
+            w = solve_inner_linear_many(mu_rows, sets, ctx.train, ctx.valpart, ctx.lam, degenerate)
+            out[lo:hi] = ctx.lam * row_dots(w, w) + (y_a - row_dots(w, x_a)) ** 2
+    slacks = np.column_stack([gains - lower, upper - gains]).ravel()
+    worst = int(np.argmin(slacks))
+    r, side = divmod(worst, 2)
+    witness = {
+        "subset": list(pairs[r][0]),
+        "element": pairs[r][1],
+        "side": ("lower", "upper")[side],
+        "gain": float(gains[r]),
+        "lower": float(lower[r]),
+        "upper": float(upper[r]),
+    }
+    return _report("sandwich", trials, float(slacks[worst]), SANDWICH_TOL, witness)
 
 
 def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float) -> OracleReport:

@@ -6,12 +6,14 @@ path-independent: every f(S) trains from the configured initialization, and
 the exact backend's stacked solver computes each subset's row without
 reference to the other rows, so cached numbers do not depend on the order in
 which subsets were queried nor on the batch they were solved in.
-:meth:`SetFnContext.f_many` returns an array of values; the singleton sweep
-(once per context) and the oracles use it, and a state is built only when
-:meth:`SetFnContext.f_of` asks for it.  Each leave-one-out value is used
-once, so :meth:`SetFnContext.leave_one_out` returns values and leaves the
-cache alone.  Cache keys are sorted tuples and ``leave_one_out`` takes a
-sorted array, as ``train_dual_exact_many`` needs.
+:meth:`SetFnContext.f_many` returns an array of values and
+:meth:`SetFnContext.mu_many` the matching multiplier rows, through one miss
+path; the singleton sweep (once per context) and the oracles use them, and a
+state is built only when :meth:`SetFnContext.f_of` asks for it.  The
+oracles' pair samples are memoized on the context too, never beyond it.
+Each leave-one-out value is used once, so :meth:`SetFnContext.leave_one_out`
+returns values and leaves the cache alone.  Cache keys are sorted tuples and
+``leave_one_out`` takes a sorted array, as ``train_dual_exact_many`` needs.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ class SetFnContext:
         # key -> (value, state), or for a value f_many solved (value, (arrays, row)).
         self._cache: dict[tuple[int, ...], tuple[float, object]] = {}
         self._singletons: np.ndarray | None = None
+        # The oracles' (S, a) pair draws with their gains, keyed by (trials,
+        # seed), so that the checks of one run share a draw.
+        self.pair_draws: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.negative_marginals: list[tuple[int, tuple[int, ...], float]] = []
@@ -115,27 +120,30 @@ class SetFnContext:
                 cached = self._cache[key] = (cached[0], exact_state(*cached[1]))
         return cached
 
-    def _solve_exact(self, count: int, size: int, rows):
-        """Solve ``count`` subsets of at most ``size`` elements in stacks under
-        ``_CHUNK_FLOATS``, built by ``rows(start, stop)``; yields each stack's
-        subsets and ``train_dual_exact_many``'s arrays."""
+    def stack_bounds(self, count: int, size: int):
+        """(start, stop) of each stack that keeps ``count`` subsets of at most
+        ``size`` elements under ``_CHUNK_FLOATS``, for the exact trainer and
+        the inner solves alike."""
         d = self.train.d
         step = max(1, _CHUNK_FLOATS // max(d * (d + self.valpart.q), size * d))
-        for start in range(0, count, step):
-            subsets = rows(start, min(start + step, count))
+        return [(start, min(start + step, count)) for start in range(0, count, step)]
+
+    def _solve_exact(self, count: int, size: int, rows):
+        """Solve ``count`` subsets of at most ``size`` elements in the stacks of
+        :meth:`stack_bounds`, built by ``rows(start, stop)``; yields each
+        stack's subsets and ``train_dual_exact_many``'s arrays."""
+        for start, stop in self.stack_bounds(count, size):
+            subsets = rows(start, stop)
             yield subsets, train_dual_exact_many(subsets, self.train, self.valpart, self.lam,
                                                  self.C, self.trainer)
 
-    def f_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
-        """f of each subset, in input order, from cache when available.
+    def _entries(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, object]]:
+        """Cache entries of the exact backend for each subset, in input order.
 
-        On the exact backend the distinct cache misses are solved in sorted
-        key order as stacks, and counted as :meth:`f_of` would count them.
-        The sgd backend loops :meth:`f_of`.
+        The distinct cache misses are solved in sorted key order as stacks,
+        and counted as :meth:`f_of` would count them.
         """
         keys = [_canonical(s) for s in subsets]
-        if self.backend != "exact":
-            return np.array([self.f_of(key)[0] for key in keys])
         missing = sorted({key for key in keys if key not in self._cache})
         self.cache_misses += len(missing)
         self.cache_hits += len(keys) - len(missing)
@@ -143,7 +151,28 @@ class SetFnContext:
         for chunk, solved in self._solve_exact(len(missing), size, lambda a, b: missing[a:b]):
             for r, (key, value) in enumerate(zip(chunk, solved[2].tolist())):
                 self._cache[key] = (value, (solved, r))
-        return np.array([self._cache[key][0] for key in keys])
+        return [self._cache[key] for key in keys]
+
+    def f_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
+        """f of each subset, in input order, from cache when available.
+
+        On the exact backend the cache misses are solved as stacks; the sgd
+        backend loops :meth:`f_of`.
+        """
+        if self.backend != "exact":
+            return np.array([self.f_of(s)[0] for s in subsets])
+        return np.array([value for value, _ in self._entries(subsets)])
+
+    def mu_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
+        """The optimal multipliers of each subset as rows of a (B, Q) array,
+        read and counted as :meth:`f_many` reads and counts values; no state
+        is built on the exact backend."""
+        if self.backend != "exact":
+            rows = [self.f_of(s)[1].mu for s in subsets]
+        else:
+            rows = [entry.mu if isinstance(entry, TrainedState) else entry[0][1][entry[1]]
+                    for _, entry in self._entries(subsets)]
+        return np.array(rows).reshape(len(rows), self.valpart.q)
 
     def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None) -> np.ndarray:
         """f(S_hat minus i) for every i of the sorted, non-empty index array ``s_hat``,

@@ -19,6 +19,7 @@ from selcon.bounds import (
 )
 from selcon.dataset import Dataset
 from selcon.errors import InvalidAlpha, ZeroTarget
+from selcon.models import row_dots
 
 
 def ridge_scalar_minimum(lam, y, x):
@@ -83,6 +84,16 @@ class TestEll:
             ridge_scalar_minimum(lam, y, x) for x, y in zip(train.features, train.targets)
         )
         assert ell(train, lam) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9, 16, 33])
+    def test_linear_rows_keep_claim1_bits(self, d):
+        rng = np.random.default_rng(d)
+        X, W = rng.normal(size=(40, d)), rng.normal(size=(40, d))
+        y = rng.uniform(0.3, 2.0, 40)
+        assert np.array_equal(row_dots(X, X), [x @ x for x in X])
+        assert np.array_equal(row_dots(W, X), [w @ x for w, x in zip(W, X)])
+        train = Dataset(features=X, targets=y)
+        assert ell(train, 0.7) == min(claim1_min(0.7, yi, x) for x, yi in zip(X, y))
 
     def test_two_layer_numeric(self):
         train, _, _, _, _ = make_problem(6, n=3)
@@ -212,7 +223,7 @@ class TestBoundReport:
         train, val, vp, _, _ = make_problem(7, y_lo=0.5, y_hi=1.5)
         consts = data_constants(train, val)
         lam = 1.5 * lambda_min_linear(1.0, 1, consts)
-        report = bound_report(train, val, lam, 1.0, 1, k=2)
+        report = bound_report(train, consts, lam, 1.0, k=2)
         assert 0.0 < report.alpha_hat <= 1.0
         assert report.kappa_hat <= 1.0
         assert report.ratio_perfect >= 1.0
@@ -227,5 +238,5 @@ class TestBoundReport:
     def test_loss_floor_formula(self, seed):
         train, val, _, lam, _ = make_problem(seed, q=2, signed=True)
         consts = data_constants(train, val, q=2)
-        report = bound_report(train, val, lam, 1.0, 2, k=3)
+        report = bound_report(train, consts, lam, 1.0, k=3)
         assert report.ell_star_loss_floor == lam * consts.y_min**2 / (lam + consts.x_max**2)

@@ -277,9 +277,8 @@ class TestUnreadConfig:
                     "--out", str(tmp_path / "s.json")]) == 0
         assert run(["verify", "--property", "monotone", "--n", "4", "--trials", "5",
                     "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
-        # verify's --seed flag defaults to 0, and a flag overrides the file.
         assert seen == [TrainerConfig(epochs=7, max_outer_iters=500, seed=5),
-                        TrainerConfig(epochs=7, max_outer_iters=500, seed=0)]
+                        TrainerConfig(epochs=7, max_outer_iters=500, seed=5)]
 
 
 class TestVerify:
@@ -293,6 +292,28 @@ class TestVerify:
         assert {"monotone", "sandwich", "modular_bound",
                 "alpha_certificate", "kappa_certificate"} == names
         assert all(r["passed"] for r in reports)
+
+    def test_config_seed_builds_the_instance(self, tmp_path):
+        # A [trainer] seed draws the instance and the samples, as --seed does.
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text("[trainer]\nseed = 5\n")
+        argv = ["verify", "--n", "5", "--trials", "20"]
+        paths = [tmp_path / f"{name}.json" for name in ("file", "flag", "default")]
+        assert run([*argv, "--config", str(cfg), "--out", str(paths[0])]) == 0
+        assert run([*argv, "--seed", "5", "--out", str(paths[1])]) == 0
+        assert run([*argv, "--out", str(paths[2])]) == 0
+        file, flag, default = (p.read_bytes() for p in paths)
+        assert file == flag != default
+
+    def test_all_properties_draw_the_pairs_once(self, tmp_path, monkeypatch):
+        drawn = []
+        sample_pair = oracle._sample_pair
+        monkeypatch.setattr(oracle, "_sample_pair",
+                            lambda rng, n: drawn.append(n) or sample_pair(rng, n))
+        for _ in range(2):  # a second run draws again, from a cold context
+            assert run(["verify", "--n", "5", "--trials", "40",
+                        "--out", str(tmp_path / "v.json")]) == 0
+        assert len(drawn) == 80
 
     def test_single_property(self, tmp_path):
         out = tmp_path / "one.json"

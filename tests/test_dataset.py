@@ -11,6 +11,7 @@ from selcon import cli, dataset
 from selcon.dataset import (
     Dataset,
     SplitSpec,
+    ValidationPartition,
     gen_synthetic,
     load_csv,
     offset_augment,
@@ -329,6 +330,32 @@ class TestPartition:
         part = partition_validation(val, "by_group", 0.5)
         assert part.q == 3
         assert all(len(s) == 2 for s in part.subsets)
+
+    @pytest.mark.parametrize("subsets", [
+        ([0, 1, 2], [2, 3, 4, 5]),  # row 2 twice
+        ([0, 1], [3, 4, 5]),  # row 2 missing
+        ([0, 1, 2], [3, 3, 4]),  # the right count, with a repeat
+        ([0, 1, 2, 3, 4, 5], []),  # an empty subset
+        ([0, 1, 2], [3, 4, 6]),  # a row past the end
+        ([-1, 0, 1], [2, 3, 4]),  # a negative row
+    ])
+    def test_cover_must_be_exact(self, subsets):
+        val = gen_synthetic(6, 2, seed=0)
+        with pytest.raises(ValueError):
+            ValidationPartition(data=val, subsets=tuple(np.array(s, int) for s in subsets),
+                                delta=0.5)
+
+    def test_with_delta_keeps_the_subsets_and_gram(self):
+        val = gen_synthetic(30, 3, noise_sd=0.2, n_groups=3, seed=4)
+        part = partition_validation(val, "by_group", 0.5)
+        cold = part.with_delta(0.1)
+        gram = part.gram
+        warm = part.with_delta(0.2)
+        assert (cold.delta, warm.delta, part.delta) == (0.1, 0.2, 0.5)
+        assert warm.subsets is part.subsets and warm.gram is gram
+        assert all(np.array_equal(a, b) for a, b in zip(cold.gram, gram))
+        with pytest.raises(ValueError):
+            part.with_delta(-0.1)
 
     def test_missing_groups(self):
         val = gen_synthetic(6, 2, seed=0)

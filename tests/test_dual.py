@@ -13,6 +13,7 @@ from selcon.dual import (
     dual_objective,
     primal_value,
     solve_inner_linear,
+    solve_inner_linear_many,
     train_dual_exact,
     train_dual_sgd,
 )
@@ -105,6 +106,67 @@ class TestSolveInner:
             solve_inner_linear(np.zeros(1), [], train, vp, lam)
         w = solve_inner_linear(np.zeros(1), [], train, vp, lam, allow_degenerate=True)
         assert np.array_equal(w.w, np.zeros(2))
+
+
+class TestSolveInnerMany:
+    """The stacked inner solve: rows independent of their stack, and each row
+    the closed-form minimizer."""
+
+    @staticmethod
+    def _stack(seed, n=9, d=3, q=2):
+        train, _, vp, lam, C = make_problem(seed, n=n, d=d, q=q)
+        rng = np.random.default_rng(seed)
+        # Every size from empty to the full set, twice, in no order.
+        subsets = [tuple(sorted(int(i) for i in rng.choice(n, size=m, replace=False)))
+                   for m in [*range(n + 1), *range(n + 1)]]
+        rng.shuffle(subsets)
+        mu = rng.uniform(0.0, C, (len(subsets), q))
+        mu[::5] = 0.0
+        mu[np.array([not s for s in subsets]), 0] += 0.1  # empty rows take mu > 0
+        return train, vp, lam, subsets, mu
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_do_not_depend_on_the_stack(self, seed):
+        train, vp, lam, subsets, mu = self._stack(seed)
+        w = solve_inner_linear_many(mu, subsets, train, vp, lam)
+        perm = np.random.default_rng(seed).permutation(len(subsets))
+        shuffled = solve_inner_linear_many(mu[perm], [subsets[p] for p in perm], train, vp, lam)
+        assert np.array_equal(shuffled, w[perm])
+        split = np.concatenate([solve_inner_linear_many(mu[a:b], subsets[a:b], train, vp, lam)
+                                for a, b in [(0, 1), (1, 4), (4, 11), (11, len(subsets))]])
+        assert np.array_equal(split, w)
+        for r, subset in enumerate(subsets):
+            assert np.array_equal(solve_inner_linear(mu[r], subset, train, vp, lam).w, w[r])
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_rows_solve_their_systems(self, seed):
+        train, vp, lam, subsets, mu = self._stack(seed)
+        w = solve_inner_linear_many(mu, subsets, train, vp, lam)
+        G, b, _ = vp.gram
+        for r, subset in enumerate(subsets):
+            Xs, ys = train.features[list(subset)], train.targets[list(subset)]
+            A = lam * len(subset) * np.eye(train.d) + Xs.T @ Xs + np.tensordot(mu[r], G, axes=1)
+            rhs = Xs.T @ ys + mu[r] @ b
+            if subset:
+                want = np.linalg.solve(A, rhs)
+            else:  # the least-norm minimizer
+                want = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            np.testing.assert_allclose(w[r], want, rtol=0, atol=1e-10)
+
+    def test_empty_rows(self):
+        # Two validation rows per group and d = 3: the empty row's A is singular.
+        train, _, vp, lam, _ = make_problem(6, n=5, d=3, q=2, nval=4)
+        mu = np.array([[0.0, 0.0], [0.7, 0.0], [0.0, 0.0]])
+        subsets = [(), (), (0, 3)]
+        with pytest.raises(SingularSystem):
+            solve_inner_linear_many(mu, subsets, train, vp, lam)
+        w = solve_inner_linear_many(mu, subsets, train, vp, lam, allow_degenerate=True)
+        assert np.array_equal(w[0], np.zeros(3))
+        G, b, _ = vp.gram
+        assert np.linalg.matrix_rank(0.7 * G[0]) == 2
+        want = np.linalg.lstsq(0.7 * G[0], 0.7 * b[0], rcond=None)[0]
+        np.testing.assert_allclose(w[1], want, rtol=0, atol=1e-10)
+        assert np.array_equal(w[2], solve_inner_linear(mu[2], (0, 3), train, vp, lam).w)
 
 
 class TestExactTrainer:

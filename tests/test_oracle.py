@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_ctx
 from selcon import dual, oracle
+from selcon.dual import solve_inner_linear
 from selcon.bounds import (
     alpha_hat_linear,
     data_constants,
@@ -230,6 +231,68 @@ class TestCheckers:
             if gain < worst:
                 worst, witness = gain, {"subset": list(subset), "element": a, "gain": gain}
         assert (report.worst_slack, report.witness) == (worst, witness)
+
+    @staticmethod
+    def _sandwich_reference(ctx, trials, seed):
+        """C3's formula, one pair and one inner solve at a time."""
+        rng = np.random.default_rng(seed)
+        worst, witness, gain_at = math.inf, None, None
+        for _ in range(trials):
+            subset, a = oracle._sample_pair(rng, ctx.train.n)
+            with_a = tuple(sorted(subset + (a,)))
+            f_s, st_s = ctx.f_of(subset)
+            f_sa, st_sa = ctx.f_of(with_a)
+            gain = f_sa - f_s
+            x_a, y_a = ctx.train.features[a], ctx.train.targets[a]
+            w_lo = solve_inner_linear(st_s.mu, with_a, ctx.train, ctx.valpart, ctx.lam).w
+            lower = ctx.lam * w_lo @ w_lo + (y_a - w_lo @ x_a) ** 2
+            w_up = solve_inner_linear(st_sa.mu, subset, ctx.train, ctx.valpart, ctx.lam,
+                                      allow_degenerate=True).w
+            upper = ctx.lam * w_up @ w_up + (y_a - w_up @ x_a) ** 2
+            for side, slack in (("lower", gain - lower), ("upper", upper - gain)):
+                if slack < worst:
+                    worst, gain_at = slack, gain
+                    witness = {"subset": list(subset), "element": a, "side": side}
+        return worst, witness, gain_at
+
+    @pytest.mark.parametrize("seed", range(54))
+    def test_sandwich_matches_per_pair_reference(self, monkeypatch, seed):
+        # n runs over 1..9 and Q over {1, 2} in every combination; n = 1
+        # draws only the empty S.
+        n, q = 1 + seed % 9, 1 + seed % 2
+        report = check_sandwich(make_ctx(seed, n=n, q=q), trials=30, seed=seed)
+        worst, witness, gain = self._sandwich_reference(make_ctx(seed, n=n, q=q), 30, seed)
+        assert report.passed == (worst >= -oracle.SANDWICH_TOL)
+        assert abs(report.worst_slack - worst) <= 1e-12 * max(1.0, abs(gain))
+        monkeypatch.setattr(oracle, "SANDWICH_TOL", -math.inf)  # always report the witness
+        report = check_sandwich(make_ctx(seed, n=n, q=q), trials=30, seed=seed)
+        assert {k: report.witness[k] for k in ("subset", "element", "side")} == witness
+        assert report.witness["gain"] == gain
+
+    def test_sandwich_builds_no_state(self, monkeypatch):
+        built = []
+        post_init = dual.TrainedState.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(dual.TrainedState, "__post_init__", counting)
+        report = check_sandwich(make_ctx(87, n=7, q=2), trials=60, seed=3)
+        assert report.passed and built == []
+
+    def test_checks_share_one_draw_per_context(self, monkeypatch):
+        drawn = []
+        sample_pair = oracle._sample_pair
+        monkeypatch.setattr(oracle, "_sample_pair",
+                            lambda rng, n: drawn.append(n) or sample_pair(rng, n))
+        ctx = make_ctx(88, n=6, q=2)
+        check_monotone(ctx, trials=25, seed=1)
+        check_sandwich(ctx, trials=25, seed=1)
+        assert len(drawn) == 25
+        check_sandwich(ctx, trials=25, seed=2)  # another seed is another draw
+        check_sandwich(make_ctx(88, n=6, q=2), trials=25, seed=1)  # so is a new context
+        assert len(drawn) == 75
 
     def test_deterministic_reports(self):
         a = check_monotone(make_ctx(83, n=5), trials=20, seed=5)

@@ -134,6 +134,26 @@ class TestFMany:
         for i in range(9):
             assert np.array_equal(fresh.f_of((i,))[1].mu, ref.f_of((i,))[1].mu)
 
+    @pytest.mark.parametrize("C", [0.0, 1.5])
+    def test_mu_many_reads_the_cached_rows(self, monkeypatch, C):
+        built = []
+        post_init = dual.TrainedState.__post_init__
+        monkeypatch.setattr(dual.TrainedState, "__post_init__",
+                            lambda state: built.append(state) or post_init(state))
+        subsets = self._mixed_subsets(9, 25)
+        ctx = make_ctx(25, n=9, d=3, q=2, C=C)
+        counted = make_ctx(25, n=9, d=3, q=2, C=C)
+        ctx.f_of(subsets[0])  # one entry holds a state, the rest arrays
+        counted.f_of(subsets[0])
+        built.clear()
+        mu = ctx.mu_many(subsets)
+        counted.f_many(subsets)
+        assert built == [] and mu.shape == (len(subsets), 2)
+        assert (ctx.cache_hits, ctx.cache_misses) == (counted.cache_hits, counted.cache_misses)
+        ref = make_ctx(25, n=9, d=3, q=2, C=C)
+        for s, row in zip(subsets, mu):
+            assert np.array_equal(row, ref.f_of(s)[1].mu)
+
     def test_sgd_backend_loops_f_of(self):
         trainer = TrainerConfig(epochs=3, seed=0)
         a = make_ctx(32, n=5, backend="sgd", trainer=trainer)
@@ -141,6 +161,7 @@ class TestFMany:
         subsets = [(0, 1), (2,), (1, 0), ()]
         assert a.f_many(subsets).tolist() == [b.f_of(s)[0] for s in subsets]
         assert (a.cache_hits, a.cache_misses) == (1, 3)
+        assert np.array_equal(a.mu_many(subsets), [b.f_of(s)[1].mu for s in subsets])
 
 
 class TestLeaveOneOut:
