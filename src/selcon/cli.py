@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -146,13 +147,13 @@ def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int, float]:
     trainer = TrainerConfig(**_settings(cp, args, "trainer"))
     train, val, test = split(data, SplitSpec(*fracs, seed=trainer.seed))
     p = {**PROBLEM_DEFAULTS, "k": max(1, train.n // 10), **_settings(cp, args, "problem")}
-    if p["delta"] == "auto":
-        delta = metrics.auto_delta(train, val, args.partition, p["lam"])
-    else:
-        delta = float(p["delta"])
+    auto = p["delta"] == "auto"
+    valpart = partition_validation(val, args.partition, 0.0 if auto else float(p["delta"]))
+    if auto:  # the probe's Gram blocks carry over
+        valpart = valpart.with_delta(metrics.auto_delta(train, valpart, p["lam"]))
     ctx = SetFnContext(
         train=train,
-        valpart=partition_validation(val, args.partition, delta),
+        valpart=valpart,
         lam=p["lam"],
         C=p["C"],
         backend=args.backend,
@@ -222,6 +223,8 @@ def cmd_verify(args) -> int:
     train, valpart = _verify_instance(args, trainer.seed)
     ctx = SetFnContext(train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer)
     reports = []
+    if wanted in ("all", "modular"):
+        oracle.f_table(ctx)  # every check below then reads its values from the cache
 
     if wanted in ("all", "monotone"):
         reports.append(oracle.check_monotone(ctx, trials=args.trials, seed=trainer.seed))
@@ -388,10 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -4,6 +4,9 @@ A :class:`Dataset` is an immutable bundle of a feature matrix, a target vector,
 optional integer group labels and the original row ids.  The validation side of
 a problem is carried by a :class:`ValidationPartition`, which binds a validation
 dataset to a disjoint cover of its rows plus the per-group error bound ``delta``.
+It caches what does not depend on ``delta``: the per-group Gram moments and
+the group errors of the pooled least-squares fit, which certify f(empty) = 0
+when no group exceeds its bound.  A copy at another bound shares them.
 
 CSV is the only ingestion format: UTF-8, comma separated, ``"``-quoted
 fields, one header row, blank lines skipped, ASCII decimal reals (the
@@ -159,12 +162,22 @@ class ValidationPartition:
         b = np.stack([X[rows].T @ y[rows] / len(rows) for rows in self.subsets])
         return _frozen(G), _frozen(b), _frozen(self.errors(y))
 
+    @cached_property
+    def pooled_errors(self) -> np.ndarray:
+        """Group errors e_q(w) at the pooled fit w = (sum_q G_q)^+ sum_q b_q,
+        from :attr:`gram` alone.  If none exceeds delta, w meets every bound."""
+        G, b, c = self.gram
+        w = np.linalg.pinv(G.sum(axis=0), hermitian=True) @ b.sum(axis=0)
+        return _frozen((G @ w) @ w - 2.0 * (b @ w) + c)
+
     def with_delta(self, delta: float) -> "ValidationPartition":
-        """This cover at another bound ``delta``.  Neither the validated
-        subsets nor the cached :attr:`gram` depend on delta, so both carry over."""
+        """This cover at another bound ``delta``.  The validated subsets,
+        :attr:`gram` and :attr:`pooled_errors` do not depend on delta: the
+        two caches are built here first, so every copy shares them."""
         if delta < 0:
             raise ValueError("delta must be >= 0")
-        part = copy.copy(self)  # a shallow copy shares the cached gram
+        self.pooled_errors  # builds the gram too
+        part = copy.copy(self)  # a shallow copy shares the cached properties
         object.__setattr__(part, "delta", delta)
         return part
 

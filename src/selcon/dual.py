@@ -19,6 +19,9 @@ realize it:
   runs in lockstep with a step length and stopping test per row.  No
   operation mixes rows, so a subset's value does not depend on the stack it
   was solved in.  This backend is the ground truth for every property check.
+  f(empty) is 0 with mu = 0 whenever the validation groups' pooled fit meets
+  every bound (weak duality), and then no Newton step runs for it; otherwise
+  Newton maximizes over the faces mu_q = C.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
@@ -378,6 +381,11 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     whatever stack it is solved in.  Returns arrays (w, mu, f, iterations,
     converged) with one row per subset.  Memory grows as B (d^2 + m d);
     callers bound B, as ``SetFnContext`` does with ``setfn._CHUNK_FLOATS``.
+
+    An empty subset is settled without a Newton step when the partition's
+    ``pooled_errors`` are all within delta: by weak duality every
+    phi(mu) <= sum_q mu_q (e_q(w_pooled) - delta) <= 0 = phi(0), so its box
+    shrinks to mu = 0, where it gets w = 0 and f = 0, and it has no face rows.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -391,13 +399,18 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     # Row i of an empty subset is its face 0 (for Q = 1, the endpoint
     # mu = C), and its faces 1..Q-1 are appended after the B rows.
     empty = [i for i, subset in enumerate(subsets) if not len(subset)]
-    faces = [[i, *range(B + j * (Q - 1), B + (j + 1) * (Q - 1))] for j, i in enumerate(empty)]
-    rows = [*subsets, *[()] * (len(empty) * (Q - 1))]
+    # A certified empty subset instead keeps its row, pinned at mu = 0.
+    certified = bool(empty) and bool(np.all(valpart.pooled_errors <= valpart.delta))
+    faces = [] if certified else [
+        [i, *range(B + j * (Q - 1), B + (j + 1) * (Q - 1))] for j, i in enumerate(empty)]
+    rows = [*subsets, *[()] * (len(faces) * (Q - 1))]
     lo = np.zeros((len(rows), Q))
     for rows_i in faces:
         lo[rows_i, np.arange(Q)] = C
-    w, mu, f, iters, converged = _projected_newton(
-        _Stack(rows, train, valpart, lam), lo, np.full(lo.shape, C), cfg)
+    hi = np.full(lo.shape, C)
+    if certified:
+        hi[empty] = 0.0
+    w, mu, f, iters, converged = _projected_newton(_Stack(rows, train, valpart, lam), lo, hi, cfg)
     for i, rows_i in zip(empty, faces):
         best = rows_i[int(np.argmax(f[rows_i]))]
         iters[i] = iters[rows_i].sum()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import baselines, dataset
+from . import baselines
 from .dataset import Dataset, ValidationPartition
 from .dual import TrainedState
 from .errors import EmptyDataset, NeedTwoGroups
@@ -76,12 +76,13 @@ def default_delta(full_state: TrainedState, val: Dataset, valpart: ValidationPar
     return 0.30 * float(np.mean(errs))
 
 
-def auto_delta(train: Dataset, val: Dataset, mode: str, lam: float) -> float:
+def auto_delta(train: Dataset, valpart: ValidationPartition, lam: float) -> float:
     """The 30% rule: :func:`default_delta` of the unconstrained (C = 0) exact
-    fit on the whole training pool, with the validation partition ``mode``."""
-    probe = dataset.partition_validation(val, mode, 0.0)
-    full = baselines.full_selection(SetFnContext(train=train, valpart=probe, lam=lam, C=0.0))
-    return default_delta(full.state, val, probe)
+    fit on the whole training pool, over the groups of ``valpart`` (its own
+    delta is not read).  The fit caches the partition's Gram blocks, so
+    ``valpart.with_delta`` of the result reuses them."""
+    full = baselines.full_selection(SetFnContext(train=train, valpart=valpart, lam=lam, C=0.0))
+    return default_delta(full.state, valpart.data, valpart)
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

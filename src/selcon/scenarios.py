@@ -77,10 +77,10 @@ def delta_trend(seeds: int, scales: list[float], n: int, d: int, k: int,
     rows = []
     for seed in range(seeds):
         train, val, test = corrupted_pool(seed, n, d)
-        base = auto_delta(train, val, "single", lam)
+        probe = partition_validation(val, "single", 0.0)
+        base = auto_delta(train, probe, lam)
         for s in scales:
-            vp = partition_validation(val, "single", base * s)
-            ctx = SetFnContext(train=train, valpart=vp, lam=lam, C=C)
+            ctx = SetFnContext(train=train, valpart=probe.with_delta(base * s), lam=lam, C=C)
             res = run_selcon(ctx, SelconConfig(k=k, seed=seed, L=6, alpha_mode="fixed", alpha_value=1.0))
             rows.append({"method": res.method, "k": k, "delta": base * s, "seed": seed,
                          "metric": "test_mse", "value": mse(res.state.model, test), "scale": s})
@@ -96,11 +96,11 @@ def fairness_study(seeds: int, scales: list[float], k: int, lam: float, C: float
     rnd_vals = [[] for _ in scales]
     for seed in range(seeds):
         train, val, test = four_group_pool(seed)
-        base = auto_delta(train, val, "by_group", lam)
+        probe = partition_validation(val, "by_group", 0.0)
+        base = auto_delta(train, probe, lam)
         for j, s in enumerate(scales):
             delta = base * s
-            ctx = SetFnContext(train=train, valpart=partition_validation(val, "by_group", delta),
-                               lam=lam, C=C)
+            ctx = SetFnContext(train=train, valpart=probe.with_delta(delta), lam=lam, C=C)
             sel = run_selcon(ctx, SelconConfig(k=k, seed=seed, L=4, alpha_mode="fixed", alpha_value=1.0))
             rnd = random_with_constraints(ctx, k, seed)
             part = partition_validation(test, "by_group", delta)

@@ -10,10 +10,12 @@ which subsets were queried nor on the batch they were solved in.
 :meth:`SetFnContext.mu_many` the matching multiplier rows, through one miss
 path; the singleton sweep (once per context) and the oracles use them, and a
 state is built only when :meth:`SetFnContext.f_of` asks for it.  The
-oracles' pair samples are memoized on the context too, never beyond it.
-Each leave-one-out value is used once, so :meth:`SetFnContext.leave_one_out`
-returns values and leaves the cache alone.  Cache keys are sorted tuples and
-``leave_one_out`` takes a sorted array, as ``train_dual_exact_many`` needs.
+oracles' pair samples and exhaustive subset table are memoized on the
+context too, never beyond it.  Each leave-one-out value is used once, so
+:meth:`SetFnContext.leave_one_out` returns values and leaves the cache
+alone; a context that holds the table reads them from it.  Cache keys are
+sorted tuples and ``leave_one_out`` takes a sorted array, as
+``train_dual_exact_many`` needs.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ class SetFnContext:
         # key -> (value, state), or for a value f_many solved (value, (arrays, row)).
         self._cache: dict[tuple[int, ...], tuple[float, object]] = {}
         self._singletons: np.ndarray | None = None
+        # f over every subset, indexed by bitmask, once oracle.f_table has
+        # solved it; read-only.
+        self.table: np.ndarray | None = None
         # The oracles' (S, a) pair draws with their gains, keyed by (trials,
         # seed), so that the checks of one run share a draw.
         self.pair_draws: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
@@ -179,7 +184,8 @@ class SetFnContext:
         in its order; uncached, and no state is built.
 
         On the exact backend the rows are built and solved one stack at a
-        time, each value bit-identical to :meth:`f_of`'s.  The sgd backend
+        time, each value bit-identical to :meth:`f_of`'s, or read from the
+        exhaustive :attr:`table` when the context holds it.  The sgd backend
         trains each row from scratch, or, when ``warm_epochs`` is set, for
         that many epochs from S_hat's trained state.
         """
@@ -191,6 +197,8 @@ class SetFnContext:
             return np.broadcast_to(s_hat, keep.shape)[keep].reshape(stop - start, k - 1)
 
         if self.backend == "exact":
+            if self.table is not None:
+                return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat)]
             return np.concatenate([solved[2] for _, solved in self._solve_exact(k, k - 1, rows)])
         init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
         return np.array([self._train(row, warm_epochs, init_state).f_value for row in rows(0, k)])

@@ -1,10 +1,13 @@
+import functools
+import gc
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from selcon import cli, errors, oracle
+from selcon import cli, dataset, dual, errors, oracle, setfn
 from selcon.dual import TrainerConfig
 
 
@@ -101,6 +104,18 @@ class TestSelect:
         assert run(["select", "--data", str(data), "--target", "y", "--k", "4", "--delta", "0.5",
                     "--alpha-mode", "fixed", "--alpha-value", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["bounds"] is None
+
+    def test_delta_auto_builds_one_gram(self, data_csv, tmp_path, monkeypatch):
+        # The 30% rule's probe partition goes on at the chosen bound.
+        built = []
+        gram = dataset.ValidationPartition.gram
+        counted = functools.cached_property(lambda part: built.append(part.q) or gram.func(part))
+        counted.__set_name__(dataset.ValidationPartition, "gram")
+        monkeypatch.setattr(dataset.ValidationPartition, "gram", counted)
+        assert run(["select", "--data", str(data_csv), "--target", "y", "--delta", "auto",
+                    "--alpha-mode", "fixed", "--alpha-value", "1", "--k", "6",
+                    "--out", str(tmp_path / "r.json")]) == 0
+        assert built == [1]
 
     def test_timing_flag_adds_field(self, data_csv, tmp_path):
         out = tmp_path / "t.json"
@@ -315,6 +330,31 @@ class TestVerify:
                         "--out", str(tmp_path / "v.json")]) == 0
         assert len(drawn) == 80
 
+    def test_one_table_solve_per_context(self, tmp_path, monkeypatch):
+        # The pair draw, the multipliers, alpha, kappa, the modular bound and
+        # its leave-one-out rows all read the instance's and the certificate
+        # instance's tables.
+        stacks = []
+        solve = dual.train_dual_exact_many
+        counted = lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a)
+        monkeypatch.setattr(setfn, "train_dual_exact_many", counted)
+        monkeypatch.setattr(dual, "train_dual_exact_many", counted)
+        assert run(["verify", "--n", "7", "--Q", "2", "--seed", "16",
+                    "--out", str(tmp_path / "v.json")]) == 0
+        assert stacks == [128, 128]
+
+    def test_one_run_leaves_few_cycles(self, tmp_path):
+        argv = ["verify", "--n", "7", "--Q", "2", "--out", str(tmp_path / "v.json")]
+        assert run(argv) == 0  # builds the parser
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv) == 0
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left <= 60  # a parser per run left 565
+
     def test_single_property(self, tmp_path):
         out = tmp_path / "one.json"
         code = run(["verify", "--property", "monotone", "--n", "5", "--trials", "20",
@@ -356,6 +396,26 @@ class TestVerify:
         code = run(["verify", "--property", "monotone", "--n", "4",
                     "--out", str(tmp_path / "f.json")])
         assert code == 3
+
+
+class TestOneParser:
+    def test_commands_back_to_back_match_separate_runs(self, grouped_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)  # bench's timing columns
+        data = ["--data", str(grouped_csv), "--target", "y", "--group", "group", "--k", "8",
+                "--alpha-mode", "fixed", "--alpha-value", "1"]
+        commands = [["select", *data, "--delta", "auto"], ["verify", "--n", "5", "--Q", "2"],
+                    ["bench", *data, "--ks", "6", "--delta", "0.5"], ["select", *data]]
+
+        def outputs(name, fresh_parser):
+            paths = []
+            for i, argv in enumerate(commands):
+                if fresh_parser:
+                    cli._parser.cache_clear()
+                paths.append(tmp_path / f"{name}{i}.out")
+                assert run([*argv, "--out", str(paths[-1])]) == 0
+            return [p.read_bytes() for p in paths]
+
+        assert outputs("shared", False) == outputs("separate", True)
 
 
 class TestBench:

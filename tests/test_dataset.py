@@ -383,6 +383,19 @@ class TestPartition:
         assert np.array_equal(part.errors(resid), want)
         assert np.array_equal(part.gram[2], part.errors(val.targets))
 
+    @pytest.mark.parametrize("n_val", [30, 5])  # 5 rows in 3 groups: a singular pooled system
+    def test_pooled_errors_are_the_group_errors_of_the_pooled_fit(self, n_val):
+        val = gen_synthetic(n_val, 3, noise_sd=0.2, n_groups=3, seed=4)
+        part = partition_validation(val, "by_group", 0.5)
+        X, y = val.features, val.targets
+        G = sum(X[rows].T @ X[rows] / len(rows) for rows in part.subsets)
+        b = sum(X[rows].T @ y[rows] / len(rows) for rows in part.subsets)
+        w = np.linalg.lstsq(G, b, rcond=None)[0]
+        want = part.errors(y - X @ w)
+        assert np.allclose(part.pooled_errors, want, rtol=1e-9, atol=1e-12)
+        assert part.with_delta(0.1).pooled_errors is part.pooled_errors
+        assert not part.pooled_errors.flags.writeable
+
 
 class TestOffsetAugment:
     def test_shifts_targets_and_appends_ones(self):

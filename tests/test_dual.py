@@ -6,7 +6,14 @@ import scipy.optimize
 
 from conftest import make_problem
 from selcon import dual
-from selcon.dataset import Dataset, SplitSpec, gen_synthetic, partition_validation, split
+from selcon.dataset import (
+    Dataset,
+    SplitSpec,
+    ValidationPartition,
+    gen_synthetic,
+    partition_validation,
+    split,
+)
 from selcon.dual import (
     TrainerConfig,
     _Stack,
@@ -18,7 +25,9 @@ from selcon.dual import (
     train_dual_sgd,
 )
 from selcon.errors import SingularSystem
+from selcon.metrics import auto_delta
 from selcon.models import LinearModel, loss_grad
+from selcon.scenarios import four_group_pool
 
 CFG = TrainerConfig()
 
@@ -296,6 +305,45 @@ class TestExactTrainer:
             st = train_dual_exact(subset, train, vp, lam, C, CFG)
             ref = dual_objective(st.model, st.mu, subset, train, vp, lam)
             assert abs(st.f_value - ref) <= 1e-12 * abs(ref), (seed, st.f_value, ref)
+
+
+class TestEmptySetCertificate:
+    """f(empty) = 0 without Newton when the pooled validation fit meets every bound."""
+
+    def test_centred_four_group_pool(self):
+        # Validation groups of 4-10 rows at d = 7 leave the face problems
+        # singular; Newton over the faces crawls to the answer 0.
+        train, val, _ = four_group_pool(3)
+        mx, my = train.features.mean(axis=0), train.targets.mean()
+        train, val = (Dataset(features=data.features - mx, targets=data.targets - my,
+                              groups=data.groups) for data in (train, val))
+        probe = partition_validation(val, "by_group", 0.0)
+        vp = probe.with_delta(auto_delta(train, probe, 0.05))
+        st = train_dual_exact([], train, vp, 0.05, 10.0, TrainerConfig(max_outer_iters=50))
+        assert (st.f_value, st.iterations_used, st.converged) == (0.0, 0, True)
+        assert not st.mu.any() and not st.model.w.any()
+
+    def test_certified_value_is_the_primal_optimum(self):
+        rng = np.random.default_rng(0)
+        fired = 0
+        for seed in range(240):
+            q, d = (1, 2, 4)[seed % 3], int(rng.integers(2, 6))
+            sizes = rng.integers(1, 2 * d + 1, size=q)  # some groups smaller than d
+            val = Dataset(features=rng.uniform(-1, 1, (sizes.sum(), d)),
+                          targets=rng.uniform(0.3, 2.0, sizes.sum()))
+            train = Dataset(features=rng.uniform(-1, 1, (4, d)), targets=rng.uniform(0.3, 2.0, 4))
+            cover = tuple(np.split(np.arange(sizes.sum()), np.cumsum(sizes)[:-1]))
+            probe = ValidationPartition(data=val, subsets=cover, delta=0.0)
+            vp = probe.with_delta(max(0.0, probe.pooled_errors.max() * rng.uniform(0.5, 2.0)))
+            if not np.all(vp.pooled_errors <= vp.delta):
+                continue
+            fired += 1
+            lam, C = 0.5, (0.0, 0.7, 3.0)[seed % 3]
+            st = train_dual_exact([], train, vp, lam, C, CFG)
+            assert (st.f_value, st.iterations_used) == (0.0, 0)
+            assert dual_objective(st.model, st.mu, [], train, vp, lam) == 0.0
+            assert primal_value([], train, vp, lam, C) <= 1e-6, seed
+        assert fired >= 100
 
 
 class TestStackAssembly:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
-from selcon import dual, oracle
+from selcon import dual, oracle, setfn
 from selcon.dual import solve_inner_linear
 from selcon.bounds import (
     alpha_hat_linear,
@@ -144,6 +144,30 @@ class TestEnumerationCap:
         with pytest.raises(TooLarge):
             check_modular_bound(ctx, (0, 1), 1.0)
         assert ctx.cache_misses == 0
+
+
+class TestTable:
+    """One exhaustive table per context, read-only, keyed by bit pattern."""
+
+    def test_solved_once_per_context(self, monkeypatch):
+        ctx = make_ctx(76, n=6, q=2)
+        table = f_table(ctx)
+        assert not table.flags.writeable
+        keys = [tuple(np.flatnonzero(mask >> np.arange(6) & 1).tolist()) for mask in range(64)]
+        assert np.array_equal(table, make_ctx(76, n=6, q=2).f_many(keys))
+        calls = []
+        monkeypatch.setattr(ctx, "f_many", lambda subsets: calls.append(subsets))
+        assert f_table(ctx) is table and ctx.table is table
+        assert calls == []
+
+    def test_leave_one_out_reads_the_table(self, monkeypatch):
+        ctx, ref = make_ctx(77, n=7, d=3, q=2), make_ctx(77, n=7, d=3, q=2)
+        f_table(ctx)
+        s_hats = (np.array([3]), np.array([0, 2, 3, 6]), np.arange(7))
+        want = [ref.leave_one_out(s_hat) for s_hat in s_hats]
+        monkeypatch.setattr(setfn, "train_dual_exact_many", None)  # a solve would raise
+        for s_hat, values in zip(s_hats, want):
+            assert np.array_equal(ctx.leave_one_out(s_hat), values)
 
 
 class TestEmpiricalKappa:
