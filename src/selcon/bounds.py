@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dataset import Dataset
 from .dual import DEFAULT_HIDDEN_WIDTH
@@ -51,8 +50,6 @@ class DataConstants:
     y_max: float
     y_min: float
     x_max: float
-    n: int
-    d: int
     q: int
 
 
@@ -90,8 +87,6 @@ def data_constants(train: Dataset, val: Dataset, q: int = 1) -> DataConstants:
         y_max=float(ys.max()),
         y_min=float(ys.min()),
         x_max=float(norms.max()),
-        n=train.n,
-        d=train.d,
         q=q,
     )
 
@@ -110,9 +105,11 @@ def ell_star_linear(train: Dataset, x_max: float) -> float:
     return ell(train, x_max * x_max)
 
 
-def _two_layer_element_min(lam: float, y: float, x: np.ndarray, width: int, seed: int) -> float:
+def _two_layer_element_min(lam: float, y: float, x: np.ndarray, seed: int) -> float:
+    import scipy.optimize  # only here, so that importing selcon loads no scipy
+
     rng = np.random.default_rng(seed)
-    d = len(x)
+    d, width = len(x), DEFAULT_HIDDEN_WIDTH
 
     def obj(p):
         hidden = p[: width * d].reshape(width, d)
@@ -128,8 +125,7 @@ def _two_layer_element_min(lam: float, y: float, x: np.ndarray, width: int, seed
     return best
 
 
-def ell(train: Dataset, lam: float, model_kind: str = "linear",
-        hidden_width: int = DEFAULT_HIDDEN_WIDTH, seed: int = 0) -> float:
+def ell(train: Dataset, lam: float, model_kind: str = "linear", seed: int = 0) -> float:
     """min over elements of min over w of lam*||w||^2 + (y_i - h_w(x_i))^2.
 
     Closed form per element for the linear model; numeric minimization with
@@ -142,7 +138,7 @@ def ell(train: Dataset, lam: float, model_kind: str = "linear",
         # Each row's value has the bits of claim1_min on that row.
         return float(np.min(lam * y * y / (lam + row_dots(train.features, train.features))))
     vals = [
-        _two_layer_element_min(lam, y, x, hidden_width, seed + i)
+        _two_layer_element_min(lam, y, x, seed + i)
         for i, (x, y) in enumerate(zip(train.features, train.targets))
     ]
     return float(min(vals))

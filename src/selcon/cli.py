@@ -63,7 +63,7 @@ def _json(obj) -> str:
 # -- configuration ------------------------------------------------------------
 
 
-# INI section -> key -> (argparse dest or None, field, parser of the INI text).
+# INI section -> key -> (argparse dest, field, parser of the INI text).
 # A field takes its flag's value, else the file's; fields set by neither keep
 # the default of TrainerConfig, SelconConfig or PROBLEM_DEFAULTS.
 SETTINGS = {
@@ -75,7 +75,6 @@ SETTINGS = {
     },
     "trainer": {
         "epochs": ("epochs", "epochs", int),
-        "max_outer": (None, "max_outer_iters", int),
         "seed": ("seed", "seed", int),
     },
     "selcon": {
@@ -121,7 +120,7 @@ def _settings(cp, args, section: str) -> dict:
     """
     out = {}
     for key, (flag, field, parse) in SETTINGS[section].items():
-        value = getattr(args, flag, None) if flag else None
+        value = getattr(args, flag, None)
         if value is None and cp.has_option(section, key):
             value = parse(cp.get(section, key))
         if value is not None:

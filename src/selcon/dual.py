@@ -71,6 +71,7 @@ __all__ = [
     "primal_value",
 ]
 
+# Hidden units of the two-layer model, in every trainer and bound.
 DEFAULT_HIDDEN_WIDTH = 5
 # Round budget of primal_value's subgradient method, and steps per round.
 _PRIMAL_ROUNDS = 80
@@ -81,19 +82,18 @@ _PRIMAL_STEPS = 150
 class TrainerConfig:
     """Settings of the two trainer backends.
 
-    ``epochs`` is the sgd backend's epoch budget, ``max_outer_iters`` caps the
-    exact backend's Newton iterations, and ``seed`` seeds the sgd backend's
-    initialization and batch order.  The exact backend's stopping tolerance
-    and the sgd batch size and step sizes are module constants.
+    ``epochs`` is the sgd backend's epoch budget and ``seed`` seeds the sgd
+    backend's initialization and batch order.  The exact backend's iteration
+    cap and stopping tolerance, and the sgd batch size and step sizes, are
+    module constants.
     """
 
     epochs: int = 2000
-    max_outer_iters: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.max_outer_iters < 1:
-            raise ValueError("epochs and max_outer_iters must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -113,10 +113,6 @@ class TrainedState:
         mu = np.ascontiguousarray(np.asarray(self.mu, dtype=float))
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
-
-    @property
-    def params(self) -> np.ndarray:
-        return params_of(self.model)
 
 
 def _subset_arrays(subset: Sequence[int], train: Dataset):
@@ -280,6 +276,8 @@ def solve_inner_linear(
 
 # Projected-gradient norm at which a row of the Newton loop has converged.
 _MU_TOLERANCE = 1e-10
+# Newton iterations a row may take before it is returned unconverged.
+_MAX_NEWTON_ITERS = 100_000
 # Armijo fraction of the predicted ascent an arc step must realize.
 _ARMIJO = 1e-4
 # Curvatures below this share of the largest one are floored to it.  The dual
@@ -310,7 +308,7 @@ def _newton_direction(mu, grad, M, lo, hi, pg_norm):
     return np.where(free, newton, grad / np.maximum(diag, floor))
 
 
-def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, cfg: TrainerConfig):
+def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray):
     """Maximize every row's dual over its box [lo, hi], in lockstep from the
     corner mu = hi.
 
@@ -330,7 +328,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, cfg: Traine
         pg_norm = np.sqrt(_dot(pg, pg))
         done = pg_norm <= _MU_TOLERANCE
         converged[live[done]] = True
-        keep = ~done & (iters[live] < cfg.max_outer_iters)
+        keep = ~done & (iters[live] < _MAX_NEWTON_ITERS)
         live, pg_norm = live[keep], pg_norm[keep]
         if not live.size:
             break
@@ -368,8 +366,8 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, cfg: Traine
 
 
 def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
-                          valpart: ValidationPartition, lam: float, C: float,
-                          cfg: TrainerConfig) -> tuple[np.ndarray, ...]:
+                          valpart: ValidationPartition, lam: float,
+                          C: float) -> tuple[np.ndarray, ...]:
     """:func:`train_dual_exact` for a stack of subsets, solved in lockstep.
 
     Each subset is an array or sequence of training indices that must be
@@ -410,7 +408,7 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     hi = np.full(lo.shape, C)
     if certified:
         hi[empty] = 0.0
-    w, mu, f, iters, converged = _projected_newton(_Stack(rows, train, valpart, lam), lo, hi, cfg)
+    w, mu, f, iters, converged = _projected_newton(_Stack(rows, train, valpart, lam), lo, hi)
     for i, rows_i in zip(empty, faces):
         best = rows_i[int(np.argmax(f[rows_i]))]
         iters[i] = iters[rows_i].sum()
@@ -444,21 +442,24 @@ def train_dual_exact(subset: Sequence[int], train: Dataset, valpart: ValidationP
     curvature 2 V'A^-1 V, a scaled gradient step on those held at a bound,
     and an Armijo search along the projection arc.  It stops when the
     projected-gradient norm drops below ``_MU_TOLERANCE``.  After
-    ``cfg.max_outer_iters`` Newton iterations, or when the arc search
+    ``_MAX_NEWTON_ITERS`` Newton iterations, or when the arc search
     stalls, the last (best) iterate is returned with ``converged=False``.
     ``f_value`` is the dual value phi the solver ends at, in the Gram form
-    above; :func:`dual_objective` recomputes it from residuals.
+    above; :func:`dual_objective` recomputes it from residuals.  The exact
+    solver reads no setting of ``cfg``; it takes one so that both trainers
+    share a call shape.
     """
     subsets = [np.sort(np.asarray(subset, np.intp))]
-    return exact_state(train_dual_exact_many(subsets, train, valpart, lam, C, cfg), 0)
+    return exact_state(train_dual_exact_many(subsets, train, valpart, lam, C), 0)
 
 
-def _init_model(model_kind: str, d: int, hidden_width: int, rng: np.random.Generator) -> Model:
+def _init_model(model_kind: str, d: int, rng: np.random.Generator) -> Model:
     if model_kind == "linear":
         return LinearModel(w=np.zeros(d))
     if model_kind == "two_layer":
-        hidden = rng.normal(0.0, 1.0 / math.sqrt(d), size=(hidden_width, d))
-        output = rng.normal(0.0, 1.0 / math.sqrt(hidden_width), size=hidden_width)
+        width = DEFAULT_HIDDEN_WIDTH
+        hidden = rng.normal(0.0, 1.0 / math.sqrt(d), size=(width, d))
+        output = rng.normal(0.0, 1.0 / math.sqrt(width), size=width)
         return TwoLayerModel(hidden=hidden, output=output)
     raise ValueError(f"unknown model kind {model_kind!r}")
 
@@ -479,7 +480,6 @@ def train_dual_sgd(
     C: float,
     cfg: TrainerConfig,
     model_kind: str = "linear",
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     init_state: TrainedState | None = None,
     epochs: int | None = None,
 ) -> TrainedState:
@@ -500,7 +500,7 @@ def train_dual_sgd(
         model = init_state.model
         mu = init_state.mu.copy()
     else:
-        model = _init_model(model_kind, train.d, hidden_width, rng)
+        model = _init_model(model_kind, train.d, rng)
         mu = np.zeros(valpart.q)
     params = params_of(model)
 
@@ -560,7 +560,6 @@ def primal_value(
     C: float,
     tol: float = 1e-6,
     model_kind: str = "linear",
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     seed: int = 0,
 ) -> float:
     """Minimize the penalized primal directly:
@@ -589,7 +588,7 @@ def primal_value(
         A = lam * ns * np.eye(train.d) + Xs.T @ Xs
         model = LinearModel(w=np.linalg.solve(A, Xs.T @ ys))
     else:
-        model = _init_model(model_kind, train.d, hidden_width, rng)
+        model = _init_model(model_kind, train.d, rng)
     params = params_of(model)
 
     def value_and_subgrad(p: np.ndarray) -> tuple[float, np.ndarray]:

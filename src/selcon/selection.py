@@ -5,9 +5,12 @@ subset S_hat: in-set elements are scored by alpha times their leave-one-out
 marginal, out-of-set elements by their empty-set marginal divided by alpha.
 Minimizing the bound over k-subsets is then just picking the k smallest
 scores.  With exact training the objective value never increases from one
-iteration to the next.  The driver starts from :func:`random_subset`, the
-seeded draw the random baselines train on, so at equal k and seed both
-start from one subset.
+iteration to the next when alpha is at most the instance's submodularity
+ratio, since only then is the bound a true upper bound.  A larger alpha,
+such as a fixed 1, can make the trace rise and the result end above the
+best iterate; the ROADMAP's guarded step is the planned fix.  The driver
+starts from :func:`random_subset`, the seeded draw the random baselines
+train on, so at equal k and seed both start from one subset.
 """
 
 from __future__ import annotations

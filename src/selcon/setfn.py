@@ -27,7 +27,6 @@ import numpy as np
 
 from .dataset import Dataset, ValidationPartition
 from .dual import (
-    DEFAULT_HIDDEN_WIDTH,
     TrainedState,
     TrainerConfig,
     exact_state,
@@ -68,7 +67,6 @@ class SetFnContext:
     backend: str = "exact"
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     model_kind: str = "linear"
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -106,7 +104,6 @@ class SetFnContext:
             self.C,
             self.trainer,
             model_kind=self.model_kind,
-            hidden_width=self.hidden_width,
             init_state=init_state,
             epochs=epochs,
         )
@@ -140,7 +137,7 @@ class SetFnContext:
         for start, stop in self.stack_bounds(count, size):
             subsets = rows(start, stop)
             yield subsets, train_dual_exact_many(subsets, self.train, self.valpart, self.lam,
-                                                 self.C, self.trainer)
+                                                 self.C)
 
     def _entries(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, object]]:
         """Cache entries of the exact backend for each subset, in input order.
@@ -216,17 +213,14 @@ class SetFnContext:
         return gain
 
     def singletons(self) -> np.ndarray:
-        """f({i}) for every training element: one batched sweep per context, read-only."""
+        """f({i}) for every training element, read-only: one batched sweep
+        per context, which solves f(empty) too."""
         if self._singletons is None:
-            self._singletons = self.f_many((i,) for i in range(self.train.n))
+            self._singletons = self.f_many([(), *((i,) for i in range(self.train.n))])[1:]
             self._singletons.setflags(write=False)
         return self._singletons
 
     def f_empty(self) -> float:
-        return self.f_of(())[0]
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def dump_values(self) -> dict[str, float]:
-        """JSON-able map from subset key to cached f value, for cross-checks."""
-        return {",".join(map(str, k)): v for k, (v, _) in sorted(self._cache.items())}
+        """f(empty), from the singleton sweep's cache entry when it has run;
+        no state is built."""
+        return float(self.f_many([()])[0])

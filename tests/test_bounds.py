@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +99,7 @@ class TestEll:
 
     def test_two_layer_numeric(self):
         train, _, _, _, _ = make_problem(6, n=3)
-        value = ell(train, 0.5, model_kind="two_layer", hidden_width=3)
+        value = ell(train, 0.5, model_kind="two_layer")
         assert 0.0 <= value <= float(np.max(train.targets**2)) + 1e-9
 
 
@@ -210,6 +212,7 @@ class TestDataConstants:
         c = data_constants(train, val)
         assert (c.y_min, c.y_max) == (1.0, 3.0)
         assert c.x_max == pytest.approx(5.0)
+        assert [f.name for f in dataclasses.fields(c)] == ["y_max", "y_min", "x_max", "q"]
 
     def test_zero_target(self):
         train = Dataset(features=np.array([[1.0]]), targets=np.array([0.0]))

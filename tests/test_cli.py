@@ -2,6 +2,8 @@ import functools
 import gc
 import json
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -245,6 +247,15 @@ class TestBrokenConfig:
         assert not out.exists()
 
 
+def test_import_loads_no_scipy():
+    # scipy serves only the two-layer loss floor, which imports it on use.
+    code = "import sys, selcon.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
 class TestUnreadConfig:
     """A section or key that no command reads is a usage error: exit 2 and
     one ``error:`` line naming the file, the section and the key."""
@@ -252,6 +263,7 @@ class TestUnreadConfig:
     UNREAD = {
         "batch_size": "[trainer]\nbatch_size = 100\n",
         "lr_w": "[trainer]\nlr_w = 0.1\n",
+        "max_outer": "[trainer]\nmax_outer = 1000\n",
         "lr_mu": "[trainer]\nlr_mu = auto\n",
         "mu_tol": "[trainer]\nmu_tol = 1e-8\n",
         "alpha_floor": "[selcon]\nalpha_floor = 0.5\n",
@@ -281,7 +293,7 @@ class TestUnreadConfig:
 
     def test_trainer_section_reaches_trainer_config(self, data_csv, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[trainer]\nepochs = 7\nmax_outer = 500\nseed = 5\n")
+        cfg.write_text("[trainer]\nepochs = 7\nseed = 5\n")
         seen = []
         real_select, real_monotone = cli.run_selcon, cli.oracle.check_monotone
         monkeypatch.setattr(cli, "run_selcon",
@@ -292,8 +304,7 @@ class TestUnreadConfig:
                     "--out", str(tmp_path / "s.json")]) == 0
         assert run(["verify", "--property", "monotone", "--n", "4", "--trials", "5",
                     "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 0
-        assert seen == [TrainerConfig(epochs=7, max_outer_iters=500, seed=5),
-                        TrainerConfig(epochs=7, max_outer_iters=500, seed=5)]
+        assert seen == [TrainerConfig(epochs=7, seed=5), TrainerConfig(epochs=7, seed=5)]
 
 
 class TestVerify:

@@ -26,7 +26,7 @@ from selcon.dual import (
 )
 from selcon.errors import SingularSystem
 from selcon.metrics import auto_delta
-from selcon.models import LinearModel, loss_grad
+from selcon.models import LinearModel, loss_grad, params_of
 from selcon.scenarios import four_group_pool
 
 CFG = TrainerConfig()
@@ -310,16 +310,18 @@ class TestExactTrainer:
 class TestEmptySetCertificate:
     """f(empty) = 0 without Newton when the pooled validation fit meets every bound."""
 
-    def test_centred_four_group_pool(self):
+    def test_centred_four_group_pool(self, monkeypatch):
         # Validation groups of 4-10 rows at d = 7 leave the face problems
-        # singular; Newton over the faces crawls to the answer 0.
+        # singular; Newton over the faces crawls to the answer 0.  A low
+        # cap keeps a regression fast to fail.
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 50)
         train, val, _ = four_group_pool(3)
         mx, my = train.features.mean(axis=0), train.targets.mean()
         train, val = (Dataset(features=data.features - mx, targets=data.targets - my,
                               groups=data.groups) for data in (train, val))
         probe = partition_validation(val, "by_group", 0.0)
         vp = probe.with_delta(auto_delta(train, probe, 0.05))
-        st = train_dual_exact([], train, vp, 0.05, 10.0, TrainerConfig(max_outer_iters=50))
+        st = train_dual_exact([], train, vp, 0.05, 10.0, TrainerConfig())
         assert (st.f_value, st.iterations_used, st.converged) == (0.0, 0, True)
         assert not st.mu.any() and not st.model.w.any()
 
@@ -372,7 +374,7 @@ class TestSgdTrainer:
         a = train_dual_sgd([0, 2, 4], train, vp, lam, C, CFG)
         b = train_dual_sgd([0, 2, 4], train, vp, lam, C, CFG)
         assert a.f_value == b.f_value
-        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(params_of(a.model), params_of(b.model))
         assert np.array_equal(a.mu, b.mu)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -429,8 +431,10 @@ class TestTrainerConfig:
 
     def test_only_the_settable_fields(self):
         assert [f.name for f in dataclasses.fields(TrainerConfig)] == [
-            "epochs", "max_outer_iters", "seed"]
+            "epochs", "seed"]
         assert (dual._SGD_BATCH, dual._MU_TOLERANCE) == (1000, 1e-10)
-        for removed in ("batch_size", "learning_rate_w", "learning_rate_mu", "mu_tolerance"):
+        assert (dual._MAX_NEWTON_ITERS, dual.DEFAULT_HIDDEN_WIDTH) == (100_000, 5)
+        for removed in ("batch_size", "learning_rate_w", "learning_rate_mu", "mu_tolerance",
+                        "max_outer_iters"):
             with pytest.raises(TypeError):
                 TrainerConfig(**{removed: 1.0})

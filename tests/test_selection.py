@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from conftest import make_ctx
-from selcon import cli, selection, setfn
+from selcon import cli, dual, selection, setfn
 from selcon.bounds import claim1_min
 from selcon.errors import InvalidAlpha, InvalidK
 from selcon.metrics import mse
@@ -48,7 +49,7 @@ class TestModularScores:
         ctx = make_ctx(44, n=7)
         s_hat = (1, 2, 4, 6)
         modular_scores(ctx, s_hat, alpha=1.0)
-        sizes = {len(key.split(",")) if key else 0 for key in ctx.dump_values()}
+        sizes = {len(key) for key in ctx._cache}
         assert len(s_hat) in sizes and len(s_hat) - 1 not in sizes
 
     def test_requires_positive_alpha(self):
@@ -99,6 +100,34 @@ class TestRunSelcon:
             ]) == 0
             outputs.append(out.read_bytes())
         assert all(o == outputs[0] for o in outputs[1:])
+
+    # f(empty) is not certified here, its faces run Newton, the trace moves
+    # three times and the final multipliers are (C, interior).
+    INTERIOR = dict(n=16, d=3, q=2, C=5.0, delta=0.4, lam=0.2)
+    INTERIOR_CFG = SelconConfig(k=5, seed=1, L=6, alpha_mode="fixed", alpha_value=1.0)
+
+    @pytest.mark.parametrize("chunk_floats", [1, 7], ids=["1", "7"])
+    def test_driver_independent_of_chunk_size(self, monkeypatch, chunk_floats):
+        def run():
+            result = run_selcon(make_ctx(61, **self.INTERIOR), self.INTERIOR_CFG)
+            return result.selected, result.f_value, result.trace, result.state.mu.tolist()
+
+        want = run()
+        assert len(want[2]) == 4 and 0.0 < want[3][1] < self.INTERIOR["C"]
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+        assert run() == want
+
+    def test_empty_set_solved_in_the_singleton_sweep(self, monkeypatch):
+        ctx = make_ctx(61, **self.INTERIOR)
+        assert not np.all(ctx.valpart.pooled_errors <= ctx.valpart.delta)
+        stacks = []
+        many = dual.train_dual_exact_many
+        record = lambda subsets, *a: stacks.append([tuple(s) for s in subsets]) or many(subsets, *a)
+        monkeypatch.setattr(setfn, "train_dual_exact_many", record)
+        monkeypatch.setattr(dual, "train_dual_exact_many", record)
+        run_selcon(ctx, self.INTERIOR_CFG)
+        with_empty = [stack for stack in stacks if () in stack]
+        assert with_empty == [[(), *((i,) for i in range(ctx.train.n))]]
 
     def test_early_stop_at_fixed_point(self):
         ctx = make_ctx(55, n=6)

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -179,7 +179,7 @@ class TestLeaveOneOut:
             got = ctx.leave_one_out(s_hat)
             want = [ref.f_of(np.delete(s_hat, j))[0] for j in range(len(s_hat))]
             assert np.array_equal(got, want)
-            assert ctx.dump_values() == {}
+            assert not ctx._cache
 
     def test_sgd_equal_to_f_of(self):
         trainer = TrainerConfig(epochs=3, seed=0)
@@ -188,7 +188,7 @@ class TestLeaveOneOut:
         s_hat = np.array([0, 2, 4])
         got = ctx.leave_one_out(s_hat)
         assert np.array_equal(got, [ref.f_of(np.delete(s_hat, j))[0] for j in range(3)])
-        assert ctx.dump_values() == {}
+        assert not ctx._cache
 
 
 class TestStacks:
@@ -301,13 +301,8 @@ class TestCacheSemantics:
         for _ in range(10):
             subset = tuple(sorted(rng.choice(6, size=int(rng.integers(0, 5)), replace=False)))
             assert a.f_of(subset)[0] == b.f_of(subset)[0]
-        assert a.dump_values() == b.dump_values()
-
-    def test_dump_json(self, tiny_ctx):
-        tiny_ctx.f_of((0,))
-        tiny_ctx.f_of((0, 2))
-        payload = json.loads(json.dumps(tiny_ctx.dump_values()))
-        assert set(payload) == {"0", "0,2"}
+        values = lambda ctx: {key: value for key, (value, _) in ctx._cache.items()}
+        assert values(a) == values(b)
 
     def test_sgd_negative_marginals_recorded(self):
         # Force a tiny-epoch sgd backend; noisy values may yield negative
@@ -325,7 +320,7 @@ class TestCacheSemantics:
         want = [ctx.f_of(s)[0] for s in subsets]
         ctx.f_of((0,))
         fresh = replace(ctx)
-        assert (fresh.cache_hits, fresh.cache_misses, fresh.dump_values()) == (0, 0, {})
+        assert (fresh.cache_hits, fresh.cache_misses, fresh._cache) == (0, 0, {})
         assert [fresh.f_of(s)[0] for s in subsets] == want
         # A replaced field gives the values of a context built with it.
         part = ctx.valpart.with_delta(0.05)
@@ -334,8 +329,12 @@ class TestCacheSemantics:
             built.f_of(s)[0] for s in subsets
         ]
         two_layer = SetFnContext(train=ctx.train, valpart=part, lam=ctx.lam, C=ctx.C,
-                                 backend="sgd", model_kind="two_layer", hidden_width=3)
-        assert replace(two_layer, C=0.0).hidden_width == 3
+                                 backend="sgd", model_kind="two_layer")
+        assert replace(two_layer, C=0.0).model_kind == "two_layer"
+
+    def test_only_the_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(SetFnContext)] == [
+            "train", "valpart", "lam", "C", "backend", "trainer", "model_kind"]
 
     def test_exact_backend_requires_linear(self):
         with pytest.raises(ValueError):
