@@ -118,6 +118,11 @@ class Dataset:
         )
 
 
+def _check_delta(delta: float) -> None:
+    if not (0 <= delta < math.inf):
+        raise ValueError("delta must be >= 0 and finite")
+
+
 @dataclass(frozen=True)
 class ValidationPartition:
     """Disjoint cover of a validation dataset's rows plus the error bound;
@@ -128,8 +133,7 @@ class ValidationPartition:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        _check_delta(self.delta)
         if len(self.subsets) < 1:
             raise ValueError("need at least one validation subset")
         subs = tuple(_frozen(np.asarray(s, dtype=int)) for s in self.subsets)
@@ -174,8 +178,7 @@ class ValidationPartition:
         """This cover at another bound ``delta``.  The validated subsets,
         :attr:`gram` and :attr:`pooled_errors` do not depend on delta: the
         two caches are built here first, so every copy shares them."""
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
+        _check_delta(delta)
         self.pooled_errors  # builds the gram too
         part = copy.copy(self)  # a shallow copy shares the cached properties
         object.__setattr__(part, "delta", delta)

@@ -67,6 +67,8 @@ __all__ = [
     "exact_state",
     "train_dual_exact",
     "train_dual_exact_many",
+    "rank_one_bounds",
+    "newton_bounds",
     "train_dual_sgd",
     "primal_value",
 ]
@@ -194,7 +196,19 @@ class _Stack:
             self.base[rows] = lam * m * np.eye(d) + Xt @ X
             self.bs[rows] = (Xt @ y[:, :, None])[:, :, 0]
             self.cs[rows] = row_dots(y, y)
-        self.empty = sizes == 0
+        self._share(valpart, sizes == 0)
+
+    @classmethod
+    def of_blocks(cls, base: np.ndarray, bs: np.ndarray, cs: np.ndarray,
+                  valpart: ValidationPartition) -> "_Stack":
+        """A stack of given, non-empty training blocks (base, b_S, c_S)."""
+        stack = cls.__new__(cls)
+        stack.base, stack.bs, stack.cs = base, bs, cs
+        stack._share(valpart, np.zeros(len(base), dtype=bool))
+        return stack
+
+    def _share(self, valpart: ValidationPartition, empty: np.ndarray) -> None:
+        self.empty = empty
         self.Gbar, self.bbar, self.cbar = valpart.gram
         self.delta = valpart.delta
 
@@ -215,7 +229,8 @@ class _Stack:
         empty = self.empty[rows]
         if empty.any():
             A_inv = np.empty_like(A)
-            A_inv[~empty] = np.linalg.inv(A[~empty])
+            if not empty.all():
+                A_inv[~empty] = np.linalg.inv(A[~empty])
             A_inv[empty] = np.linalg.pinv(A[empty], hermitian=True)
         else:
             A_inv = np.linalg.inv(A)
@@ -254,8 +269,10 @@ def solve_inner_linear_many(mu: np.ndarray, subsets: Sequence[Sequence[int]], tr
     b = (stack.bs + _mix(mu, stack.bbar))[:, :, None]
     w = np.zeros((len(subsets), train.d))
     full = ~stack.empty
-    w[full] = np.linalg.solve(A[full], b[full])[:, :, 0]
-    w[least_norm] = (np.linalg.pinv(A[least_norm], hermitian=True) @ b[least_norm])[:, :, 0]
+    if full.any():
+        w[full] = np.linalg.solve(A[full], b[full])[:, :, 0]
+    if least_norm.any():
+        w[least_norm] = (np.linalg.pinv(A[least_norm], hermitian=True) @ b[least_norm])[:, :, 0]
     return w
 
 
@@ -308,9 +325,11 @@ def _newton_direction(mu, grad, M, lo, hi, pg_norm):
     return np.where(free, newton, grad / np.maximum(diag, floor))
 
 
-def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray):
+def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray,
+                      start: np.ndarray | None = None, max_iters: int = _MAX_NEWTON_ITERS):
     """Maximize every row's dual over its box [lo, hi], in lockstep from the
-    corner mu = hi.
+    corner mu = hi, or from the rows of ``start``, for at most ``max_iters``
+    Newton iterations.
 
     Each row keeps its own Armijo step and its own stopping test; only the
     rows still searching are evaluated again.  Returns per-row arrays
@@ -318,7 +337,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray):
     to rounding, so each row's final iterate is its best one.
     """
     B = len(lo)
-    mu = hi.copy()
+    mu = hi.copy() if start is None else start.copy()
     w, grad, phi, A_inv, V = stack.evaluate(np.arange(B), mu)
     iters = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
@@ -328,7 +347,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray):
         pg_norm = np.sqrt(_dot(pg, pg))
         done = pg_norm <= _MU_TOLERANCE
         converged[live[done]] = True
-        keep = ~done & (iters[live] < _MAX_NEWTON_ITERS)
+        keep = ~done & (iters[live] < max_iters)
         live, pg_norm = live[keep], pg_norm[keep]
         if not live.size:
             break
@@ -451,6 +470,79 @@ def train_dual_exact(subset: Sequence[int], train: Dataset, valpart: ValidationP
     """
     subsets = [np.sort(np.asarray(subset, np.intp))]
     return exact_state(train_dual_exact_many(subsets, train, valpart, lam, C), 0)
+
+
+# Every interval on f is widened by _BOUND_RTOL (1 + scale), for the rounding
+# of both sides' Gram forms, plus _BOUND_GAP C sqrt(Q): the exact solver stops
+# at a projected-gradient norm of _MU_TOLERANCE, which leaves its phi within
+# about _MU_TOLERANCE C sqrt(Q) below f.
+_BOUND_RTOL = 1e-9
+_BOUND_GAP = 10.0 * _MU_TOLERANCE
+# A downdate whose 1 - x'P^-1 x falls below this is not bounded.
+_DOWNDATE_FLOOR = 1e-6
+# Newton iterations that tighten a bracket the rank-one sweep left undecided.
+_REFINE_ITERS = 3
+
+
+def _bracket(fit, grad, mu, cs, valpart: ValidationPartition, C: float):
+    """Widened weak-duality bounds on f from a minimizer w of phi(mu), given
+    its training fit and slacks e(w) - delta: phi(mu) = fit + mu.grad below,
+    the penalized primal fit + C sum_q max(0, grad_q) above."""
+    lower = fit + _dot(mu, grad)
+    upper = fit + C * np.maximum(grad, 0.0).sum(axis=-1)
+    scale = (np.abs(cs) + np.abs(lower) + np.abs(upper)
+             + C * (valpart.gram[2].sum() + valpart.q * valpart.delta))
+    margin = _BOUND_RTOL * (1.0 + scale) + _BOUND_GAP * C * math.sqrt(valpart.q)
+    return lower - margin, upper + margin
+
+
+def _slacks(W: np.ndarray, valpart: ValidationPartition) -> np.ndarray:
+    """e_q(w) - delta for every row w of W, as a (B, Q) array."""
+    Gbar, bbar, cbar = valpart.gram
+    return (_dot(W @ Gbar, W) - 2.0 * (bbar @ W.T)).T + cbar - valpart.delta
+
+
+def rank_one_bounds(X: np.ndarray, y: np.ndarray, sign: float, base: np.ndarray, b: np.ndarray,
+                    c: float, mu: np.ndarray, valpart: ValidationPartition,
+                    C: float) -> tuple[np.ndarray, np.ndarray]:
+    """Widened (lower, upper) bounds on f for a family of subsets one row apart
+    from a common one, all at the shared multiplier ``mu``.
+
+    Row r's training blocks are (base + sign x_r x_r', b + sign y_r x_r,
+    c + sign y_r^2): sign +1 adds row r to the common blocks, sign -1 removes
+    it.  Each row's system is then a rank-one update of the one matrix
+    P = base + sum_q mu_q G_q, so one inverse of P gives every minimizer by
+    Sherman-Morrison, w_r = h + sign z_r (y_r - x_r'h) / (1 + sign x_r'z_r)
+    with z_r = P^-1 x_r and h = P^-1 b(mu), and from it phi_r(mu) and the
+    penalized primal at w_r in O(Q d^2) per row.  A downdate whose
+    1 - x_r'z_r is below ``_DOWNDATE_FLOOR`` is ill-conditioned and gets
+    (-inf, inf).
+    """
+    Gbar, bbar, _ = valpart.gram
+    P_inv = np.linalg.inv(base + np.tensordot(mu, Gbar, axes=1))
+    h = P_inv @ (b + mu @ bbar)
+    Z = X @ P_inv
+    denom = 1.0 + sign * _dot(X, Z)
+    unbounded = denom < _DOWNDATE_FLOOR
+    denom[unbounded] = 1.0
+    W = h + Z * (sign * (y - X @ h) / denom)[:, None]
+    grad = _slacks(W, valpart)
+    fit = c - 2.0 * (W @ b) + _dot(W @ base, W) + sign * (y - _dot(X, W)) ** 2
+    lower, upper = _bracket(fit, grad, mu, c + sign * y * y, valpart, C)
+    lower[unbounded], upper[unbounded] = -np.inf, np.inf
+    return lower, upper
+
+
+def newton_bounds(base: np.ndarray, bs: np.ndarray, cs: np.ndarray, mu: np.ndarray,
+                  valpart: ValidationPartition, C: float) -> tuple[np.ndarray, np.ndarray]:
+    """Widened (lower, upper) bounds on f for a stack of non-empty training
+    blocks, at the iterate that at most ``_REFINE_ITERS`` iterations of
+    :func:`_projected_newton` reach from each row's multiplier ``mu`` (B, Q)."""
+    stack = _Stack.of_blocks(base, bs, cs, valpart)
+    w, mu, phi, _, _ = _projected_newton(stack, np.zeros_like(mu), np.full_like(mu, C), mu,
+                                         _REFINE_ITERS)
+    grad = _slacks(w, valpart)
+    return _bracket(phi - _dot(mu, grad), grad, mu, cs, valpart, C)
 
 
 def _init_model(model_kind: str, d: int, rng: np.random.Generator) -> Model:

@@ -11,18 +11,41 @@ such as a fixed 1, can make the trace rise and the result end above the
 best iterate; the ROADMAP's guarded step is the planned fix.  The driver
 starts from :func:`random_subset`, the seeded draw the random baselines
 train on, so at equal k and seed both start from one subset.
+
+:func:`modular_scores` solves every score exactly: n singletons and k
+leave-one-out sets per iteration.  On the exact backend the driver takes a
+certified step instead, which needs only the k smallest.  Weak duality
+brackets every f(S) = max_mu phi_S(mu): phi_S at any multiplier in the box is
+below it, the penalized primal at any weights above it.  f(empty) and the
+random start are solved exactly in one stack; then every singleton gets an
+interval from mu(empty) and from the corner C 1, and every leave-one-out set
+from mu(S_hat), each family by Sherman-Morrison updates of one shared system
+(:func:`~selcon.dual.rank_one_bounds`).  Intervals are widened by a margin
+that covers rounding and the exact solver's stopping gap.  An element is
+certainly in when its upper end lies below the k-th smallest lower end of
+the other elements, and certainly out when its lower end lies above their
+k-th smallest upper end.  Undecided elements take a few projected-Newton
+iterations (:func:`~selcon.dual.newton_bounds`), and those still undecided
+are solved exactly, through the same solver and cache as the reference.
+Every element that ends undecided is then exact, so filling the free places
+from them in (score, index) order gives :func:`_k_smallest`'s answer: the k
+smallest are a prefix of that order, certified elements lie on the correct
+side of it, and each exact score is bit-equal to :func:`modular_scores`'.
+If an exact value ever falls outside its interval, the step falls back to
+the reference.  The sgd backend always takes the reference step.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import alpha_hat_linear, data_constants
-from .dual import TrainedState
+from .dual import TrainedState, newton_bounds, rank_one_bounds
 from .errors import InvalidAlpha, InvalidK, ZeroTarget
 from .setfn import SetFnContext
 
@@ -62,8 +85,8 @@ class SelconConfig:
             raise ValueError("L must be >= 1")
         if self.alpha_mode not in ("certified", "empirical", "fixed"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if self.alpha_mode == "fixed" and (self.alpha_value is None or self.alpha_value <= 0):
-            raise ValueError("fixed alpha_mode needs a positive alpha_value")
+        if self.alpha_mode == "fixed" and not (0 < (self.alpha_value or 0) < math.inf):
+            raise ValueError("fixed alpha_mode needs a positive, finite alpha_value")
 
 
 @dataclass
@@ -147,17 +170,130 @@ def _k_smallest(scores: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in order[:k]))
 
 
+class _Family:
+    """Widened intervals on f over a family of subsets one row apart from a
+    common one, tightened on demand: first by a few projected-Newton
+    iterations from the row's best starting multiplier, then by the exact
+    solve ``solve``."""
+
+    def __init__(self, ctx: SetFnContext, X, y, sign: float, common, points, solve):
+        self.ctx, self.X, self.y, self.sign, self.common, self.solve = ctx, X, y, sign, common, solve
+        bounds = [rank_one_bounds(X, y, sign, *common, mu, ctx.valpart, ctx.C) for mu in points]
+        lowers = np.array([lower for lower, _ in bounds])
+        self.lo = lowers.max(axis=0)
+        self.hi = np.min([upper for _, upper in bounds], axis=0)
+        self.start = np.asarray(points)[lowers.argmax(axis=0)]
+        self.exact = np.zeros(len(y), dtype=bool)
+        # Ill-conditioned downdates are never bounded: they go straight to an
+        # exact solve.
+        self.refined = ~np.isfinite(self.lo)
+
+    @classmethod
+    def known(cls, values: np.ndarray) -> "_Family":
+        """A family whose values are all exact already."""
+        family = cls.__new__(cls)
+        family.lo, family.hi = values.copy(), values.copy()
+        family.exact = family.refined = np.ones(len(values), dtype=bool)
+        return family
+
+    def tighten(self, rows: np.ndarray) -> bool:
+        """Refine the rows not yet refined and solve the others exactly.
+        False when an exact value falls outside its interval."""
+        fresh, stale = rows[~self.refined[rows]], rows[self.refined[rows]]
+        if fresh.size:
+            base, b, c = self.common
+            X, y = self.X[fresh], self.y[fresh]
+            lo, hi = newton_bounds(base + self.sign * X[:, :, None] * X[:, None, :],
+                                   b + self.sign * y[:, None] * X, c + self.sign * y * y,
+                                   self.start[fresh], self.ctx.valpart, self.ctx.C)
+            self.lo[fresh] = np.maximum(self.lo[fresh], lo)
+            self.hi[fresh] = np.minimum(self.hi[fresh], hi)
+            self.refined[fresh] = True
+        if not stale.size:
+            return True
+        values = self.solve(stale)
+        inside = bool(np.all((self.lo[stale] <= values) & (values <= self.hi[stale])))
+        self.lo[stale] = self.hi[stale] = values
+        self.exact[stale] = True
+        return inside
+
+
+def _singleton_family(ctx: SetFnContext) -> _Family:
+    """f({i}) for every element, bracketed at mu(empty) and at the corner C 1."""
+    d, q = ctx.train.d, ctx.valpart.q
+    points = np.unique([ctx.mu_many([()])[0], np.full(q, ctx.C)], axis=0)
+    common = (ctx.lam * np.eye(d), np.zeros(d), 0.0)
+    return _Family(ctx, ctx.train.features, ctx.train.targets, 1.0, common, points,
+                   lambda rows: ctx.f_many([(int(i),) for i in rows]))
+
+
+def _leave_one_out_family(ctx: SetFnContext, s_hat: np.ndarray) -> _Family:
+    """f(S_hat minus i) for every position of S_hat, bracketed at mu(S_hat)."""
+    k = len(s_hat)
+    if k == 1:
+        return _Family.known(np.array([ctx.f_empty()]))
+    X, y = ctx.train.features[s_hat], ctx.train.targets[s_hat]
+    common = (ctx.lam * (k - 1) * np.eye(ctx.train.d) + X.T @ X, X.T @ y, float(y @ y))
+    return _Family(ctx, X, y, -1.0, common, ctx.mu_many([s_hat]),
+                   lambda rows: ctx.leave_one_out(s_hat, drop=rows))
+
+
+def _kth_of_the_others(ends: np.ndarray, k: int) -> np.ndarray:
+    """For each element, the k-th smallest of the other elements' ends (k < n)."""
+    kth, next_ = np.partition(ends, (k - 1, k))[k - 1:k + 1]
+    return np.where(ends <= kth, next_, kth)
+
+
+def _certified_k_smallest(ctx: SetFnContext, s_hat: tuple[int, ...], f_hat: float, alpha: float,
+                          singletons: _Family) -> tuple[int, ...] | None:
+    """``_k_smallest(modular_scores(ctx, s_hat, alpha), k)``, solving exactly
+    only the elements whose score intervals cannot place them; None when an
+    exact value escapes its interval, which means the margin failed."""
+    n, k = ctx.train.n, len(s_hat)
+    if k == n:
+        return s_hat
+    s_hat = np.asarray(s_hat, dtype=np.intp)
+    f0 = ctx.f_empty()
+    loo = _leave_one_out_family(ctx, s_hat)
+    while True:
+        lo, hi = (singletons.lo - f0) / alpha, (singletons.hi - f0) / alpha
+        lo[s_hat], hi[s_hat] = alpha * (f_hat - loo.hi), alpha * (f_hat - loo.lo)
+        inside = hi < _kth_of_the_others(lo, k)
+        undecided = ~inside & ~(lo > _kth_of_the_others(hi, k))
+        exact = singletons.exact.copy()
+        exact[s_hat] = loo.exact
+        todo = np.flatnonzero(undecided & ~exact)
+        if not todo.size:
+            break
+        in_set = np.isin(todo, s_hat)
+        if not (singletons.tighten(todo[~in_set])
+                & loo.tighten(np.searchsorted(s_hat, todo[in_set]))):
+            return None
+    # Every undecided element is exact, so ranking them by score between the
+    # certified elements, pinned at -inf and +inf, restricts _k_smallest's
+    # (score, index) order to them.
+    return _k_smallest(np.where(inside, -np.inf, np.where(undecided, lo, np.inf)), k)
+
+
 def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     """Iterated modular-bound minimization from :func:`random_subset`."""
     s_hat = random_subset(ctx.train.n, cfg.k, cfg.seed)
     alpha = resolve_alpha(ctx, cfg)
+    singletons = None
+    if ctx.backend == "exact":
+        ctx.f_many([(), s_hat])
+        singletons = _singleton_family(ctx)
 
     trace: list[tuple[int, float, str]] = []
     for it in range(cfg.L):
         f_hat, _ = ctx.f_of(s_hat)
         trace.append((it, f_hat, _digest(s_hat)))
-        scores = modular_scores(ctx, s_hat, alpha, warm_loo_epochs=cfg.warm_loo_epochs)
-        s_next = _k_smallest(scores, cfg.k)
+        s_next = None
+        if singletons is not None:
+            s_next = _certified_k_smallest(ctx, s_hat, f_hat, alpha, singletons)
+        if s_next is None:
+            scores = modular_scores(ctx, s_hat, alpha, warm_loo_epochs=cfg.warm_loo_epochs)
+            s_next = _k_smallest(scores, cfg.k)
         if s_next == s_hat:
             break
         s_hat = s_next

@@ -8,18 +8,21 @@ reference to the other rows, so cached numbers do not depend on the order in
 which subsets were queried nor on the batch they were solved in.
 :meth:`SetFnContext.f_many` returns an array of values and
 :meth:`SetFnContext.mu_many` the matching multiplier rows, through one miss
-path; the singleton sweep (once per context) and the oracles use them, and a
-state is built only when :meth:`SetFnContext.f_of` asks for it.  The
-oracles' pair samples and exhaustive subset table are memoized on the
-context too, never beyond it.  Each leave-one-out value is used once, so
+path; the singleton sweep (once per context), the oracles and the MM
+driver's exact solves use them, and a state is built only when
+:meth:`SetFnContext.f_of` asks for it.  The oracles' pair samples and
+exhaustive subset table are memoized on the context too, never beyond it.
+Each leave-one-out value is used once, so
 :meth:`SetFnContext.leave_one_out` returns values and leaves the cache
-alone; a context that holds the table reads them from it.  Cache keys are
-sorted tuples and ``leave_one_out`` takes a sorted array, as
-``train_dual_exact_many`` needs.
+alone; it solves all of them or a chosen few, and a context that holds the
+table reads them from it.  Cache keys are sorted tuples and
+``leave_one_out`` takes a sorted array, as ``train_dual_exact_many``
+needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -69,10 +72,10 @@ class SetFnContext:
     model_kind: str = "linear"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.C < 0:
-            raise ValueError("C must be >= 0")
+        if not (0 < self.lam < math.inf):
+            raise ValueError("lam must be positive and finite")
+        if not (0 <= self.C < math.inf):
+            raise ValueError("C must be >= 0 and finite")
         if self.backend not in ("exact", "sgd"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "exact" and self.model_kind != "linear":
@@ -176,9 +179,11 @@ class SetFnContext:
                     for _, entry in self._entries(subsets)]
         return np.array(rows).reshape(len(rows), self.valpart.q)
 
-    def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None) -> np.ndarray:
+    def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None,
+                      drop: np.ndarray | None = None) -> np.ndarray:
         """f(S_hat minus i) for every i of the sorted, non-empty index array ``s_hat``,
-        in its order; uncached, and no state is built.
+        in its order, or for the positions ``drop`` of it only; uncached, and
+        no state is built.
 
         On the exact backend the rows are built and solved one stack at a
         time, each value bit-identical to :meth:`f_of`'s, or read from the
@@ -188,17 +193,20 @@ class SetFnContext:
         """
         s_hat = np.asarray(s_hat, dtype=np.intp)
         k = len(s_hat)
+        drop = np.arange(k) if drop is None else np.asarray(drop, dtype=np.intp)
 
         def rows(start, stop):
-            keep = np.arange(start, stop)[:, None] != np.arange(k)
+            keep = drop[start:stop, None] != np.arange(k)
             return np.broadcast_to(s_hat, keep.shape)[keep].reshape(stop - start, k - 1)
 
         if self.backend == "exact":
             if self.table is not None:
-                return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat)]
-            return np.concatenate([solved[2] for _, solved in self._solve_exact(k, k - 1, rows)])
+                return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat[drop])]
+            return np.concatenate([solved[2] for _, solved
+                                   in self._solve_exact(len(drop), k - 1, rows)])
         init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
-        return np.array([self._train(row, warm_epochs, init_state).f_value for row in rows(0, k)])
+        return np.array([self._train(row, warm_epochs, init_state).f_value
+                         for row in rows(0, len(drop))])
 
     # -- derived quantities --------------------------------------------------
 
@@ -214,13 +222,17 @@ class SetFnContext:
 
     def singletons(self) -> np.ndarray:
         """f({i}) for every training element, read-only: one batched sweep
-        per context, which solves f(empty) too."""
+        per context, which solves f(empty) too.  The oracles and the sgd
+        backend's reference step read it; the exact backend's MM driver does
+        not, since its certified step solves only the singletons it cannot
+        place from their duality intervals."""
         if self._singletons is None:
             self._singletons = self.f_many([(), *((i,) for i in range(self.train.n))])[1:]
             self._singletons.setflags(write=False)
         return self._singletons
 
     def f_empty(self) -> float:
-        """f(empty), from the singleton sweep's cache entry when it has run;
-        no state is built."""
+        """f(empty), from the cache entry that the singleton sweep or the MM
+        driver's first stack (f(empty) beside the random start) left, else
+        solved here; no state is built."""
         return float(self.f_many([()])[0])

@@ -247,6 +247,35 @@ class TestBrokenConfig:
         assert not out.exists()
 
 
+class TestNonFiniteSettings:
+    """NaN and infinite settings exit 2 before any exact solve, naming the setting."""
+
+    CASES = {
+        "delta-nan": (["--delta", "nan"], "delta"),
+        "delta-inf": (["--delta", "inf"], "delta"),
+        "alpha-nan": (["--alpha-mode", "fixed", "--alpha-value", "nan"], "alpha_value"),
+        "alpha-inf": (["--alpha-mode", "fixed", "--alpha-value", "inf"], "alpha_value"),
+        "C-inf": (["--C", "inf"], "C must"),
+        "C-nan": (["--C", "nan"], "C must"),
+        "lambda-inf": (["--lambda", "inf"], "lam must"),
+        "lambda-nan": (["--lambda", "nan"], "lam must"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_select_exits_2(self, data_csv, tmp_path, capsys, monkeypatch, case):
+        flags, name = self.CASES[case]
+        solved = []
+        many = dual.train_dual_exact_many
+        monkeypatch.setattr(setfn, "train_dual_exact_many",
+                            lambda *a: solved.append(a) or many(*a))
+        out = tmp_path / "out.json"
+        assert run(["select", "--data", str(data_csv), "--target", "y", *flags,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "finite" in err
+        assert not solved and not out.exists()
+
+
 def test_import_loads_no_scipy():
     # scipy serves only the two-layer loss floor, which imports it on use.
     code = "import sys, selcon.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -331,6 +331,14 @@ class TestPartition:
         assert part.q == 3
         assert all(len(s) == 2 for s in part.subsets)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.1])
+    def test_delta_must_be_finite_and_non_negative(self, delta):
+        part = partition_validation(gen_synthetic(6, 2, seed=0), "single", 0.5)
+        with pytest.raises(ValueError, match="delta must be >= 0 and finite"):
+            ValidationPartition(data=part.data, subsets=part.subsets, delta=delta)
+        with pytest.raises(ValueError, match="delta must be >= 0 and finite"):
+            part.with_delta(delta)
+
     @pytest.mark.parametrize("subsets", [
         ([0, 1, 2], [2, 3, 4, 5]),  # row 2 twice
         ([0, 1], [3, 4, 5]),  # row 2 missing

@@ -1,20 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import make_ctx
+from conftest import make_ctx, make_problem
 from selcon import cli, dual, selection, setfn
 from selcon.bounds import claim1_min
+from selcon.dataset import Dataset
 from selcon.errors import InvalidAlpha, InvalidK
 from selcon.metrics import mse
 from selcon.oracle import empirical_alpha
 from selcon.selection import (
     SelconConfig,
+    _certified_k_smallest,
     _digest,
+    _k_smallest,
+    _leave_one_out_family,
+    _singleton_family,
     modular_scores,
     random_subset,
     run_selcon,
     run_selcon_unconstrained,
 )
+from selcon.setfn import SetFnContext
 
 
 class TestModularScores:
@@ -117,7 +125,9 @@ class TestRunSelcon:
         monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
         assert run() == want
 
-    def test_empty_set_solved_in_the_singleton_sweep(self, monkeypatch):
+    def test_empty_set_solved_once_in_the_first_stack(self, monkeypatch):
+        # f(empty) is solved exactly once per context, in the first stack, next
+        # to the random start; no MM iteration solves it again.
         ctx = make_ctx(61, **self.INTERIOR)
         assert not np.all(ctx.valpart.pooled_errors <= ctx.valpart.delta)
         stacks = []
@@ -125,9 +135,11 @@ class TestRunSelcon:
         record = lambda subsets, *a: stacks.append([tuple(s) for s in subsets]) or many(subsets, *a)
         monkeypatch.setattr(setfn, "train_dual_exact_many", record)
         monkeypatch.setattr(dual, "train_dual_exact_many", record)
-        run_selcon(ctx, self.INTERIOR_CFG)
-        with_empty = [stack for stack in stacks if () in stack]
-        assert with_empty == [[(), *((i,) for i in range(ctx.train.n))]]
+        result = run_selcon(ctx, self.INTERIOR_CFG)
+        start = random_subset(ctx.train.n, self.INTERIOR_CFG.k, self.INTERIOR_CFG.seed)
+        assert stacks[0] == [(), start]
+        assert [stack for stack in stacks if () in stack] == [stacks[0]]
+        assert len(result.trace) > 1
 
     def test_early_stop_at_fixed_point(self):
         ctx = make_ctx(55, n=6)
@@ -141,6 +153,11 @@ class TestRunSelcon:
         cfg = SelconConfig(k=2, seed=0, alpha_mode="certified")
         result = run_selcon(ctx, cfg)
         assert result.alpha_used == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, None])
+    def test_fixed_alpha_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="positive, finite alpha_value"):
+            SelconConfig(k=2, alpha_mode="fixed", alpha_value=value)
 
     def test_alpha_floor_is_a_constant(self):
         assert selection.ALPHA_FLOOR == 0.05
@@ -237,3 +254,102 @@ class TestBoundDominance:
             members = [i for i in range(6) if mask >> i & 1]
             bound = const + sum(scores[i] for i in members)
             assert bound >= ctx.f_of(tuple(members))[0] - 1e-8
+
+
+def _certified_instance(q, C, small_groups, delta, scaled=False):
+    """A 16-row pool whose rows 12..15 repeat rows 0, 3, 3 and 7, so that
+    scores tie exactly; with ``small_groups`` each validation group has two
+    rows, fewer than d = 3.  ``scaled`` stretches the data to stress rounding."""
+    train, _, vp, _, _ = make_problem(10 * q + small_groups, n=12, d=3, q=q,
+                                      nval=2 * q if small_groups else 12, delta=delta, lam=0.5)
+    rows = np.r_[np.arange(12), [0, 3, 3, 7]]
+    X, y = train.features[rows], train.targets[rows]
+    if scaled:
+        X, y = 30.0 * X, 10.0 * y + 100.0
+    train = Dataset(features=X, targets=y)
+    return lambda: SetFnContext(train=train, valpart=vp, lam=0.5, C=C)
+
+
+CERTIFIED_GRID = list(itertools.product((1, 2, 3, 5), (0.0, 2.0, 1e3), (False, True), (0.2, 0.6)))
+
+
+class TestCertifiedStep:
+    """The driver's step equals ``_k_smallest(modular_scores(...))`` while it
+    solves exactly only the elements its duality intervals cannot place."""
+
+    @staticmethod
+    def certified(make, s_hat, alpha):
+        ctx = make()
+        ctx.f_many([(), s_hat])
+        return _certified_k_smallest(ctx, s_hat, ctx.f_of(s_hat)[0], alpha, _singleton_family(ctx))
+
+    def test_equals_the_reference_step(self):
+        ties = interior = saturated = 0
+        for q, C, small_groups, delta in CERTIFIED_GRID:
+            make = _certified_instance(q, C, small_groups, delta)
+            ref = make()
+            mu = ref.mu_many([(i,) for i in range(16)])
+            interior += bool(((mu > 1e-9) & (mu < (1 - 1e-9) * C)).any())
+            saturated += bool(C > 0 and (mu == C).any())
+            rng = np.random.default_rng(q)
+            for alpha, k in itertools.product((0.5, 1.0), (1, 3, 8, 15)):
+                s_hat = tuple(sorted(rng.choice(16, k, replace=False).tolist()))
+                scores = modular_scores(ref, s_hat, alpha)
+                order = np.lexsort((np.arange(16), scores))
+                ties += scores[order[k - 1]] == scores[order[k]]
+                assert self.certified(make, s_hat, alpha) == _k_smallest(scores, k), \
+                    (q, C, small_groups, delta, alpha, s_hat)
+        # The grid reaches interior and saturated multipliers, and exact score
+        # ties at the k-th place, which only the index tie-break resolves.
+        assert interior >= 5 and saturated >= 5 and ties >= 20
+
+    def test_ill_conditioned_downdates_are_solved_exactly(self, monkeypatch):
+        monkeypatch.setattr(dual, "_DOWNDATE_FLOOR", 2.0)  # every downdate counts as one
+        make = _certified_instance(2, 2.0, True, 0.6)
+        s_hat = (1, 4, 9, 13)
+        loo = _leave_one_out_family(make(), np.array(s_hat))
+        assert np.isneginf(loo.lo).all() and np.isposinf(loo.hi).all() and loo.refined.all()
+        want = _k_smallest(modular_scores(make(), s_hat, 1.0), 4)
+        assert self.certified(make, s_hat, 1.0) == want
+
+    def test_escaped_value_falls_back_to_the_reference(self, monkeypatch):
+        make = _certified_instance(1, 2.0, True, 0.6)
+        family = _singleton_family(make())
+        family.refined[:] = True
+        family.hi[:] = -1.0  # below every f({i}) >= 0
+        assert family.tighten(np.array([0, 5])) is False
+        assert family.exact[[0, 5]].all() and family.lo[0] == family.hi[0] >= 0.0
+        cfg = SelconConfig(k=3, seed=2, L=4, alpha_mode="fixed", alpha_value=1.0)
+        want = run_selcon(make(), cfg)
+        monkeypatch.setattr(selection, "_certified_k_smallest", lambda *a: None)
+        got = run_selcon(make(), cfg)
+        assert (got.selected, got.f_value, got.trace) == (want.selected, want.f_value, want.trace)
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_intervals_contain_the_exact_values(self, scaled):
+        for q, C, small_groups, delta in CERTIFIED_GRID:
+            ctx = _certified_instance(q, C, small_groups, delta, scaled)()
+            ctx.f_many([()])
+            s_hat = np.array([0, 2, 3, 7, 12, 15])
+            families = [(_singleton_family(ctx), ctx.f_many([(i,) for i in range(16)])),
+                        (_leave_one_out_family(ctx, s_hat), ctx.leave_one_out(s_hat))]
+            for family, exact in families:
+                assert np.all((family.lo <= exact) & (exact <= family.hi)), (q, C, small_groups)
+                family.tighten(np.flatnonzero(~family.refined))
+                assert np.all((family.lo <= exact) & (exact <= family.hi)), (q, C, small_groups)
+
+    def test_few_singletons_solved_exactly(self, monkeypatch):
+        kw = dict(n=200, d=3, q=1, nval=4, C=2.0, delta=0.6, lam=0.5)
+        solved = set()
+        many = dual.train_dual_exact_many
+        def record(subsets, *a):
+            solved.update(tuple(s) for s in subsets if len(s) == 1)
+            return many(subsets, *a)
+        monkeypatch.setattr(setfn, "train_dual_exact_many", record)
+        result = run_selcon(make_ctx(61, **kw),
+                            SelconConfig(k=20, seed=1, L=6, alpha_mode="fixed", alpha_value=1.0))
+        assert len(result.trace) > 2 and len(solved) <= 20
+        monkeypatch.undo()
+        # Most singleton multipliers are interior: no corner bound is tight.
+        mu = make_ctx(61, **kw).mu_many([(i,) for i in range(200)])[:, 0]
+        assert np.mean((mu > 1e-9) & (mu < (1 - 1e-9) * kw["C"])) > 0.5

@@ -232,8 +232,10 @@ class TestStacks:
         keys = set()
 
         def recording(self, subset):
+            # The subsets f_of builds a state for: not cached, or cached by a
+            # stacked solve as arrays.
             key = tuple(sorted(int(i) for i in subset))
-            if key not in self._cache:
+            if not isinstance(self._cache.get(key, (None, None))[1], dual.TrainedState):
                 keys.add(key)
             return f_of(self, subset)
 
@@ -291,6 +293,16 @@ class TestSandwich:
             ).w
             upper = ctx.lam * w_up @ w_up + (y_a - w_up @ x_a) ** 2
             assert lower - 1e-7 <= gain <= upper + 1e-7
+
+
+class TestSettings:
+    @pytest.mark.parametrize("field,value", [
+        ("lam", np.nan), ("lam", np.inf), ("lam", 0.0), ("C", np.nan), ("C", np.inf), ("C", -1.0),
+    ])
+    def test_refused_before_any_solve(self, field, value):
+        ctx = make_ctx(36, n=5)
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            replace(ctx, **{field: value})
 
 
 class TestCacheSemantics:
