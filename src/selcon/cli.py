@@ -166,8 +166,6 @@ def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int, float]:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1 or args.d < 1:
-        raise ValueError("need --n >= 1 and --d >= 1")
     data = gen_synthetic(args.n, args.d, noise_sd=args.noise, n_groups=args.groups, seed=args.seed)
     save_csv(data, args.out, target_column="y", group_column="group")
     return 0

@@ -361,8 +361,8 @@ def gen_synthetic(n: int, d: int, noise_sd: float = 0.0, n_groups: int = 0, seed
     Gaussian noise, then shifted so that min(y) > 0.  Groups cycle over
     0..n_groups-1 in row order.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    if n < 1 or d < 1 or n_groups < 0:
+        raise ValueError("need n >= 1, d >= 1 and n_groups >= 0")
     if noise_sd < 0:
         raise ValueError("noise_sd must be >= 0")
     rng = np.random.default_rng(seed)

@@ -12,27 +12,28 @@ best iterate; the ROADMAP's guarded step is the planned fix.  The driver
 starts from :func:`random_subset`, the seeded draw the random baselines
 train on, so at equal k and seed both start from one subset.
 
-:func:`modular_scores` solves every score exactly: n singletons and k
-leave-one-out sets per iteration.  On the exact backend the driver takes a
-certified step instead, which needs only the k smallest.  Weak duality
-brackets every f(S) = max_mu phi_S(mu): phi_S at any multiplier in the box is
-below it, the penalized primal at any weights above it.  f(empty) and the
-random start are solved exactly in one stack; then every singleton gets an
-interval from mu(empty) and from the corner C 1, and every leave-one-out set
-from mu(S_hat), each family by Sherman-Morrison updates of one shared system
-(:func:`~selcon.dual.rank_one_bounds`).  Intervals are widened by a margin
-that covers rounding and the exact solver's stopping gap.  An element is
+:func:`modular_scores` is the cold reference: it solves all n singletons
+and k leave-one-out sets per iteration.  The driver's step needs only the k
+smallest.  Weak duality brackets every f(S) = max_mu phi_S(mu) between phi_S
+at any multiplier in the box and the penalized primal at any weights.
+f(empty) and the random start are solved exactly in one stack; then, on the
+exact backend, every singleton gets an interval from mu(empty) and from the
+corner C 1, and every leave-one-out set from mu(S_hat), each family by
+Sherman-Morrison updates of one shared system
+(:func:`~selcon.dual.rank_one_bounds`), widened by a margin that covers
+rounding and the exact solver's stopping gap.  The sgd backend's values
+break weak duality, so its families have no intervals.  An element is
 certainly in when its upper end lies below the k-th smallest lower end of
 the other elements, and certainly out when its lower end lies above their
 k-th smallest upper end.  Undecided elements take a few projected-Newton
 iterations (:func:`~selcon.dual.newton_bounds`), and those still undecided
-are solved exactly, through the same solver and cache as the reference.
+are solved exactly, through the same solves and cache as the reference.
 Every element that ends undecided is then exact, so filling the free places
 from them in (score, index) order gives :func:`_k_smallest`'s answer: the k
 smallest are a prefix of that order, certified elements lie on the correct
 side of it, and each exact score is bit-equal to :func:`modular_scores`'.
-If an exact value ever falls outside its interval, the step falls back to
-the reference.  The sgd backend always takes the reference step.
+If an exact value ever falls outside its interval, both families drop the
+intervals of their rows not yet exact, and the step solves those too.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class SelconConfig:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if self.alpha_mode == "fixed" and not (0 < (self.alpha_value or 0) < math.inf):
             raise ValueError("fixed alpha_mode needs a positive, finite alpha_value")
+        if self.alpha_mode != "fixed" and self.alpha_value is not None:
+            raise ValueError("alpha_value is read only with alpha_mode 'fixed'")
 
 
 @dataclass
@@ -142,16 +145,15 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
     return min(max(a_hat, ALPHA_FLOOR), 1.0)
 
 
-def modular_scores(ctx: SetFnContext, s_hat: Sequence[int], alpha: float,
-                   warm_loo_epochs: int | None = None) -> np.ndarray:
-    """Per-element scores whose k smallest minimize the modular bound.
+def modular_scores(ctx: SetFnContext, s_hat: Sequence[int], alpha: float) -> np.ndarray:
+    """Per-element scores whose k smallest minimize the modular bound, every
+    one solved cold: the reference the driver's step is checked against.
 
     In-set:   alpha * (f(S_hat) - f(S_hat minus i))
     Out-set:  (f({i}) - f(empty)) / alpha
 
     The leave-one-out values come from one uncached
-    :meth:`SetFnContext.leave_one_out` sweep, which the sgd backend
-    warm-starts from S_hat's state when ``warm_loo_epochs`` is set.
+    :meth:`SetFnContext.leave_one_out` sweep.
     """
     if alpha <= 0:
         raise InvalidAlpha("the modular bound needs alpha > 0")
@@ -160,7 +162,7 @@ def modular_scores(ctx: SetFnContext, s_hat: Sequence[int], alpha: float,
         raise ValueError("the reference subset must be non-empty")
     f_hat = ctx.f_of(s_hat)[0]
     scores = (ctx.singletons() - ctx.f_empty()) / alpha
-    scores[s_hat] = alpha * (f_hat - ctx.leave_one_out(s_hat, warm_loo_epochs))
+    scores[s_hat] = alpha * (f_hat - ctx.leave_one_out(s_hat))
     return scores
 
 
@@ -172,29 +174,22 @@ def _k_smallest(scores: np.ndarray, k: int) -> tuple[int, ...]:
 
 class _Family:
     """Widened intervals on f over a family of subsets one row apart from a
-    common one, tightened on demand: first by a few projected-Newton
-    iterations from the row's best starting multiplier, then by the exact
-    solve ``solve``."""
+    common one, bracketed at each multiplier of ``points`` and tightened on
+    demand: first by a few projected-Newton iterations from the row's best
+    point, then by the exact solve ``solve``.  Rows with no interval go
+    straight to ``solve``."""
 
     def __init__(self, ctx: SetFnContext, X, y, sign: float, common, points, solve):
         self.ctx, self.X, self.y, self.sign, self.common, self.solve = ctx, X, y, sign, common, solve
-        bounds = [rank_one_bounds(X, y, sign, *common, mu, ctx.valpart, ctx.C) for mu in points]
-        lowers = np.array([lower for lower, _ in bounds])
-        self.lo = lowers.max(axis=0)
-        self.hi = np.min([upper for _, upper in bounds], axis=0)
-        self.start = np.asarray(points)[lowers.argmax(axis=0)]
+        self.lo, self.hi = np.full_like(y, -np.inf), np.full_like(y, np.inf)
+        self.start = np.zeros((len(y), ctx.valpart.q))
+        for mu in points:
+            lower, upper = rank_one_bounds(X, y, sign, *common, mu, ctx.valpart, ctx.C)
+            self.start[lower > self.lo] = mu
+            self.lo, self.hi = np.maximum(self.lo, lower), np.minimum(self.hi, upper)
         self.exact = np.zeros(len(y), dtype=bool)
-        # Ill-conditioned downdates are never bounded: they go straight to an
-        # exact solve.
+        # Ill-conditioned downdates are never bounded.
         self.refined = ~np.isfinite(self.lo)
-
-    @classmethod
-    def known(cls, values: np.ndarray) -> "_Family":
-        """A family whose values are all exact already."""
-        family = cls.__new__(cls)
-        family.lo, family.hi = values.copy(), values.copy()
-        family.exact = family.refined = np.ones(len(values), dtype=bool)
-        return family
 
     def tighten(self, rows: np.ndarray) -> bool:
         """Refine the rows not yet refined and solve the others exactly.
@@ -217,25 +212,33 @@ class _Family:
         self.exact[stale] = True
         return inside
 
+    def void(self) -> None:
+        """Drop the intervals of the rows not yet exact."""
+        self.lo[~self.exact], self.hi[~self.exact] = -np.inf, np.inf
+        self.refined[:] = True
+
 
 def _singleton_family(ctx: SetFnContext) -> _Family:
-    """f({i}) for every element, bracketed at mu(empty) and at the corner C 1."""
+    """f({i}) for every element, bracketed on the exact backend at mu(empty)
+    and at the corner C 1."""
     d, q = ctx.train.d, ctx.valpart.q
-    points = np.unique([ctx.mu_many([()])[0], np.full(q, ctx.C)], axis=0)
+    points = (np.unique([ctx.mu_many([()])[0], np.full(q, ctx.C)], axis=0)
+              if ctx.backend == "exact" else ())
     common = (ctx.lam * np.eye(d), np.zeros(d), 0.0)
     return _Family(ctx, ctx.train.features, ctx.train.targets, 1.0, common, points,
                    lambda rows: ctx.f_many([(int(i),) for i in rows]))
 
 
-def _leave_one_out_family(ctx: SetFnContext, s_hat: np.ndarray) -> _Family:
-    """f(S_hat minus i) for every position of S_hat, bracketed at mu(S_hat)."""
+def _leave_one_out_family(ctx: SetFnContext, s_hat: np.ndarray,
+                          warm_epochs: int | None = None) -> _Family:
+    """f(S_hat minus i) for every position of S_hat, bracketed on the exact
+    backend at mu(S_hat) when S_hat has two elements or more."""
     k = len(s_hat)
-    if k == 1:
-        return _Family.known(np.array([ctx.f_empty()]))
     X, y = ctx.train.features[s_hat], ctx.train.targets[s_hat]
     common = (ctx.lam * (k - 1) * np.eye(ctx.train.d) + X.T @ X, X.T @ y, float(y @ y))
-    return _Family(ctx, X, y, -1.0, common, ctx.mu_many([s_hat]),
-                   lambda rows: ctx.leave_one_out(s_hat, drop=rows))
+    points = ctx.mu_many([s_hat]) if ctx.backend == "exact" and k > 1 else ()
+    return _Family(ctx, X, y, -1.0, common, points,
+                   lambda rows: ctx.leave_one_out(s_hat, warm_epochs, drop=rows))
 
 
 def _kth_of_the_others(ends: np.ndarray, k: int) -> np.ndarray:
@@ -245,16 +248,16 @@ def _kth_of_the_others(ends: np.ndarray, k: int) -> np.ndarray:
 
 
 def _certified_k_smallest(ctx: SetFnContext, s_hat: tuple[int, ...], f_hat: float, alpha: float,
-                          singletons: _Family) -> tuple[int, ...] | None:
+                          singletons: _Family, warm_epochs: int | None = None) -> tuple[int, ...]:
     """``_k_smallest(modular_scores(ctx, s_hat, alpha), k)``, solving exactly
-    only the elements whose score intervals cannot place them; None when an
-    exact value escapes its interval, which means the margin failed."""
+    only the elements whose score intervals cannot place them; ``warm_epochs``
+    reaches :meth:`SetFnContext.leave_one_out`."""
     n, k = ctx.train.n, len(s_hat)
     if k == n:
         return s_hat
     s_hat = np.asarray(s_hat, dtype=np.intp)
     f0 = ctx.f_empty()
-    loo = _leave_one_out_family(ctx, s_hat)
+    loo = _leave_one_out_family(ctx, s_hat, warm_epochs)
     while True:
         lo, hi = (singletons.lo - f0) / alpha, (singletons.hi - f0) / alpha
         lo[s_hat], hi[s_hat] = alpha * (f_hat - loo.hi), alpha * (f_hat - loo.lo)
@@ -268,7 +271,9 @@ def _certified_k_smallest(ctx: SetFnContext, s_hat: tuple[int, ...], f_hat: floa
         in_set = np.isin(todo, s_hat)
         if not (singletons.tighten(todo[~in_set])
                 & loo.tighten(np.searchsorted(s_hat, todo[in_set]))):
-            return None
+            # The margin failed: solve every row still bracketed.
+            singletons.void()
+            loo.void()
     # Every undecided element is exact, so ranking them by score between the
     # certified elements, pinned at -inf and +inf, restricts _k_smallest's
     # (score, index) order to them.
@@ -279,21 +284,14 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     """Iterated modular-bound minimization from :func:`random_subset`."""
     s_hat = random_subset(ctx.train.n, cfg.k, cfg.seed)
     alpha = resolve_alpha(ctx, cfg)
-    singletons = None
-    if ctx.backend == "exact":
-        ctx.f_many([(), s_hat])
-        singletons = _singleton_family(ctx)
+    ctx.f_many([(), s_hat])
+    singletons = _singleton_family(ctx)
 
     trace: list[tuple[int, float, str]] = []
     for it in range(cfg.L):
         f_hat, _ = ctx.f_of(s_hat)
         trace.append((it, f_hat, _digest(s_hat)))
-        s_next = None
-        if singletons is not None:
-            s_next = _certified_k_smallest(ctx, s_hat, f_hat, alpha, singletons)
-        if s_next is None:
-            scores = modular_scores(ctx, s_hat, alpha, warm_loo_epochs=cfg.warm_loo_epochs)
-            s_next = _k_smallest(scores, cfg.k)
+        s_next = _certified_k_smallest(ctx, s_hat, f_hat, alpha, singletons, cfg.warm_loo_epochs)
         if s_next == s_hat:
             break
         s_hat = s_next

@@ -187,9 +187,10 @@ class SetFnContext:
 
         On the exact backend the rows are built and solved one stack at a
         time, each value bit-identical to :meth:`f_of`'s, or read from the
-        exhaustive :attr:`table` when the context holds it.  The sgd backend
-        trains each row from scratch, or, when ``warm_epochs`` is set, for
-        that many epochs from S_hat's trained state.
+        exhaustive :attr:`table` when the context holds it; a one-element
+        S_hat reads f(empty) from the cache when it is there.  The sgd
+        backend trains each row from scratch, or, when ``warm_epochs`` is
+        set, for that many epochs from S_hat's trained state.
         """
         s_hat = np.asarray(s_hat, dtype=np.intp)
         k = len(s_hat)
@@ -202,6 +203,8 @@ class SetFnContext:
         if self.backend == "exact":
             if self.table is not None:
                 return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat[drop])]
+            if k == 1 and () in self._cache:
+                return np.full(len(drop), self._cache[()][0])
             return np.concatenate([solved[2] for _, solved
                                    in self._solve_exact(len(drop), k - 1, rows)])
         init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
@@ -222,10 +225,10 @@ class SetFnContext:
 
     def singletons(self) -> np.ndarray:
         """f({i}) for every training element, read-only: one batched sweep
-        per context, which solves f(empty) too.  The oracles and the sgd
-        backend's reference step read it; the exact backend's MM driver does
-        not, since its certified step solves only the singletons it cannot
-        place from their duality intervals."""
+        per context, which solves f(empty) too.  The oracles and the
+        reference :func:`~selcon.selection.modular_scores` read it; the MM
+        driver does not, since its step solves only the singletons it
+        cannot place from their duality intervals."""
         if self._singletons is None:
             self._singletons = self.f_many([(), *((i,) for i in range(self.train.n))])[1:]
             self._singletons.setflags(write=False)

@@ -44,6 +44,11 @@ class TestGen:
     def test_invalid_n(self, tmp_path):
         assert run(["gen", "--n", "0", "--d", "2", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_negative_groups_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["gen", "--n", "5", "--d", "2", "--groups", "-3", "--out", str(out)]) == 2
+        assert "n_groups" in capsys.readouterr().err and not out.exists()
+
 
 class TestSelect:
     def test_report_fields(self, data_csv, tmp_path):
@@ -274,6 +279,26 @@ class TestNonFiniteSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "finite" in err
         assert not solved and not out.exists()
+
+
+class TestUnreadAlphaValue:
+    """``alpha_value`` is read only with ``alpha_mode = fixed``: given with
+    another mode, by flag or INI key, it exits 2 and names the key."""
+
+    @pytest.mark.parametrize("case", ["flag", "ini"])
+    def test_exits_2(self, data_csv, tmp_path, capsys, case):
+        out = tmp_path / "out.json"
+        argv = ["select", "--data", str(data_csv), "--target", "y", "--out", str(out)]
+        if case == "flag":
+            argv += ["--alpha-mode", "certified", "--alpha-value", "3"]
+        else:
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text("[selcon]\nalpha_value = 3\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha_value" in err
+        assert not out.exists()
 
 
 def test_import_loads_no_scipy():

@@ -465,3 +465,7 @@ class TestSynthetic:
     def test_features_bounded(self):
         data = gen_synthetic(40, 3, seed=2)
         assert np.all(np.abs(data.features) <= 1.0)
+
+    def test_negative_groups_refused(self):
+        with pytest.raises(ValueError, match="n_groups"):
+            gen_synthetic(5, 2, n_groups=-3)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ class TestRunSelcon:
         assert [stack for stack in stacks if () in stack] == [stacks[0]]
         assert len(result.trace) > 1
 
+    def test_k_one_solves_the_empty_set_once(self, monkeypatch):
+        # At k = 1 every leave-one-out set is empty: the step reads f(empty)
+        # from the first stack instead of solving it again.
+        ctx = make_ctx(61, **self.INTERIOR)
+        rows = []
+        many = dual.train_dual_exact_many
+        record = lambda subsets, *a: rows.extend(tuple(s) for s in subsets) or many(subsets, *a)
+        monkeypatch.setattr(setfn, "train_dual_exact_many", record)
+        monkeypatch.setattr(dual, "train_dual_exact_many", record)
+        result = run_selcon(ctx, replace(self.INTERIOR_CFG, k=1))
+        assert rows.count(()) == 1 and len(result.trace) > 1
+
     def test_early_stop_at_fixed_point(self):
         ctx = make_ctx(55, n=6)
         cfg = SelconConfig(k=2, seed=0, L=50, alpha_mode="fixed", alpha_value=1.0)
@@ -158,6 +171,11 @@ class TestRunSelcon:
     def test_fixed_alpha_must_be_positive_and_finite(self, value):
         with pytest.raises(ValueError, match="positive, finite alpha_value"):
             SelconConfig(k=2, alpha_mode="fixed", alpha_value=value)
+
+    @pytest.mark.parametrize("mode", ["certified", "empirical"])
+    def test_alpha_value_needs_fixed_mode(self, mode):
+        with pytest.raises(ValueError, match="alpha_value is read only with alpha_mode 'fixed'"):
+            SelconConfig(k=2, alpha_mode=mode, alpha_value=3.0)
 
     def test_alpha_floor_is_a_constant(self):
         assert selection.ALPHA_FLOOR == 0.05
@@ -216,6 +234,28 @@ class TestUnconstrained:
         assert r1.method == "selcon-unconstrained"
 
 
+def _reference_run(ctx, cfg):
+    """The MM loop with every score solved: cold singletons, and the
+    leave-one-out sweep warm-started as ``cfg.warm_loo_epochs`` says."""
+    s_hat = random_subset(ctx.train.n, cfg.k, cfg.seed)
+    alpha = selection.resolve_alpha(ctx, cfg)
+    trace = []
+    for it in range(cfg.L):
+        f_hat = ctx.f_of(s_hat)[0]
+        trace.append((it, f_hat, _digest(s_hat)))
+        scores = (ctx.singletons() - ctx.f_empty()) / alpha
+        loo = ctx.leave_one_out(np.array(s_hat), cfg.warm_loo_epochs)
+        scores[list(s_hat)] = alpha * (f_hat - loo)
+        s_next = _k_smallest(scores, cfg.k)
+        if s_next == s_hat:
+            break
+        s_hat = s_next
+    f_final = ctx.f_of(s_hat)[0]
+    if trace[-1][2] != _digest(s_hat):
+        trace.append((len(trace), f_final, _digest(s_hat)))
+    return s_hat, f_final, trace
+
+
 class TestWarmLeaveOneOut:
     def test_sgd_speed_mode_runs(self):
         from selcon.dual import TrainerConfig
@@ -229,12 +269,28 @@ class TestWarmLeaveOneOut:
         assert len(result.selected) == 2
         assert result.state.backend == "sgd"
 
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("warm", [None, 3], ids=["cold", "warm"])
+    def test_sgd_driver_equals_the_reference_loop(self, warm, k):
+        from selcon.dual import TrainerConfig
+
+        make = lambda: make_ctx(63, n=10, q=2, backend="sgd",
+                                trainer=TrainerConfig(epochs=20, seed=1))
+        moved = 0
+        for seed in range(3):
+            cfg = SelconConfig(k=k, L=3, seed=seed, alpha_mode="fixed", alpha_value=0.8,
+                               warm_loo_epochs=warm)
+            result = run_selcon(make(), cfg)
+            assert (result.selected, result.f_value, result.trace) == _reference_run(make(), cfg)
+            moved += len(result.trace) > 1
+        assert moved >= 2
+
     def test_warm_values_stay_out_of_the_cache(self):
         from selcon.dual import TrainerConfig
 
         trainer = TrainerConfig(epochs=40, seed=0)
         ctx = make_ctx(62, n=6, backend="sgd", trainer=trainer)
-        modular_scores(ctx, (0, 2, 5), alpha=1.0, warm_loo_epochs=3)
+        ctx.leave_one_out(np.array([0, 2, 5]), 3)
         cold = make_ctx(62, n=6, backend="sgd", trainer=trainer)
         for rest in ((2, 5), (0, 5), (0, 2)):
             assert ctx.f_of(rest)[0] == cold.f_of(rest)[0]
@@ -312,18 +368,38 @@ class TestCertifiedStep:
         want = _k_smallest(modular_scores(make(), s_hat, 1.0), 4)
         assert self.certified(make, s_hat, 1.0) == want
 
-    def test_escaped_value_falls_back_to_the_reference(self, monkeypatch):
+    def test_escape_voids_the_unsolved_intervals(self):
         make = _certified_instance(1, 2.0, True, 0.6)
         family = _singleton_family(make())
         family.refined[:] = True
         family.hi[:] = -1.0  # below every f({i}) >= 0
         assert family.tighten(np.array([0, 5])) is False
         assert family.exact[[0, 5]].all() and family.lo[0] == family.hi[0] >= 0.0
-        cfg = SelconConfig(k=3, seed=2, L=4, alpha_mode="fixed", alpha_value=1.0)
-        want = run_selcon(make(), cfg)
-        monkeypatch.setattr(selection, "_certified_k_smallest", lambda *a: None)
-        got = run_selcon(make(), cfg)
-        assert (got.selected, got.f_value, got.trace) == (want.selected, want.f_value, want.trace)
+        solved = family.lo[[0, 5]].copy()
+        family.void()
+        assert np.array_equal(family.lo[[0, 5]], solved) and family.refined.all()
+        rest = ~family.exact
+        assert np.isneginf(family.lo[rest]).all() and np.isposinf(family.hi[rest]).all()
+
+    @pytest.mark.parametrize("q,C", [(1, 2.0), (2, 1e3), (3, 0.0)])
+    def test_escaped_value_keeps_the_step(self, monkeypatch, q, C):
+        # Every tighten reports an escape, so the families drop their
+        # intervals each time, and the step still returns the same subsets.
+        make = _certified_instance(q, C, True, 0.6)
+        runs = [SelconConfig(k=k, seed=2, L=4, alpha_mode="fixed", alpha_value=1.0)
+                for k in (1, 3, 8)]
+        want = [run_selcon(make(), cfg) for cfg in runs]
+        escapes = []
+        tighten = selection._Family.tighten
+        def escape(family, rows):
+            tighten(family, rows)
+            escapes.append(len(rows))
+            return False
+        monkeypatch.setattr(selection._Family, "tighten", escape)
+        for cfg, ref in zip(runs, want):
+            got = run_selcon(make(), cfg)
+            assert (got.selected, got.f_value, got.trace) == (ref.selected, ref.f_value, ref.trace)
+        assert sum(escapes) > 0
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     def test_intervals_contain_the_exact_values(self, scaled):
