@@ -1,13 +1,18 @@
 """Closed-form constants and certificates for the selection guarantees.
 
 Everything here is a pure function of the data extrema and the problem
-scalars: the per-element regularized-loss minimum and its closed form, the
-certified submodularity-ratio lower bound ``alpha_hat``, the certified
-curvature upper bound ``kappa_hat``, the regularization threshold that makes
-those certificates valid, the trained-parameter norm bound, and the
-approximation ratios for exact and imperfect training.  :func:`bound_report`
+scalars: the per-element regularized-loss floor of both models in closed
+form, the certified submodularity-ratio lower bound ``alpha_hat``, the
+certified curvature upper bound ``kappa_hat``, the regularization threshold
+that makes those certificates valid, the trained-parameter norm bound, and
+the approximation ratios for exact and imperfect training.  :func:`bound_report`
 assembles them all: ``select`` reports it, and ``verify`` checks its
 ``alpha_hat`` and ``kappa_hat``.
+
+The two-layer floor: any parameters p = (hidden rows h_j, outputs o_j) have
+|h(x)| <= sum_j |o_j| ||h_j|| ||x|| <= ||x|| ||p||^2 / 2, so with a = lam/||x||
+the loss is at least min_t 2a|t| + (y - t)^2 = y^2 - max(|y| - a, 0)^2, which
+one hidden unit along x attains (y^2 at x = 0; the width does not enter).
 """
 
 from __future__ import annotations
@@ -18,9 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .dual import DEFAULT_HIDDEN_WIDTH
 from .errors import InvalidAlpha, ZeroTarget
-from .models import TwoLayerModel, predict, row_dots
+from .models import row_dots
 
 __all__ = [
     "DataConstants",
@@ -105,43 +109,23 @@ def ell_star_linear(train: Dataset, x_max: float) -> float:
     return ell(train, x_max * x_max)
 
 
-def _two_layer_element_min(lam: float, y: float, x: np.ndarray, seed: int) -> float:
-    import scipy.optimize  # only here, so that importing selcon loads no scipy
-
-    rng = np.random.default_rng(seed)
-    d, width = len(x), DEFAULT_HIDDEN_WIDTH
-
-    def obj(p):
-        hidden = p[: width * d].reshape(width, d)
-        out = p[width * d :]
-        model = TwoLayerModel(hidden=hidden, output=out)
-        return lam * float(p @ p) + (y - predict(model, x)) ** 2
-
-    best = lam * 0.0 + y * y  # value at zero parameters
-    for _ in range(4):
-        p0 = rng.normal(0.0, 0.5, size=width * d + width)
-        res = scipy.optimize.minimize(obj, p0, method="L-BFGS-B")
-        best = min(best, float(res.fun))
-    return best
-
-
-def ell(train: Dataset, lam: float, model_kind: str = "linear", seed: int = 0) -> float:
+def ell(train: Dataset, lam: float, model_kind: str = "linear") -> float:
     """min over elements of min over w of lam*||w||^2 + (y_i - h_w(x_i))^2.
 
-    Closed form per element for the linear model; numeric minimization with
-    restarts for the two-layer model.
+    Closed form per element for both models: lam*y^2 / (lam + ||x||^2) for
+    the linear model, y^2 - max(|y| - lam/||x||, 0)^2 for the two-layer relu
+    model (y^2 at x = 0; see the module docstring).
     """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    y = train.targets
     if model_kind == "linear":
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        y = train.targets
         # Each row's value has the bits of claim1_min on that row.
         return float(np.min(lam * y * y / (lam + row_dots(train.features, train.features))))
-    vals = [
-        _two_layer_element_min(lam, y, x, seed + i)
-        for i, (x, y) in enumerate(zip(train.features, train.targets))
-    ]
-    return float(min(vals))
+    # m = min(lam/||x||, |y|): m*(2|y| - m) is that form without the cancellation.
+    with np.errstate(divide="ignore"):  # x = 0 gives m = |y|, so y^2
+        m = np.minimum(lam / np.linalg.norm(train.features, axis=1), np.abs(y))
+    return float(np.min(m * (2.0 * np.abs(y) - m)))
 
 
 def alpha_hat_linear(lam: float, C: float, q: int, consts: DataConstants) -> float:
@@ -152,7 +136,10 @@ def alpha_hat_linear(lam: float, C: float, q: int, consts: DataConstants) -> flo
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    num = 16.0 * (1.0 + C * q) ** 2 * consts.y_max**2 * consts.x_max**2
+    try:
+        num = 16.0 * (1.0 + C * q) ** 2 * consts.y_max**2 * consts.x_max**2
+    except OverflowError:  # C*Q above ~1.3e154: the certificate is vacuous
+        return -math.inf
     return 1.0 - num / (lam * consts.y_min**2)
 
 
@@ -160,7 +147,10 @@ def alpha_hat_nonlinear(lam: float, C: float, q: int, y_max: float, H: float, el
     """Certified ratio bound for an H-Lipschitz model with loss floor ell_star."""
     if lam <= 0 or ell_star <= 0 or H <= 0:
         raise ValueError("lam, ell_star and H must be positive")
-    return 1.0 - 32.0 * (1.0 + C * q) ** 2 * y_max**2 * H**2 / (lam * ell_star)
+    try:
+        return 1.0 - 32.0 * (1.0 + C * q) ** 2 * y_max**2 * H**2 / (lam * ell_star)
+    except OverflowError:
+        return -math.inf
 
 
 def kappa_hat(C: float, q: int, y_max: float, ell_star: float) -> float:
@@ -174,10 +164,11 @@ def lambda_min_linear(C: float, q: int, consts: DataConstants) -> float:
     """Smallest regularizer weight at which the linear certificates hold."""
     if consts.x_max == 0.0:
         return 0.0
-    return max(
-        consts.x_max**2,
-        16.0 * (1.0 + C * q) ** 2 * consts.y_max**2 * consts.x_max**2 / consts.y_min**2,
-    )
+    try:
+        bound = 16.0 * (1.0 + C * q) ** 2 * consts.y_max**2 * consts.x_max**2 / consts.y_min**2
+    except OverflowError:
+        return math.inf
+    return max(consts.x_max**2, bound)
 
 
 def w_norm_bound(C: float, q: int, y_max: float, scale: float, lam: float,

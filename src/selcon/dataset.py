@@ -363,8 +363,8 @@ def gen_synthetic(n: int, d: int, noise_sd: float = 0.0, n_groups: int = 0, seed
     """
     if n < 1 or d < 1 or n_groups < 0:
         raise ValueError("need n >= 1, d >= 1 and n_groups >= 0")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be >= 0")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, d))
     raw = X @ rng.uniform(-1.0, 1.0, size=d)

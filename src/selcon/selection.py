@@ -90,6 +90,8 @@ class SelconConfig:
             raise ValueError("fixed alpha_mode needs a positive, finite alpha_value")
         if self.alpha_mode != "fixed" and self.alpha_value is not None:
             raise ValueError("alpha_value is read only with alpha_mode 'fixed'")
+        if self.warm_loo_epochs is not None and self.warm_loo_epochs < 1:
+            raise ValueError("warm_loo_epochs must be None or >= 1")
 
 
 @dataclass

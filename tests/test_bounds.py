@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,29 @@ from selcon.bounds import (
 from selcon.dataset import Dataset
 from selcon.errors import InvalidAlpha, ZeroTarget
 from selcon.models import row_dots
+
+
+def two_layer_search(lam, y, x, width=3, starts=4, seed=0):
+    """Oracle: multi-start L-BFGS-B over the full (hidden, output) vector of
+    lam*||p||^2 + (y - output . relu(hidden @ x))^2."""
+    rng = np.random.default_rng(seed)
+    d = len(x)
+
+    def obj(p):
+        hidden, out = p[: width * d].reshape(width, d), p[width * d :]
+        z = hidden @ x
+        err = out @ np.maximum(z, 0.0) - y
+        g_hidden = 2 * lam * hidden + 2 * err * np.outer(out * (z > 0), x)
+        g_out = 2 * lam * out + 2 * err * np.maximum(z, 0.0)
+        return lam * p @ p + err * err, np.concatenate([g_hidden.ravel(), g_out])
+
+    best = math.inf
+    for _ in range(starts):
+        p0 = rng.normal(0.0, 1.0, size=width * d + width)
+        res = scipy.optimize.minimize(obj, p0, jac=True, method="L-BFGS-B",
+                                      options={"ftol": 1e-13, "gtol": 1e-10})
+        best = min(best, float(res.fun))
+    return best
 
 
 def ridge_scalar_minimum(lam, y, x):
@@ -101,6 +126,44 @@ class TestEll:
         train, _, _, _, _ = make_problem(6, n=3)
         value = ell(train, 0.5, model_kind="two_layer")
         assert 0.0 <= value <= float(np.max(train.targets**2)) + 1e-9
+
+    def test_two_layer_closed_form(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(30, 4))
+        X[3] = 0.0
+        y = rng.uniform(-3.0, 3.0, 30)
+        with np.errstate(divide="ignore"):
+            a = 0.8 / np.linalg.norm(X, axis=1)
+        want = y**2 - np.maximum(np.abs(y) - a, 0.0) ** 2  # a = inf at x = 0 gives y^2
+        for n in (1, 4, 30):
+            got = ell(Dataset(features=X[:n], targets=y[:n]), 0.8, model_kind="two_layer")
+            assert got == pytest.approx(float(want[:n].min()), rel=1e-12)
+
+    def test_two_layer_matches_parameter_search(self):
+        # The closed form is a lower bound the search never beats, and the
+        # search reaches it: |y| above and below lam/||x||, plus x = 0.
+        rng = np.random.default_rng(0)
+        above = below = 0
+        for i in range(41):
+            d, lam = int(rng.integers(1, 6)), float(rng.uniform(0.05, 5.0))
+            if i == 0:
+                x, y = np.zeros(d), 1.3
+            else:
+                x = rng.normal(size=d)
+                a = lam / float(np.linalg.norm(x))
+                scale = rng.uniform(1.2, 4.0) if i % 2 else rng.uniform(0.1, 0.8)
+                y = float(rng.choice([-1.0, 1.0]) * a * scale)
+                above, below = above + (abs(y) > a), below + (abs(y) < a)
+            value = ell(Dataset(features=x[None, :], targets=np.array([y])), lam, "two_layer")
+            found = two_layer_search(lam, y, x, seed=i)
+            assert found >= value - 1e-9 * (1.0 + value)
+            assert found == pytest.approx(value, abs=1e-6)
+        assert above >= 10 and below >= 10
+
+    def test_two_layer_needs_positive_lam(self):
+        train, _, _, _, _ = make_problem(6, n=3)
+        with pytest.raises(ValueError, match="lam"):
+            ell(train, 0.0, model_kind="two_layer")
 
 
 def consts_for(y_max=1.0, y_min=1.0, x_max=1.0):
@@ -236,6 +299,18 @@ class TestBoundReport:
             "alpha_hat", "kappa_hat", "ell_star", "ell_star_loss_floor", "ell", "lambda_min",
             "ratio_perfect", "ratio_imperfect", "epsilon_used",
         }
+
+    def test_overflowing_certificate(self):
+        # (1 + C*Q)**2 overflows a float above C*Q ~ 1.3e154: alpha_hat is
+        # -inf, lambda_min inf, and the report writes them and the ratios as null.
+        train, val, _, lam, _ = make_problem(7)
+        consts = data_constants(train, val)
+        assert alpha_hat_linear(lam, 1e200, 1, consts) == -math.inf
+        assert alpha_hat_nonlinear(lam, 1e200, 1, 1.0, 1.0, 1.0) == -math.inf
+        assert lambda_min_linear(1e200, 1, consts) == math.inf
+        d = bound_report(train, consts, lam, 1e200, k=2).as_dict()
+        assert [d[k] for k in ("alpha_hat", "lambda_min", "ratio_perfect", "ratio_imperfect")] == [None] * 4
+        assert math.isfinite(d["kappa_hat"]) and math.isfinite(d["ell"])
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_loss_floor_formula(self, seed):

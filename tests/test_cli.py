@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from selcon import cli, dataset, dual, errors, oracle, setfn
+from selcon import cli, dataset, dual, errors, oracle, selection, setfn
 from selcon.dual import TrainerConfig
 
 
@@ -48,6 +48,14 @@ class TestGen:
         out = tmp_path / "x.csv"
         assert run(["gen", "--n", "5", "--d", "2", "--groups", "-3", "--out", str(out)]) == 2
         assert "n_groups" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
+        out = tmp_path / "x.csv"
+        assert run(["gen", "--n", "5", "--d", "2", "--noise", noise, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "noise_sd" in err and "Warning" not in err
+        assert not out.exists()
 
 
 class TestSelect:
@@ -123,6 +131,17 @@ class TestSelect:
                     "--alpha-mode", "fixed", "--alpha-value", "1", "--k", "6",
                     "--out", str(tmp_path / "r.json")]) == 0
         assert built == [1]
+
+    @pytest.mark.parametrize("mode", [["--alpha-mode", "fixed", "--alpha-value", "1"], []])
+    def test_overflowing_certificate_is_null(self, data_csv, tmp_path, mode):
+        # (1 + C*Q)**2 overflows a float above C*Q ~ 1.3e154.
+        out = tmp_path / "report.json"
+        assert run(["select", "--data", str(data_csv), "--target", "y", "--C", "1e200",
+                    "--k", "4", "--iters", "1", *mode, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for key in ("alpha_hat", "lambda_min", "ratio_perfect", "ratio_imperfect"):
+            assert report["bounds"][key] is None
+        assert report["alpha_used"] == (1.0 if mode else selection.ALPHA_FLOOR)
 
     def test_timing_flag_adds_field(self, data_csv, tmp_path):
         out = tmp_path / "t.json"
@@ -302,12 +321,31 @@ class TestUnreadAlphaValue:
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the two-layer loss floor, which imports it on use.
+    # The package never imports scipy; only the tests and perfbench use it.
     code = "import sys, selcon.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                          check=True)
     assert out.stdout == "[]\n"
+
+
+def test_runs_with_scipy_blocked():
+    # A None entry in sys.modules makes every scipy import raise ImportError.
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from selcon import cli\n"
+        "from selcon.bounds import ell\n"
+        "from selcon.dataset import Dataset\n"
+        "train = Dataset(features=np.array([[1.0, 2.0], [0.0, 0.0]]), targets=np.array([3.0, 0.5]))\n"
+        "print(ell(train, 0.5, model_kind='two_layer'))\n"
+        "sys.exit(cli.main(['verify', '--n', '6']))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout.splitlines()[0]) == 0.25
+    assert all(r["passed"] for r in json.loads(out.stdout.split("\n", 1)[1]))
 
 
 class TestUnreadConfig:

@@ -469,3 +469,8 @@ class TestSynthetic:
     def test_negative_groups_refused(self):
         with pytest.raises(ValueError, match="n_groups"):
             gen_synthetic(5, 2, n_groups=-3)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_noise_refused(self, noise):
+        with pytest.raises(ValueError, match="noise_sd"):
+            gen_synthetic(5, 2, noise_sd=noise)

@@ -177,6 +177,11 @@ class TestRunSelcon:
         with pytest.raises(ValueError, match="alpha_value is read only with alpha_mode 'fixed'"):
             SelconConfig(k=2, alpha_mode=mode, alpha_value=3.0)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_warm_loo_epochs_must_be_positive(self, epochs):
+        with pytest.raises(ValueError, match="warm_loo_epochs"):
+            SelconConfig(k=2, warm_loo_epochs=epochs)
+
     def test_alpha_floor_is_a_constant(self):
         assert selection.ALPHA_FLOOR == 0.05
         with pytest.raises(TypeError):
