@@ -22,6 +22,7 @@ import argparse
 import configparser
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -188,11 +189,13 @@ def cmd_select(args) -> int:
     report["group_errors"] = [float(e) for e in errs]
     report["groups_satisfied"] = [bool(b) for b in ok]
     report["delta"] = float(ctx.valpart.delta)
-    try:
-        consts = data_constants(train, val, q=ctx.valpart.q)
-        report["bounds"] = bound_report(train, consts, ctx.lam, ctx.C, k).as_dict()
-    except UsageError:  # ZeroTarget: the certificates need every |y| > 0
-        report["bounds"] = None
+    report["bounds"] = None  # the certificates cover the linear model only
+    if ctx.model_kind == "linear":
+        try:
+            consts = data_constants(train, val, q=ctx.valpart.q)
+            report["bounds"] = bound_report(train, consts, ctx.lam, ctx.C, k).as_dict()
+        except UsageError:  # ZeroTarget: the certificates need every |y| > 0
+            pass
     if args.timing:
         report["timing"] = {"wall_time_seconds": wall_time, "load_seconds": load_seconds}
     _emit(_json(report), args.out)
@@ -219,6 +222,13 @@ def cmd_verify(args) -> int:
         raise TooLarge(f"--property {wanted} enumerates all subsets of n = {args.n} > {oracle.MAX_EXHAUSTIVE_N}")
     train, valpart = _verify_instance(args, trainer.seed)
     ctx = SetFnContext(train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer)
+    if wanted in ("all", "alpha", "kappa"):
+        # Certificates only hold above the lam threshold; build that instance.
+        consts = data_constants(train, valpart.data, q=valpart.q)
+        lam_cert = 1.5 * lambda_min_linear(args.C, valpart.q, consts)
+        if not math.isfinite(lam_cert):
+            raise UsageError(f"--C {args.C:g} is too large to certify: the certificates' "
+                             "lambda threshold is not finite")
     reports = []
     if wanted in ("all", "modular"):
         oracle.f_table(ctx)  # every check below then reads its values from the cache
@@ -230,11 +240,12 @@ def cmd_verify(args) -> int:
     if wanted in ("all", "modular"):
         s_hat = baselines.random_subset(train.n, min(train.n, max(2, train.n // 3)), trainer.seed)
         alpha = oracle.empirical_alpha(ctx)
+        if not 0 < alpha < math.inf:
+            raise UsageError(f"the measured alpha {alpha} is not a positive finite number, so "
+                             f"the modular bound cannot be checked at --C {args.C:g}; f grows "
+                             "like C, and a smaller C keeps its gains above rounding")
         reports.append(oracle.check_modular_bound(ctx, s_hat, alpha))
     if wanted in ("all", "alpha", "kappa"):
-        # Certificates only hold above the lam threshold; build that instance.
-        consts = data_constants(train, valpart.data, q=valpart.q)
-        lam_cert = 1.5 * lambda_min_linear(args.C, valpart.q, consts)
         cert = bound_report(train, consts, lam_cert, args.C, train.n)
         cert_ctx = replace(ctx, lam=lam_cert)
         if wanted in ("all", "alpha"):

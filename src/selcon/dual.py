@@ -325,8 +325,8 @@ def _newton_direction(mu, grad, M, lo, hi, pg_norm):
     return np.where(free, newton, grad / np.maximum(diag, floor))
 
 
-def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray,
-                      start: np.ndarray | None = None, max_iters: int = _MAX_NEWTON_ITERS):
+def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: int,
+                      start: np.ndarray | None = None):
     """Maximize every row's dual over its box [lo, hi], in lockstep from the
     corner mu = hi, or from the rows of ``start``, for at most ``max_iters``
     Newton iterations.
@@ -424,10 +424,11 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     lo = np.zeros((len(rows), Q))
     for rows_i in faces:
         lo[rows_i, np.arange(Q)] = C
-    hi = np.full(lo.shape, C)
+    hi = np.full(lo.shape, C, dtype=float)
     if certified:
         hi[empty] = 0.0
-    w, mu, f, iters, converged = _projected_newton(_Stack(rows, train, valpart, lam), lo, hi)
+    w, mu, f, iters, converged = _projected_newton(_Stack(rows, train, valpart, lam), lo, hi,
+                                                   _MAX_NEWTON_ITERS)
     for i, rows_i in zip(empty, faces):
         best = rows_i[int(np.argmax(f[rows_i]))]
         iters[i] = iters[rows_i].sum()
@@ -465,8 +466,9 @@ def train_dual_exact(subset: Sequence[int], train: Dataset, valpart: ValidationP
     stalls, the last (best) iterate is returned with ``converged=False``.
     ``f_value`` is the dual value phi the solver ends at, in the Gram form
     above; :func:`dual_objective` recomputes it from residuals.  The exact
-    solver reads no setting of ``cfg``; it takes one so that both trainers
-    share a call shape.
+    solver reads no setting of ``cfg``: it is kept only for the call shape of
+    this function's callers, since ``SetFnContext`` calls
+    :func:`train_dual_exact_many` instead.
     """
     subsets = [np.sort(np.asarray(subset, np.intp))]
     return exact_state(train_dual_exact_many(subsets, train, valpart, lam, C), 0)
@@ -539,8 +541,8 @@ def newton_bounds(base: np.ndarray, bs: np.ndarray, cs: np.ndarray, mu: np.ndarr
     blocks, at the iterate that at most ``_REFINE_ITERS`` iterations of
     :func:`_projected_newton` reach from each row's multiplier ``mu`` (B, Q)."""
     stack = _Stack.of_blocks(base, bs, cs, valpart)
-    w, mu, phi, _, _ = _projected_newton(stack, np.zeros_like(mu), np.full_like(mu, C), mu,
-                                         _REFINE_ITERS)
+    w, mu, phi, _, _ = _projected_newton(stack, np.zeros_like(mu), np.full_like(mu, C),
+                                         _REFINE_ITERS, mu)
     grad = _slacks(w, valpart)
     return _bracket(phi - _dot(mu, grad), grad, mu, cs, valpart, C)
 

@@ -66,7 +66,8 @@ class SelconConfig:
     ``alpha_mode`` picks the submodularity ratio the bound is built with:
 
     * ``certified`` — the closed-form linear certificate, clamped to
-      [ALPHA_FLOOR, 1] because it can be non-positive below the lam threshold;
+      [ALPHA_FLOOR, 1] because it can be non-positive below the lam threshold,
+      and ALPHA_FLOOR itself for a model the certificate does not cover;
     * ``empirical`` — the exhaustively measured ratio of the instance
       (desk-scale only, enumerates all subsets);
     * ``fixed`` — ``alpha_value`` as given.
@@ -139,6 +140,8 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
         if alpha <= 0:
             raise InvalidAlpha(f"measured alpha {alpha} is not positive")
         return min(alpha, 1.0)
+    if ctx.model_kind != "linear":
+        return ALPHA_FLOOR  # the certificate covers the linear model only
     try:
         consts = data_constants(ctx.train, ctx.valpart.data, q=ctx.valpart.q)
         a_hat = alpha_hat_linear(ctx.lam, ctx.C, ctx.valpart.q, consts)

@@ -5,26 +5,24 @@ an unbounded cache keyed by the sorted index tuple.  Values are
 path-independent: every f(S) trains from the configured initialization, and
 the exact backend's stacked solver computes each subset's row without
 reference to the other rows, so cached numbers do not depend on the order in
-which subsets were queried nor on the batch they were solved in.
-:meth:`SetFnContext.f_many` returns an array of values and
-:meth:`SetFnContext.mu_many` the matching multiplier rows, through one miss
-path; the singleton sweep (once per context), the oracles and the MM
-driver's exact solves use them, and a state is built only when
-:meth:`SetFnContext.f_of` asks for it.  The oracles' pair samples and
-exhaustive subset table are memoized on the context too, never beyond it.
-Each leave-one-out value is used once, so
-:meth:`SetFnContext.leave_one_out` returns values and leaves the cache
-alone; it solves all of them or a chosen few, and a context that holds the
-table reads them from it.  Cache keys are sorted tuples and
-``leave_one_out`` takes a sorted array, as ``train_dual_exact_many``
-needs.
+which subsets were queried nor on the batch they were solved in.  Every
+evaluation has one miss path on both backends, ``SetFnContext._solve``:
+:meth:`SetFnContext.f_of`, :meth:`SetFnContext.f_many` and
+:meth:`SetFnContext.mu_many` read the cache and send its misses there, and
+the cache keeps the solver's output only, so a state is built only when
+:meth:`SetFnContext.f_of` returns one.  Each leave-one-out value is used
+once, so :meth:`SetFnContext.leave_one_out` returns ``_solve``'s values and
+leaves the cache alone, or reads the exhaustive table when the context holds
+it.  The oracles' pair samples and that table are memoized on the context
+too, never beyond it.  Cache keys are sorted tuples and ``leave_one_out``
+takes a sorted array, as ``train_dual_exact_many`` needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .dual import (
     TrainedState,
     TrainerConfig,
     exact_state,
-    train_dual_exact,
+    train_dual_exact,  # unused here; bound by name so that tracers can wrap it
     train_dual_exact_many,
     train_dual_sgd,
 )
@@ -56,11 +54,11 @@ class SetFnContext:
 
     ``backend`` selects the trainer: ``"exact"`` (linear closed-form inner
     solve, the reference implementation) or ``"sgd"`` (any model kind).
-    :meth:`f_of` evaluates one subset and :meth:`f_many` many at once; on the
-    exact backend ``f_many`` solves its cache misses as stacks, and each value
-    is bit-identical to the one :meth:`f_of` would give.
-    :meth:`leave_one_out` solves the sets S minus i the same way but leaves
-    the cache alone, so only cold, path-independent values are ever cached.
+    :meth:`f_of` evaluates one subset and :meth:`f_many` many at once, through
+    the same cache and the same solver calls, so their values are
+    bit-identical.  :meth:`leave_one_out` solves the sets S minus i the same
+    way but leaves the cache alone, so only cold, path-independent values are
+    ever cached.  ``C`` is stored as a float.
     """
 
     train: Dataset
@@ -76,11 +74,12 @@ class SetFnContext:
             raise ValueError("lam must be positive and finite")
         if not (0 <= self.C < math.inf):
             raise ValueError("C must be >= 0 and finite")
+        self.C = float(self.C)
         if self.backend not in ("exact", "sgd"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "exact" and self.model_kind != "linear":
             raise ValueError("the exact backend supports the linear model only")
-        # key -> (value, state), or for a value f_many solved (value, (arrays, row)).
+        # key -> (f, output of _solve): (arrays, row) when exact, else the state.
         self._cache: dict[tuple[int, ...], tuple[float, object]] = {}
         self._singletons: np.ndarray | None = None
         # f over every subset, indexed by bitmask, once oracle.f_table has
@@ -95,36 +94,6 @@ class SetFnContext:
 
     # -- training -----------------------------------------------------------
 
-    def _train(self, key: Sequence[int], epochs: int | None = None,
-               init_state: TrainedState | None = None) -> TrainedState:
-        if self.backend == "exact":
-            return train_dual_exact(key, self.train, self.valpart, self.lam, self.C, self.trainer)
-        return train_dual_sgd(
-            key,
-            self.train,
-            self.valpart,
-            self.lam,
-            self.C,
-            self.trainer,
-            model_kind=self.model_kind,
-            init_state=init_state,
-            epochs=epochs,
-        )
-
-    def f_of(self, subset: Iterable[int]) -> tuple[float, TrainedState]:
-        """Value and trained state for a subset, from cache when available."""
-        key = _canonical(subset)
-        cached = self._cache.get(key)
-        if cached is None:
-            state = self._train(key)
-            self.cache_misses += 1
-            cached = self._cache[key] = (state.f_value, state)
-        else:
-            self.cache_hits += 1
-            if not isinstance(cached[1], TrainedState):
-                cached = self._cache[key] = (cached[0], exact_state(*cached[1]))
-        return cached
-
     def stack_bounds(self, count: int, size: int):
         """(start, stop) of each stack that keeps ``count`` subsets of at most
         ``size`` elements under ``_CHUNK_FLOATS``, for the exact trainer and
@@ -133,50 +102,55 @@ class SetFnContext:
         step = max(1, _CHUNK_FLOATS // max(d * (d + self.valpart.q), size * d))
         return [(start, min(start + step, count)) for start in range(0, count, step)]
 
-    def _solve_exact(self, count: int, size: int, rows):
-        """Solve ``count`` subsets of at most ``size`` elements in the stacks of
-        :meth:`stack_bounds`, built by ``rows(start, stop)``; yields each
-        stack's subsets and ``train_dual_exact_many``'s arrays."""
+    def _solve(self, count: int, size: int, rows, epochs: int | None = None,
+               init_state: TrainedState | None = None):
+        """Yield (f, solver output) for ``count`` subsets of at most ``size``
+        elements, built by ``rows(start, stop)``; the one place a trainer is
+        picked.  The exact backend solves the stacks of :meth:`stack_bounds`,
+        building each stack's rows when it reaches them, and its output is
+        (``train_dual_exact_many``'s arrays, row).  The sgd backend trains one
+        subset at a time, for ``epochs`` from ``init_state`` when given, and
+        its output is the trained state."""
+        if self.backend == "sgd":
+            for subset in rows(0, count):
+                state = train_dual_sgd(subset, self.train, self.valpart, self.lam, self.C,
+                                       self.trainer, model_kind=self.model_kind,
+                                       init_state=init_state, epochs=epochs)
+                yield state.f_value, state
+            return
         for start, stop in self.stack_bounds(count, size):
-            subsets = rows(start, stop)
-            yield subsets, train_dual_exact_many(subsets, self.train, self.valpart, self.lam,
-                                                 self.C)
+            solved = train_dual_exact_many(rows(start, stop), self.train, self.valpart,
+                                           self.lam, self.C)
+            yield from ((value, (solved, r)) for r, value in enumerate(solved[2].tolist()))
 
     def _entries(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, object]]:
-        """Cache entries of the exact backend for each subset, in input order.
-
-        The distinct cache misses are solved in sorted key order as stacks,
-        and counted as :meth:`f_of` would count them.
-        """
+        """Cache entries (f, solver output) for each subset, in input order;
+        the distinct misses are solved by :meth:`_solve` in sorted key order."""
         keys = [_canonical(s) for s in subsets]
         missing = sorted({key for key in keys if key not in self._cache})
         self.cache_misses += len(missing)
         self.cache_hits += len(keys) - len(missing)
         size = max(map(len, missing), default=0)
-        for chunk, solved in self._solve_exact(len(missing), size, lambda a, b: missing[a:b]):
-            for r, (key, value) in enumerate(zip(chunk, solved[2].tolist())):
-                self._cache[key] = (value, (solved, r))
+        self._cache.update(zip(missing, self._solve(len(missing), size,
+                                                    lambda a, b: missing[a:b])))
         return [self._cache[key] for key in keys]
 
-    def f_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
-        """f of each subset, in input order, from cache when available.
+    def f_of(self, subset: Iterable[int]) -> tuple[float, TrainedState]:
+        """Value and trained state for a subset, from cache when available; an
+        exact state is built from the cached arrays on each call."""
+        value, out = self._entries([subset])[0]
+        return value, out if isinstance(out, TrainedState) else exact_state(*out)
 
-        On the exact backend the cache misses are solved as stacks; the sgd
-        backend loops :meth:`f_of`.
-        """
-        if self.backend != "exact":
-            return np.array([self.f_of(s)[0] for s in subsets])
+    def f_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
+        """f of each subset, in input order, from cache when available."""
         return np.array([value for value, _ in self._entries(subsets)])
 
     def mu_many(self, subsets: Iterable[Iterable[int]]) -> np.ndarray:
         """The optimal multipliers of each subset as rows of a (B, Q) array,
         read and counted as :meth:`f_many` reads and counts values; no state
-        is built on the exact backend."""
-        if self.backend != "exact":
-            rows = [self.f_of(s)[1].mu for s in subsets]
-        else:
-            rows = [entry.mu if isinstance(entry, TrainedState) else entry[0][1][entry[1]]
-                    for _, entry in self._entries(subsets)]
+        is built."""
+        rows = [out.mu if isinstance(out, TrainedState) else out[0][1][out[1]]
+                for _, out in self._entries(subsets)]
         return np.array(rows).reshape(len(rows), self.valpart.q)
 
     def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None,
@@ -185,16 +159,17 @@ class SetFnContext:
         in its order, or for the positions ``drop`` of it only; uncached, and
         no state is built.
 
-        On the exact backend the rows are built and solved one stack at a
-        time, each value bit-identical to :meth:`f_of`'s, or read from the
-        exhaustive :attr:`table` when the context holds it; a one-element
-        S_hat reads f(empty) from the cache when it is there.  The sgd
-        backend trains each row from scratch, or, when ``warm_epochs`` is
-        set, for that many epochs from S_hat's trained state.
+        The rows go to :meth:`_solve`, which builds them one stack at a time
+        on the exact backend, each value bit-identical to :meth:`f_of`'s.  An
+        exact context that holds the exhaustive :attr:`table` reads them from
+        it, and a one-element S_hat reads f(empty) from the cache when it is
+        there.  The sgd backend trains each row from scratch, or, when
+        ``warm_epochs`` is set, for that many epochs from S_hat's trained state.
         """
         s_hat = np.asarray(s_hat, dtype=np.intp)
         k = len(s_hat)
         drop = np.arange(k) if drop is None else np.asarray(drop, dtype=np.intp)
+        init_state = None
 
         def rows(start, stop):
             keep = drop[start:stop, None] != np.arange(k)
@@ -205,11 +180,10 @@ class SetFnContext:
                 return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat[drop])]
             if k == 1 and () in self._cache:
                 return np.full(len(drop), self._cache[()][0])
-            return np.concatenate([solved[2] for _, solved
-                                   in self._solve_exact(len(drop), k - 1, rows)])
-        init_state = None if warm_epochs is None else self.f_of(s_hat)[1]
-        return np.array([self._train(row, warm_epochs, init_state).f_value
-                         for row in rows(0, len(drop))])
+        elif warm_epochs is not None:
+            init_state = self.f_of(s_hat)[1]
+        return np.array([value for value, _ in
+                         self._solve(len(drop), k - 1, rows, warm_epochs, init_state)])
 
     # -- derived quantities --------------------------------------------------
 

@@ -200,6 +200,19 @@ class TestSelect:
         assert report["model"]["kind"] == "two_layer"
         assert len(report["selected"]) == 4
 
+    def test_two_layer_reports_no_linear_bounds(self, data_csv, tmp_path):
+        # The bounds block certifies the linear model; a two-layer run has none.
+        argv = ["select", "--data", str(data_csv), "--target", "y", "--backend", "sgd",
+                "--epochs", "5", "--k", "4", "--iters", "1"]
+        reports = {}
+        for model in ("linear", "two_layer"):
+            out = tmp_path / f"{model}.json"
+            assert run([*argv, "--model", model, "--out", str(out)]) == 0
+            reports[model] = json.loads(out.read_text())
+        assert reports["linear"]["bounds"] is not None
+        assert reports["two_layer"]["bounds"] is None
+        assert reports["two_layer"]["alpha_used"] == selection.ALPHA_FLOOR
+
     def test_config_file_and_flag_override(self, data_csv, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
@@ -485,6 +498,22 @@ class TestVerify:
         assert run(["verify", "--property", "monotone", "--n", "4", "--trials", trials,
                     "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("C,prop", [("1e18", "all"), ("1e20", "modular"),
+                                        ("1e200", "all")])
+    def test_uncheckable_C_exits_2(self, tmp_path, capsys, recwarn, monkeypatch, C, prop):
+        # f grows like C: at 1e18 alpha measures 0, at 1e20 inf, and at 1e200
+        # the certificates' lambda threshold overflows before any solve.
+        stacks = []
+        solve = dual.train_dual_exact_many
+        monkeypatch.setattr(setfn, "train_dual_exact_many",
+                            lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a))
+        out = tmp_path / "v.json"
+        assert run(["verify", "--n", "6", "--C", C, "--property", prop, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--C" in err and err.count("\n") == 1 and not out.exists()
+        assert not recwarn.list
+        assert (stacks == []) == (C == "1e200")
 
     def test_reports_refuse_non_finite_numbers(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from selcon.dual import (
     solve_inner_linear,
     solve_inner_linear_many,
     train_dual_exact,
+    train_dual_exact_many,
     train_dual_sgd,
 )
 from selcon.errors import SingularSystem
@@ -305,6 +306,25 @@ class TestExactTrainer:
             st = train_dual_exact(subset, train, vp, lam, C, CFG)
             ref = dual_objective(st.model, st.mu, subset, train, vp, lam)
             assert abs(st.f_value - ref) <= 1e-12 * abs(ref), (seed, st.f_value, ref)
+
+
+class TestSolverSettings:
+    def test_integer_C_is_bit_equal_to_float(self):
+        # An int C once gave an int64 box, which truncated every Newton step.
+        train, _, vp, lam, _ = make_problem(41, n=9, d=3, q=2)
+        subsets = [(0, 1, 2), (3, 5, 7, 8)]
+        got = train_dual_exact_many(subsets, train, vp, lam, 2)
+        want = train_dual_exact_many(subsets, train, vp, lam, 2.0)
+        assert got[1].dtype == np.float64 and 0.0 < got[1][0, 1] < 1.0
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_newton_cap_read_at_call_time(self, monkeypatch):
+        train, _, vp, lam, C = make_problem(41, n=9, d=3, q=2, C=1.5)
+        assert train_dual_exact((0, 1, 2), train, vp, lam, C, CFG).iterations_used == 4
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        st = train_dual_exact((0, 1, 2), train, vp, lam, C, CFG)
+        assert (st.iterations_used, st.converged) == (1, False)
 
 
 class TestEmptySetCertificate:

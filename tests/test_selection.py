@@ -7,10 +7,11 @@ import pytest
 from conftest import make_ctx, make_problem
 from selcon import cli, dual, selection, setfn
 from selcon.bounds import claim1_min
-from selcon.dataset import Dataset
+from selcon.dataset import Dataset, offset_augment, partition_validation
 from selcon.errors import InvalidAlpha, InvalidK
-from selcon.metrics import mse
+from selcon.metrics import auto_delta, mse
 from selcon.oracle import empirical_alpha
+from selcon.scenarios import corrupted_pool
 from selcon.selection import (
     SelconConfig,
     _certified_k_smallest,
@@ -20,6 +21,7 @@ from selcon.selection import (
     _singleton_family,
     modular_scores,
     random_subset,
+    resolve_alpha,
     run_selcon,
     run_selcon_unconstrained,
 )
@@ -200,6 +202,32 @@ class TestRunSelcon:
         assert result.alpha_used == pytest.approx(
             alpha_hat_linear(lam, ctx.C, 1, consts)
         )
+
+
+    def test_certified_alpha_is_the_floor_for_two_layer(self):
+        from selcon.bounds import alpha_hat_linear, data_constants, lambda_min_linear
+
+        base = make_ctx(57, n=6, y_lo=0.5, y_hi=1.5)
+        consts = data_constants(base.train, base.valpart.data, q=1)
+        linear = replace(base, lam=2.0 * lambda_min_linear(base.C, 1, consts))
+        cfg = SelconConfig(k=2, seed=0, alpha_mode="certified")
+        assert resolve_alpha(linear, cfg) == alpha_hat_linear(linear.lam, linear.C, 1, consts)
+        assert resolve_alpha(linear, cfg) > selection.ALPHA_FLOOR
+        two_layer = replace(linear, backend="sgd", model_kind="two_layer")
+        assert resolve_alpha(two_layer, cfg) == selection.ALPHA_FLOOR
+
+    def test_integer_C_gives_the_float_C_run(self):
+        # The claim regime: a constant column on every fold, lam 0.005 and
+        # the 30% rule.  An int C once truncated every multiplier step.
+        train, val, _ = (offset_augment(fold, 0) for fold in corrupted_pool(0, 400, 8))
+        probe = partition_validation(val, "single", 0.0)
+        vp = probe.with_delta(auto_delta(train, probe, 0.005))
+        cfg = SelconConfig(k=32, L=10, alpha_mode="fixed", alpha_value=1.0)
+        runs = [run_selcon(SetFnContext(train=train, valpart=vp, lam=0.005, C=C), cfg)
+                for C in (96, 96.0)]
+        got, want = [(r.selected, r.f_value, r.state.mu.tolist(), r.state.converged)
+                     for r in runs]
+        assert got == want and want[3]
 
 
 class TestUnconstrained:

@@ -143,7 +143,7 @@ class TestFMany:
         subsets = self._mixed_subsets(9, 25)
         ctx = make_ctx(25, n=9, d=3, q=2, C=C)
         counted = make_ctx(25, n=9, d=3, q=2, C=C)
-        ctx.f_of(subsets[0])  # one entry holds a state, the rest arrays
+        ctx.f_of(subsets[0])  # one entry solved through f_of, the rest by mu_many
         counted.f_of(subsets[0])
         built.clear()
         mu = ctx.mu_many(subsets)
@@ -229,22 +229,20 @@ class TestStacks:
         monkeypatch.setattr(dual.TrainedState, "__post_init__", counting)
         ctx = make_ctx(35, n=30, d=3, q=2, C=1.5)
         f_of = SetFnContext.f_of
-        keys = set()
+        calls = []
 
         def recording(self, subset):
-            # The subsets f_of builds a state for: not cached, or cached by a
-            # stacked solve as arrays.
-            key = tuple(sorted(int(i) for i in subset))
-            if not isinstance(self._cache.get(key, (None, None))[1], dual.TrainedState):
-                keys.add(key)
+            # The cache keeps solver arrays, so each f_of call builds one state.
+            calls.append(subset)
             return f_of(self, subset)
 
         monkeypatch.setattr(SetFnContext, "f_of", recording)
         result = run_selcon(ctx, SelconConfig(k=6, L=4, alpha_mode="fixed", alpha_value=1.0))
         assert len(result.trace) > 1
-        assert len(built) <= len(keys) < ctx.train.n
+        assert len(built) == len(calls) < ctx.train.n
         assert isinstance(ctx.f_many([(0,), (1, 2)]), np.ndarray)
-        assert len(built) <= len(keys)
+        assert ctx.mu_many([(0,), (3, 4)]).shape == (2, 2)
+        assert len(built) == len(calls)
 
     def test_singletons_computed_once(self):
         ctx = make_ctx(36, n=9, d=3, q=2, C=1.5)
@@ -253,6 +251,23 @@ class TestStacks:
         assert ctx.singletons() is first
         assert (ctx.cache_misses, ctx.cache_hits) == (misses, hits)
         assert not first.flags.writeable
+
+
+class TestOneSolvePath:
+    def test_exact_context_never_calls_the_one_subset_trainer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_dual_exact called")
+
+        monkeypatch.setattr(setfn, "train_dual_exact", refuse)
+        ctx = make_ctx(37, n=9, d=3, q=2, C=1.5)
+        value, state = ctx.f_of((0, 3, 5))
+        assert state.f_value == value and state.backend == "exact"
+        assert ctx.f_many([(1,), (0, 3, 5)])[1] == value
+        assert np.array_equal(ctx.mu_many([(5, 3, 0)])[0], state.mu)
+        assert len(ctx.leave_one_out(np.array([0, 3, 5]))) == 3
+        assert len(ctx.singletons()) == 9
+        result = run_selcon(ctx, SelconConfig(k=3, L=2, alpha_mode="fixed", alpha_value=1.0))
+        assert len(result.selected) == 3
 
 
 class TestFEmpty:
