@@ -29,8 +29,9 @@ realize it:
 
 ``solve_inner_linear_many`` solves the inner minimum alone at given
 multipliers, for a stack of subsets with one row of mu each; the sandwich
-oracle cross-evaluates every sampled pair with two such stacks, and
-``solve_inner_linear`` is its one-subset call.
+oracle cross-evaluates every sampled pair with two such stacks, or two of
+``solve_inner_blocks`` on given blocks, and ``solve_inner_linear`` is the
+one-subset call.
 
 ``primal_value`` solves the equivalent penalized primal directly by a
 restarted Polyak subgradient method; it is kept deliberately independent of
@@ -64,6 +65,7 @@ __all__ = [
     "dual_objective",
     "solve_inner_linear",
     "solve_inner_linear_many",
+    "solve_inner_blocks",
     "exact_state",
     "train_dual_exact",
     "train_dual_exact_many",
@@ -260,15 +262,23 @@ def solve_inner_linear_many(mu: np.ndarray, subsets: Sequence[Sequence[int]], tr
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    mu = np.asarray(mu, dtype=float).reshape(len(subsets), valpart.q)
     stack = _Stack(subsets, train, valpart, lam)
-    least_norm = stack.empty & (mu > 0).any(axis=1)
-    if not allow_degenerate and (stack.empty & ~least_norm).any():
+    return solve_inner_blocks(mu, stack.base, stack.bs, valpart, allow_degenerate)
+
+
+def solve_inner_blocks(mu: np.ndarray, base: np.ndarray, bs: np.ndarray,
+                       valpart: ValidationPartition, allow_degenerate: bool = False) -> np.ndarray:
+    """:func:`solve_inner_linear_many`'s arithmetic on the training blocks
+    (base, b) that :func:`train_dual_exact_many` returns; a zero base is an empty S."""
+    mu = np.asarray(mu, dtype=float).reshape(len(base), valpart.q)
+    empty = ~base.any(axis=(1, 2))
+    least_norm = empty & (mu > 0).any(axis=1)
+    if not allow_degenerate and (empty & ~least_norm).any():
         raise SingularSystem("empty subset with mu = 0 leaves the inner problem degenerate")
-    A = stack.base + _mix(mu, stack.Gbar)
-    b = (stack.bs + _mix(mu, stack.bbar))[:, :, None]
-    w = np.zeros((len(subsets), train.d))
-    full = ~stack.empty
+    A = base + _mix(mu, valpart.gram[0])
+    b = (bs + _mix(mu, valpart.gram[1]))[:, :, None]
+    w = np.zeros(bs.shape)
+    full = ~empty
     if full.any():
         w[full] = np.linalg.solve(A[full], b[full])[:, :, 0]
     if least_norm.any():
@@ -396,7 +406,8 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     all of them (see :func:`_projected_newton`).  Each row's arithmetic is
     independent of the other rows, so a subset's result is bit-identical
     whatever stack it is solved in.  Returns arrays (w, mu, f, iterations,
-    converged) with one row per subset.  Memory grows as B (d^2 + m d);
+    converged, base, b) with one row per subset, the last two its training
+    blocks lam n_S I + X_S'X_S and X_S'y_S.  Memory grows as B (d^2 + m d);
     callers bound B, as ``SetFnContext`` does with ``setfn._CHUNK_FLOATS``.
 
     An empty subset is settled without a Newton step when the partition's
@@ -427,8 +438,8 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     hi = np.full(lo.shape, C, dtype=float)
     if certified:
         hi[empty] = 0.0
-    w, mu, f, iters, converged = _projected_newton(_Stack(rows, train, valpart, lam), lo, hi,
-                                                   _MAX_NEWTON_ITERS)
+    stack = _Stack(rows, train, valpart, lam)
+    w, mu, f, iters, converged = _projected_newton(stack, lo, hi, _MAX_NEWTON_ITERS)
     for i, rows_i in zip(empty, faces):
         best = rows_i[int(np.argmax(f[rows_i]))]
         iters[i] = iters[rows_i].sum()
@@ -440,12 +451,12 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
             w[i], mu[i], f[i], converged[i] = w[best], mu[best], f[best], converged[rows_i].all()
     if not np.isfinite(w[:B]).all():
         raise ValueError("weight entries must be finite")
-    return tuple(a[:B] for a in (w, mu, f, iters, converged))
+    return tuple(a[:B] for a in (w, mu, f, iters, converged, stack.base, stack.bs))
 
 
 def exact_state(solved: tuple[np.ndarray, ...], r: int) -> TrainedState:
     """Row ``r`` of :func:`train_dual_exact_many`'s arrays as a :class:`TrainedState`."""
-    w, mu, f, iters, converged = (a[r] for a in solved)
+    w, mu, f, iters, converged = (a[r] for a in solved[:5])
     return TrainedState(model=LinearModel(w=w), mu=mu, f_value=float(f),
                         iterations_used=int(iters), backend="exact", converged=bool(converged))
 

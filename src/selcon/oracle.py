@@ -11,10 +11,10 @@ Every 2^n enumeration reads :func:`f_table`, which raises :class:`TooLarge`
 above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
 ``--alpha-mode empirical`` share one cap.  The table is solved once per
 context and kept on it, so the checks of one context and its leave-one-out
-sweeps all read one table.  The sampled checks share one draw of (S, a)
-pairs per context, with every f of the draw evaluated in one batch (from
-the table, when ``verify`` has solved it first); the sandwich check then
-cross-evaluates all pairs as stacked inner solves, not one solve per pair.
+sweeps all read one table.  The sampled checks share one batched draw of
+(S, a) pairs per context, and read f, mu and the training blocks by bitmask
+from the table's solve when ``verify`` has solved it first; the sandwich
+check then cross-evaluates all pairs as stacked inner solves.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import solve_inner_linear_many
+from .dual import solve_inner_blocks, solve_inner_linear_many
 from .errors import InvalidK, TooLarge
 from .models import row_dots
 from .setfn import SetFnContext
@@ -96,7 +96,7 @@ def _members(n: int) -> np.ndarray:
 
 def f_table(ctx: SetFnContext) -> np.ndarray:
     """f over all subsets, indexed by bitmask (bit i = training element i):
-    solved once per context and kept read-only as ``ctx.table``."""
+    solved once per context and kept read-only as ``ctx.table``, beside ``ctx.table_solve``."""
     n = ctx.train.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{MAX_EXHAUSTIVE_N}")
@@ -104,8 +104,7 @@ def f_table(ctx: SetFnContext) -> np.ndarray:
         keys = [()]
         for i in range(n):  # the masks with bit i set follow those without it
             keys += [key + (i,) for key in keys]
-        ctx.table = ctx.f_many(keys)
-        ctx.table.setflags(write=False)
+        ctx.solve_table(keys)
     return ctx.table
 
 
@@ -199,35 +198,53 @@ def check_kappa_certificate(ctx: SetFnContext, kappa_hat: float) -> OracleReport
                    kappa_hat=kappa_hat, empirical_kappa=measured)
 
 
-def _sample_pair(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], int]:
-    size = int(rng.integers(0, n))  # empty subsets included
-    perm = rng.permutation(n)
-    return tuple(sorted(perm[:size].tolist())), int(perm[size])
+def _draw_pairs(n: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` seeded (S, a) pairs as (sizes, orders): S holds the first
+    sizes[t] entries of row t of the (trials, n) orders, and a is the next."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, n, trials)  # empty subsets included
+    return sizes, np.argsort(rng.random((trials, n)), axis=1)
+
+
+def _masks(sizes: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S and S + a of every pair as bitmasks."""
+    rows = np.arange(len(sizes))
+    with_a = np.cumsum(1 << orders, axis=1)[rows, sizes]
+    return with_a ^ (1 << orders[rows, sizes]), with_a
+
+
+def _keys(sizes: np.ndarray, orders: np.ndarray) -> tuple[list, list]:
+    """S and S + a of every pair as sorted tuples."""
+    pairs = list(zip(sizes.tolist(), orders.tolist()))
+    return ([tuple(sorted(o[:s])) for s, o in pairs],
+            [tuple(sorted(o[:s + 1])) for s, o in pairs])
 
 
 def _sample_pairs(ctx: SetFnContext, trials: int,
-                  seed: int) -> tuple[list[tuple[tuple[int, ...], int]], np.ndarray]:
-    """``trials`` seeded (S, a) pairs, and f(S + a) - f(S) for each, with
-    every f evaluated in one batch.  Drawn once per context, trials and
-    seed, so the monotone and sandwich checks of one run share the draw."""
+                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_draw_pairs`'s pairs and f(S + a) - f(S) for each, from the
+    table or one batch of f; drawn once per context, trials and seed, so the
+    monotone and sandwich checks of one run share the draw."""
     key = (trials, seed)
     if key not in ctx.pair_draws:
-        rng = np.random.default_rng(seed)
-        pairs = [_sample_pair(rng, ctx.train.n) for _ in range(trials)]
-        f = ctx.f_many([s for s, _ in pairs] + [s + (a,) for s, a in pairs])
+        sizes, orders = _draw_pairs(ctx.train.n, trials, seed)
+        if ctx.table is None:
+            f = ctx.f_many(sum(_keys(sizes, orders), []))
+        else:
+            f = ctx.table[np.concatenate(_masks(sizes, orders))]
         gains = f[trials:] - f[:trials]
         gains.setflags(write=False)
-        ctx.pair_draws[key] = pairs, gains
+        ctx.pair_draws[key] = sizes, orders, gains
     return ctx.pair_draws[key]
 
 
 def check_monotone(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> OracleReport:
     """Sampled marginal gains must all be non-negative (up to MONOTONE_TOL)."""
-    pairs, gains = _sample_pairs(ctx, trials, seed)
+    sizes, orders, gains = _sample_pairs(ctx, trials, seed)
     worst = int(np.argmin(gains))  # the first minimum, as a strict < scan keeps
-    (subset, a), gain = pairs[worst], float(gains[worst])
-    witness = {"subset": list(subset), "element": a, "gain": gain}
-    return _report("monotone", trials, gain, MONOTONE_TOL, witness)
+    witness = {"subset": sorted(orders[worst, :sizes[worst]].tolist()),
+               "element": int(orders[worst, sizes[worst]]), "gain": float(gains[worst])}
+    return _report("monotone", trials, float(gains[worst]), MONOTONE_TOL, witness)
 
 
 def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> OracleReport:
@@ -238,31 +255,38 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
     roles of the two subsets swapped.  The pairs and gains are
     :func:`check_monotone`'s draw.  For each stack of pairs that
     ``SetFnContext.stack_bounds`` allows (one stack at desk scale), the
-    multipliers of both sides are read in one batch and each side is one
-    call of :func:`solve_inner_linear_many`; no state is built.  The witness
-    is the first minimum over the pairs' (lower, upper) slacks in turn, as a
-    strict ``<`` scan keeps.
+    multipliers of both sides are read in one batch, or from the table by
+    bitmask, and each side is one call of :func:`solve_inner_blocks` on the
+    table's blocks or of :func:`solve_inner_linear_many`, with equal bits;
+    no state is built.  The witness is the first minimum over the pairs'
+    (lower, upper) slacks in turn, as a strict ``<`` scan keeps.
     """
     if ctx.backend != "exact" or ctx.model_kind != "linear":
         raise ValueError("the sandwich check needs the exact linear backend")
-    pairs, gains = _sample_pairs(ctx, trials, seed)
+    sizes, orders, gains = _sample_pairs(ctx, trials, seed)
+    elements = orders[np.arange(trials), sizes]
+    x_a, y_a = ctx.train.features[elements], ctx.train.targets[elements]
+    mu_table, blocks = ctx.table_solve or (None, None)
+    masks = None if mu_table is None else _masks(sizes, orders)
+    keys = None if blocks is not None else _keys(sizes, orders)
     lower, upper = np.empty(trials), np.empty(trials)
-    for lo, hi in ctx.stack_bounds(trials, max(len(s) for s, _ in pairs) + 1):
-        subsets = [s for s, _ in pairs[lo:hi]]
-        with_a = [tuple(sorted(s + (a,))) for s, a in pairs[lo:hi]]
-        mu = ctx.mu_many(subsets + with_a)
-        elements = np.array([a for _, a in pairs[lo:hi]], dtype=np.intp)
-        x_a, y_a = ctx.train.features[elements], ctx.train.targets[elements]
-        for out, mu_rows, sets, degenerate in ((lower, mu[:hi - lo], with_a, False),
-                                               (upper, mu[hi - lo:], subsets, True)):
-            w = solve_inner_linear_many(mu_rows, sets, ctx.train, ctx.valpart, ctx.lam, degenerate)
-            out[lo:hi] = ctx.lam * row_dots(w, w) + (y_a - row_dots(w, x_a)) ** 2
+    for lo, hi in ctx.stack_bounds(trials, int(sizes.max()) + 1):
+        mu = (np.split(ctx.mu_many(keys[0][lo:hi] + keys[1][lo:hi]), 2) if masks is None
+              else [mu_table[m[lo:hi]] for m in masks])
+        for out, mu_rows, side, degenerate in ((lower, mu[0], 1, False), (upper, mu[1], 0, True)):
+            if blocks is None:
+                w = solve_inner_linear_many(mu_rows, keys[side][lo:hi], ctx.train, ctx.valpart,
+                                            ctx.lam, degenerate)
+            else:
+                w = solve_inner_blocks(mu_rows, *(b[masks[side][lo:hi]] for b in blocks),
+                                       ctx.valpart, degenerate)
+            out[lo:hi] = ctx.lam * row_dots(w, w) + (y_a[lo:hi] - row_dots(w, x_a[lo:hi])) ** 2
     slacks = np.column_stack([gains - lower, upper - gains]).ravel()
     worst = int(np.argmin(slacks))
     r, side = divmod(worst, 2)
     witness = {
-        "subset": list(pairs[r][0]),
-        "element": pairs[r][1],
+        "subset": sorted(orders[r, :sizes[r]].tolist()),
+        "element": int(orders[r, sizes[r]]),
         "side": ("lower", "upper")[side],
         "gain": float(gains[r]),
         "lower": float(lower[r]),

@@ -8,9 +8,10 @@ reference to the other rows, so cached numbers do not depend on the order in
 which subsets were queried nor on the batch they were solved in.  Every
 evaluation has one miss path on both backends, ``SetFnContext._solve``:
 :meth:`SetFnContext.f_of`, :meth:`SetFnContext.f_many` and
-:meth:`SetFnContext.mu_many` read the cache and send its misses there, and
-the cache keeps the solver's output only, so a state is built only when
-:meth:`SetFnContext.f_of` returns one.  Each leave-one-out value is used
+:meth:`SetFnContext.mu_many` read the cache and send its misses there, as
+:meth:`SetFnContext.solve_table` sends the exhaustive table, and the cache
+keeps the solver's output only, without its training blocks, so a state is
+built only when :meth:`SetFnContext.f_of` returns one.  Each leave-one-out value is used
 once, so :meth:`SetFnContext.leave_one_out` returns ``_solve``'s values and
 leaves the cache alone, or reads the exhaustive table when the context holds
 it.  The oracles' pair samples and that table are memoized on the context
@@ -83,13 +84,17 @@ class SetFnContext:
         self._cache: dict[tuple[int, ...], tuple[float, object]] = {}
         self._singletons: np.ndarray | None = None
         # f over every subset, indexed by bitmask, once oracle.f_table has
-        # solved it; read-only.
+        # solved it; read-only.  Beside it, that solve's multipliers by bitmask
+        # and its training blocks, kept only when it was one stack, else None.
         self.table: np.ndarray | None = None
+        self.table_solve: tuple[np.ndarray, tuple | None] | None = None
         # The oracles' (S, a) pair draws with their gains, keyed by (trials,
         # seed), so that the checks of one run share a draw.
-        self.pair_draws: dict[tuple[int, int], tuple[list, np.ndarray]] = {}
+        self.pair_draws: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+        # Rows of every exact stack that ended with converged=False.
+        self.not_converged = 0
         self.negative_marginals: list[tuple[int, tuple[int, ...], float]] = []
 
     # -- training -----------------------------------------------------------
@@ -104,24 +109,29 @@ class SetFnContext:
 
     def _solve(self, count: int, size: int, rows, epochs: int | None = None,
                init_state: TrainedState | None = None):
-        """Yield (f, solver output) for ``count`` subsets of at most ``size``
-        elements, built by ``rows(start, stop)``; the one place a trainer is
-        picked.  The exact backend solves the stacks of :meth:`stack_bounds`,
-        building each stack's rows when it reaches them, and its output is
-        (``train_dual_exact_many``'s arrays, row).  The sgd backend trains one
-        subset at a time, for ``epochs`` from ``init_state`` when given, and
-        its output is the trained state."""
+        """(f, solver output) for ``count`` subsets of at most ``size``
+        elements, built by ``rows(start, stop)``, and the training blocks of a
+        one-stack exact solve, else None; the one place a trainer is picked.
+        The exact backend solves the stacks of :meth:`stack_bounds`, building
+        each stack's rows when it reaches them and counting their
+        non-converged rows; its output is (``train_dual_exact_many``'s arrays
+        but the blocks, row).  The sgd backend trains one subset at a time,
+        for ``epochs`` from ``init_state`` when given, and its output is the
+        trained state."""
         if self.backend == "sgd":
-            for subset in rows(0, count):
-                state = train_dual_sgd(subset, self.train, self.valpart, self.lam, self.C,
-                                       self.trainer, model_kind=self.model_kind,
-                                       init_state=init_state, epochs=epochs)
-                yield state.f_value, state
-            return
-        for start, stop in self.stack_bounds(count, size):
+            states = (train_dual_sgd(subset, self.train, self.valpart, self.lam, self.C,
+                                     self.trainer, model_kind=self.model_kind,
+                                     init_state=init_state, epochs=epochs)
+                      for subset in rows(0, count))
+            return [(state.f_value, state) for state in states], None
+        entries, blocks, bounds = [], None, self.stack_bounds(count, size)
+        for start, stop in bounds:
             solved = train_dual_exact_many(rows(start, stop), self.train, self.valpart,
                                            self.lam, self.C)
-            yield from ((value, (solved, r)) for r, value in enumerate(solved[2].tolist()))
+            blocks, solved = solved[5:] if len(bounds) == 1 else None, solved[:5]
+            self.not_converged += int(np.count_nonzero(~solved[4]))
+            entries += ((value, (solved, r)) for r, value in enumerate(solved[2].tolist()))
+        return entries, blocks
 
     def _entries(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, object]]:
         """Cache entries (f, solver output) for each subset, in input order;
@@ -130,10 +140,21 @@ class SetFnContext:
         missing = sorted({key for key in keys if key not in self._cache})
         self.cache_misses += len(missing)
         self.cache_hits += len(keys) - len(missing)
-        size = max(map(len, missing), default=0)
-        self._cache.update(zip(missing, self._solve(len(missing), size,
-                                                    lambda a, b: missing[a:b])))
+        if missing:
+            self._cache.update(zip(missing, self._solve(len(missing), max(map(len, missing)),
+                                                        lambda a, b: missing[a:b])[0]))
         return [self._cache[key] for key in keys]
+
+    def solve_table(self, keys: list[tuple[int, ...]]) -> None:
+        """Solve the sorted ``keys``, one per bitmask in order, in one pass of
+        :meth:`_solve`, each cached and counted as a miss, as :attr:`table`
+        and :attr:`table_solve`."""
+        entries, blocks = self._solve(len(keys), len(keys[-1]), lambda a, b: keys[a:b])
+        self.cache_misses += len(keys)
+        self._cache.update(zip(keys, entries))
+        self.table = np.array([value for value, _ in entries])
+        self.table.setflags(write=False)
+        self.table_solve = self._mu_rows(entries), blocks
 
     def f_of(self, subset: Iterable[int]) -> tuple[float, TrainedState]:
         """Value and trained state for a subset, from cache when available; an
@@ -149,8 +170,11 @@ class SetFnContext:
         """The optimal multipliers of each subset as rows of a (B, Q) array,
         read and counted as :meth:`f_many` reads and counts values; no state
         is built."""
+        return self._mu_rows(self._entries(subsets))
+
+    def _mu_rows(self, entries: list[tuple[float, object]]) -> np.ndarray:
         rows = [out.mu if isinstance(out, TrainedState) else out[0][1][out[1]]
-                for _, out in self._entries(subsets)]
+                for _, out in entries]
         return np.array(rows).reshape(len(rows), self.valpart.q)
 
     def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None,
@@ -183,7 +207,7 @@ class SetFnContext:
         elif warm_epochs is not None:
             init_state = self.f_of(s_hat)[1]
         return np.array([value for value, _ in
-                         self._solve(len(drop), k - 1, rows, warm_epochs, init_state)])
+                         self._solve(len(drop), k - 1, rows, warm_epochs, init_state)[0]])
 
     # -- derived quantities --------------------------------------------------
 

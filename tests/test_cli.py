@@ -438,13 +438,35 @@ class TestVerify:
 
     def test_all_properties_draw_the_pairs_once(self, tmp_path, monkeypatch):
         drawn = []
-        sample_pair = oracle._sample_pair
-        monkeypatch.setattr(oracle, "_sample_pair",
-                            lambda rng, n: drawn.append(n) or sample_pair(rng, n))
+        draw_pairs = oracle._draw_pairs
+        monkeypatch.setattr(oracle, "_draw_pairs",
+                            lambda *a: drawn.append(a) or draw_pairs(*a))
         for _ in range(2):  # a second run draws again, from a cold context
             assert run(["verify", "--n", "5", "--trials", "40",
                         "--out", str(tmp_path / "v.json")]) == 0
-        assert len(drawn) == 80
+        assert len(drawn) == 2
+
+    def test_default_contexts_converge(self, tmp_path, monkeypatch):
+        # The instance's and the certificate instance's solves all converge.
+        contexts = []
+        for name in ("check_sandwich", "check_alpha_certificate"):
+            check = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, functools.partial(
+                lambda check, ctx, *a, **kw: contexts.append(ctx) or check(ctx, *a, **kw), check))
+        assert run(["verify", "--n", "7", "--Q", "2", "--seed", "16",
+                    "--out", str(tmp_path / "v.json")]) == 0
+        assert len(contexts) == 2 and all(ctx.table is not None for ctx in contexts)
+        assert [ctx.not_converged for ctx in contexts] == [0, 0]
+
+    def test_sampled_checks_read_the_table_as_the_cache(self, tmp_path):
+        # With --property all the monotone and sandwich checks read the table;
+        # alone, they read the cache.  Their entries are the same.
+        argv = ["verify", "--n", "7", "--Q", "2", "--seed", "16"]
+        assert run([*argv, "--out", str(tmp_path / "all.json")]) == 0
+        entries = {r["property"]: r for r in json.loads((tmp_path / "all.json").read_text())}
+        for prop in ("monotone", "sandwich"):
+            assert run([*argv, "--property", prop, "--out", str(tmp_path / "one.json")]) == 0
+            assert json.loads((tmp_path / "one.json").read_text()) == [entries[prop]]
 
     def test_one_table_solve_per_context(self, tmp_path, monkeypatch):
         # The pair draw, the multipliers, alpha, kappa, the modular bound and

@@ -33,6 +33,13 @@ from selcon.selection import SelconConfig, modular_scores, run_selcon
 from selcon.setfn import SetFnContext
 
 
+def drawn_pairs(n, trials, seed):
+    """The oracles' batched (S, a) draw, one sorted pair at a time."""
+    sizes, orders = oracle._draw_pairs(n, trials, seed)
+    return [(tuple(sorted(orders[t, :sizes[t]].tolist())), int(orders[t, sizes[t]]))
+            for t in range(trials)]
+
+
 def certified_ctx(seed, n=6, C=1.0):
     base = make_ctx(seed, n=n, y_lo=0.5, y_hi=1.5, C=C)
     consts = data_constants(base.train, base.valpart.data, q=1)
@@ -246,11 +253,9 @@ class TestCheckers:
         monkeypatch.setattr(oracle, "MONOTONE_TOL", -math.inf)  # always report the witness
         report = check_monotone(make_ctx(seed, n=7, q=2), trials=60, seed=seed)
         assert built == []
-        rng = np.random.default_rng(seed)
         ctx = make_ctx(seed, n=7, q=2)
         worst, witness = math.inf, None
-        for _ in range(60):
-            subset, a = oracle._sample_pair(rng, 7)
+        for subset, a in drawn_pairs(7, 60, seed):
             gain = ctx.marginal(a, subset)
             if gain < worst:
                 worst, witness = gain, {"subset": list(subset), "element": a, "gain": gain}
@@ -259,10 +264,8 @@ class TestCheckers:
     @staticmethod
     def _sandwich_reference(ctx, trials, seed):
         """C3's formula, one pair and one inner solve at a time."""
-        rng = np.random.default_rng(seed)
         worst, witness, gain_at = math.inf, None, None
-        for _ in range(trials):
-            subset, a = oracle._sample_pair(rng, ctx.train.n)
+        for subset, a in drawn_pairs(ctx.train.n, trials, seed):
             with_a = tuple(sorted(subset + (a,)))
             f_s, st_s = ctx.f_of(subset)
             f_sa, st_sa = ctx.f_of(with_a)
@@ -307,21 +310,105 @@ class TestCheckers:
 
     def test_checks_share_one_draw_per_context(self, monkeypatch):
         drawn = []
-        sample_pair = oracle._sample_pair
-        monkeypatch.setattr(oracle, "_sample_pair",
-                            lambda rng, n: drawn.append(n) or sample_pair(rng, n))
+        draw_pairs = oracle._draw_pairs
+        monkeypatch.setattr(oracle, "_draw_pairs",
+                            lambda *a: drawn.append(a) or draw_pairs(*a))
         ctx = make_ctx(88, n=6, q=2)
         check_monotone(ctx, trials=25, seed=1)
         check_sandwich(ctx, trials=25, seed=1)
-        assert len(drawn) == 25
+        assert len(drawn) == 1
         check_sandwich(ctx, trials=25, seed=2)  # another seed is another draw
         check_sandwich(make_ctx(88, n=6, q=2), trials=25, seed=1)  # so is a new context
-        assert len(drawn) == 75
+        assert len(drawn) == 3
+        check_monotone(ctx, trials=24, seed=1)  # and so are other trials
+        assert len(drawn) == 4
 
     def test_deterministic_reports(self):
         a = check_monotone(make_ctx(83, n=5), trials=20, seed=5)
         b = check_monotone(make_ctx(83, n=5), trials=20, seed=5)
         assert a.as_dict() == b.as_dict()
+
+
+class TestPairDraw:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_pairs_are_valid(self, n):
+        sizes, orders = oracle._draw_pairs(n, 300, n)
+        assert sizes.min() >= 0 and sizes.max() < n
+        assert np.array_equal(np.sort(orders, axis=1), np.broadcast_to(np.arange(n), orders.shape))
+        subsets, with_a = oracle._keys(sizes, orders)
+        masks = oracle._masks(sizes, orders)
+        for t, (subset, a) in enumerate(drawn_pairs(n, 300, n)):
+            assert list(subset) == sorted(subset) and a not in subset and len(subset) == sizes[t]
+            assert (subsets[t], with_a[t]) == (subset, tuple(sorted(subset + (a,))))
+            assert masks[0][t] == sum(1 << i for i in subset) and masks[1][t] == masks[0][t] | 1 << a
+
+    def test_same_seed_same_draw(self):
+        first, again, other = (oracle._draw_pairs(7, 50, seed) for seed in (3, 3, 4))
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        assert not all(np.array_equal(x, y) for x, y in zip(first, other))
+
+
+class TestTablePath:
+    """With the table held, the sampled checks read f, mu and the training
+    blocks from its solve by bitmask; their reports equal the cache path's
+    bit for bit."""
+
+    @staticmethod
+    def reports(ctx, trials, seed):
+        return [check(ctx, trials=trials, seed=seed).as_dict()
+                for check in (check_monotone, check_sandwich)]
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_equals_cache_path(self, monkeypatch, seed):
+        # n runs over 1..9 and Q over {1, 2}; n = 1 draws only the empty S.
+        monkeypatch.setattr(oracle, "MONOTONE_TOL", -math.inf)  # always report the witness
+        monkeypatch.setattr(oracle, "SANDWICH_TOL", -math.inf)
+        n, q = 1 + seed % 9, 1 + seed % 2
+        ctx = make_ctx(seed, n=n, q=q)
+        f_table(ctx)
+        assert ctx.table_solve[1] is not None  # one stack: its blocks are kept
+        want = self.reports(make_ctx(seed, n=n, q=q), 40, seed)
+        for name in ("f_many", "mu_many"):
+            monkeypatch.setattr(ctx, name, None)  # a cache read would raise
+        monkeypatch.setattr(setfn, "_canonical", None)
+        monkeypatch.setattr(dual, "_Stack", None)  # and so would a gather for the pairs
+        monkeypatch.setattr(oracle, "solve_inner_linear_many", None)
+        assert self.reports(ctx, 40, seed) == want
+
+    def test_cases_cover_the_least_norm_solve(self):
+        # Every case above draws an empty S, and some of those meet a
+        # positive mu(S + a), so the upper side takes the least-norm solve.
+        least_norm = 0
+        for seed in range(36):
+            n, q = 1 + seed % 9, 1 + seed % 2
+            ctx = make_ctx(seed, n=n, q=q)
+            f_table(ctx)
+            sizes, orders = oracle._draw_pairs(n, 40, seed)
+            assert (sizes == 0).any()
+            with_a = oracle._masks(sizes, orders)[1][sizes == 0]
+            least_norm += int((ctx.table_solve[0][with_a] > 0).any(axis=1).sum())
+        assert least_norm > 0
+
+    def test_split_table_keeps_no_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MONOTONE_TOL", -math.inf)
+        monkeypatch.setattr(oracle, "SANDWICH_TOL", -math.inf)
+        ctx = make_ctx(91, n=9, d=64, q=1)
+        assert len(ctx.stack_bounds(2 ** 9, 9)) > 1
+        f_table(ctx)
+        mu, blocks = ctx.table_solve
+        assert blocks is None and mu.shape == (2 ** 9, 1)
+        for name in ("f_many", "mu_many"):
+            monkeypatch.setattr(ctx, name, None)
+        got = self.reports(ctx, 30, 91)
+        assert got == self.reports(make_ctx(91, n=9, d=64, q=1), 30, 91)
+
+    def test_table_multipliers_are_the_cache_rows(self):
+        ctx = make_ctx(92, n=6, d=3, q=2)
+        f_table(ctx)
+        mu, (base, bs) = ctx.table_solve
+        keys = [tuple(np.flatnonzero(mask >> np.arange(6) & 1).tolist()) for mask in range(64)]
+        assert np.array_equal(mu, make_ctx(92, n=6, d=3, q=2).mu_many(keys))
+        assert base.shape == (64, 3, 3) and bs.shape == (64, 3) and not base[0].any()
 
 
 def modular_bound_reference(ctx, s_hat, alpha):

@@ -270,6 +270,34 @@ class TestOneSolvePath:
         assert len(result.selected) == 3
 
 
+class TestNotConverged:
+    """Every exact stack's non-converged rows are counted on the context."""
+
+    def test_counts_rows_the_newton_cap_cuts(self, monkeypatch):
+        # Subset (0, 1, 2) takes 4 Newton iterations on this instance.
+        ctx = make_ctx(41, n=9, d=3, q=2, C=1.5)
+        assert ctx.f_of((0, 1, 2))[1].iterations_used == 4 and ctx.not_converged == 0
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        ctx = make_ctx(41, n=9, d=3, q=2, C=1.5)
+        assert not ctx.f_of((0, 1, 2))[1].converged and ctx.not_converged == 1
+        ctx.f_many([(0, 1, 2)])  # a cache hit solves nothing
+        assert ctx.not_converged == 1
+
+    def test_table_and_leave_one_out_count(self, monkeypatch):
+        from selcon.oracle import f_table
+
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        ctx = make_ctx(41, n=9, d=3, q=2, C=1.5)
+        f_table(ctx)
+        keys = [tuple(np.flatnonzero(mask >> np.arange(9) & 1).tolist()) for mask in range(512)]
+        cut = {key for key in keys if not ctx.f_of(key)[1].converged}
+        assert (0, 1, 2) in cut and ctx.not_converged == len(cut)
+        ref = make_ctx(41, n=9, d=3, q=2, C=1.5)
+        ref.leave_one_out(np.arange(4))
+        assert ref.not_converged == sum(tuple(j for j in range(4) if j != i) in cut
+                                        for i in range(4)) > 0
+
+
 class TestFEmpty:
     def test_zero_when_slack(self):
         ctx = make_ctx(25, delta=100.0, C=2.0)
