@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, metrics, oracle
+from . import baselines, metrics, oracle, scenarios
 from .bounds import bound_report, data_constants, lambda_min_linear
 from .dataset import (
     Dataset,
@@ -39,7 +39,7 @@ from .dataset import (
     ValidationPartition,
     gen_synthetic,
     load_csv,
-    partition_validation,
+    partition_validation,  # unused here; bound by name so that tracers can wrap it
     save_csv,
     split,
 )
@@ -66,7 +66,8 @@ def _json(obj) -> str:
 
 # INI section -> key -> (argparse dest, field, parser of the INI text).
 # A field takes its flag's value, else the file's; fields set by neither keep
-# the default of TrainerConfig, SelconConfig or PROBLEM_DEFAULTS.
+# the default of TrainerConfig, SelconConfig or scenarios.build_context, and k
+# defaults to a tenth of the training rows.
 SETTINGS = {
     "problem": {
         "lambda": ("lam", "lam", float),
@@ -84,8 +85,6 @@ SETTINGS = {
         "alpha_value": ("alpha_value", "alpha_value", float),
     },
 }
-# k defaults to a tenth of the training rows.
-PROBLEM_DEFAULTS = {"lam": 1.0, "C": 1.0, "delta": "0.5"}
 
 
 def _read_config(path: str | None) -> configparser.ConfigParser:
@@ -146,21 +145,11 @@ def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int, float]:
         raise ValueError("--split needs three comma-separated fractions")
     trainer = TrainerConfig(**_settings(cp, args, "trainer"))
     train, val, test = split(data, SplitSpec(*fracs, seed=trainer.seed))
-    p = {**PROBLEM_DEFAULTS, "k": max(1, train.n // 10), **_settings(cp, args, "problem")}
-    auto = p["delta"] == "auto"
-    valpart = partition_validation(val, args.partition, 0.0 if auto else float(p["delta"]))
-    if auto:  # the probe's Gram blocks carry over
-        valpart = valpart.with_delta(metrics.auto_delta(train, valpart, p["lam"]))
-    ctx = SetFnContext(
-        train=train,
-        valpart=valpart,
-        lam=p["lam"],
-        C=p["C"],
-        backend=args.backend,
-        trainer=trainer,
-        model_kind=args.model,
-    )
-    return ctx, test, p["k"], load_seconds
+    problem = _settings(cp, args, "problem")
+    k = problem.pop("k", max(1, train.n // 10))
+    ctx = scenarios.build_context(train, val, args.partition, backend=args.backend,
+                                  trainer=trainer, model_kind=args.model, **problem)
+    return ctx, test, k, load_seconds
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -293,6 +282,8 @@ def cmd_fairness(args) -> int:
     cp = _read_config(args.config)
     if args.group is None:
         raise NeedTwoGroups("fairness runs need --group naming the group column")
+    if args.partition == "single":
+        raise NeedTwoGroups("fairness compares validation groups: use --partition by_group")
     ctx, _, k, _ = _build_context(args, cp)
     if ctx.valpart.q < 2:
         raise NeedTwoGroups("the validation split contains fewer than two groups")
@@ -393,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fairness", help="per-group bound sweep: driver vs random")
     _add_common_problem_flags(p)
+    p.set_defaults(partition="by_group")
     p.add_argument("--deltas", default=None, help="comma-separated bounds (default: grid around the 30%% rule)")
     p.set_defaults(func=cmd_fairness)
 

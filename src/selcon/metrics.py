@@ -1,5 +1,6 @@
 """Evaluation metrics: test error, per-group validation errors, fairness
-violation, the 30% bound rule and the long-format sweep CSV.
+violation, the 30% bound rule (applied by
+:func:`selcon.scenarios.build_context`) and the long-format sweep CSV.
 
 All means use numpy's pairwise (tree) summation, which keeps accumulation
 error near 1e-16 relative and makes row order immaterial to ~1e-12, so
@@ -10,19 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import baselines
 from .dataset import Dataset, ValidationPartition
 from .dual import TrainedState
 from .errors import EmptyDataset, NeedTwoGroups
 from .models import Model, predict_many
-from .setfn import SetFnContext
 
 __all__ = [
     "mse",
     "group_errors",
     "fairness_violation",
     "default_delta",
-    "auto_delta",
     "sweep_rows_to_csv",
 ]
 
@@ -74,15 +72,6 @@ def default_delta(full_state: TrainedState, val: Dataset, valpart: ValidationPar
     """30% of the mean per-group validation error of the full-data model."""
     errs, _ = group_errors(full_state.model, val, valpart)
     return 0.30 * float(np.mean(errs))
-
-
-def auto_delta(train: Dataset, valpart: ValidationPartition, lam: float) -> float:
-    """The 30% rule: :func:`default_delta` of the unconstrained (C = 0) exact
-    fit on the whole training pool, over the groups of ``valpart`` (its own
-    delta is not read).  The fit caches the partition's Gram blocks, so
-    ``valpart.with_delta`` of the result reuses them."""
-    full = baselines.full_selection(SetFnContext(train=train, valpart=valpart, lam=lam, C=0.0))
-    return default_delta(full.state, valpart.data, valpart)
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

@@ -1,25 +1,53 @@
-"""Seeded scenarios behind the paper's two experiments.
+"""The problem builder and the seeded scenarios of the paper's two experiments.
 
+:func:`build_context` partitions the validation rows, sets their bound and
+returns the context; the CLI, the studies and the tests build through it.
 Two corrupted training pools with clean validation and test folds, and the
 studies run on them: test error as the per-group bound tightens
 (:func:`delta_trend`) and cross-group fairness against the constrained
-random baseline (:func:`fairness_study`).  Each study sets its base bound by
-the 30% rule from a C = 0 fit on the full pool and runs the driver with
-alpha fixed at 1.  ``scripts/`` and the acceptance checks C12 and C13 call
-these functions.
+random baseline (:func:`fairness_study`).  Each study builds one context per
+seed at the 30% rule, moves its bound by multiples of it and runs the driver
+with alpha fixed at 1.  ``scripts/`` and the checks C12 and C13 call them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .baselines import random_with_constraints
-from .dataset import Dataset, partition_validation
-from .metrics import auto_delta, fairness_violation, mse
+from . import baselines, dataset, metrics
+from .dataset import Dataset
 from .selection import SelconConfig, run_selcon
 from .setfn import SetFnContext
 
-__all__ = ["corrupted_pool", "four_group_pool", "delta_trend", "fairness_study"]
+__all__ = ["build_context", "corrupted_pool", "four_group_pool", "delta_trend", "fairness_study"]
+
+
+def build_context(train: Dataset, val: Dataset, partition: str = "single", lam: float = 1.0,
+                  C: float = 1.0, delta: float | str = 0.5, **fields) -> SetFnContext:
+    """The problem on ``train`` with ``val`` partitioned by ``partition`` at
+    bound ``delta``; ``fields`` (backend, trainer, model_kind) go to the context.
+    ``delta="auto"`` is the 30% rule: :func:`~selcon.metrics.default_delta` of
+    the exact C = 0 fit on the whole pool, over a probe partition at bound 0
+    whose Gram blocks carry over.  Any other ``delta`` is read as a number."""
+    valpart = dataset.partition_validation(val, partition, 0.0 if delta == "auto" else delta)
+    if delta == "auto":
+        full = baselines.full_selection(SetFnContext(train=train, valpart=valpart, lam=lam, C=0.0))
+        valpart = valpart.with_delta(metrics.default_delta(full.state, val, valpart))
+    return SetFnContext(train=train, valpart=valpart, lam=lam, C=C, **fields)
+
+
+def _split_and_corrupt(r: np.random.Generator, pool: Dataset, cuts: tuple[float, float],
+                       bad_frac: float, noise_sd: float) -> tuple[Dataset, Dataset, Dataset]:
+    """Train, validation and test folds of ``pool``, shuffled and cut at the
+    fractions ``cuts``; ``bad_frac`` of the training rows get N(0, noise_sd^2)
+    label noise."""
+    tr, va, te = np.split(r.permutation(pool.n), [int(pool.n * c) for c in cuts])
+    y = pool.targets.copy()
+    bad = r.choice(tr, size=int(len(tr) * bad_frac), replace=False)
+    y[bad] += r.normal(0, noise_sd, len(bad))
+    return replace(pool, targets=y).take(tr), pool.take(va), pool.take(te)
 
 
 def corrupted_pool(seed: int, n: int = 400, d: int = 4) -> tuple[Dataset, Dataset, Dataset]:
@@ -28,17 +56,7 @@ def corrupted_pool(seed: int, n: int = 400, d: int = 4) -> tuple[Dataset, Datase
     r = np.random.default_rng(seed)
     X = r.uniform(-1, 1, (n, d))
     y = X @ r.uniform(-1, 1, d)
-    y = y - y.min() + 0.25
-    idx = r.permutation(n)
-    tr, va, te = np.split(idx, [int(n * 0.8), int(n * 0.9)])
-    y_tr = y.copy()
-    bad = r.choice(tr, size=len(tr) // 4, replace=False)
-    y_tr[bad] += r.normal(0, 1.5, size=len(bad))
-    return (
-        Dataset(features=X[tr], targets=y_tr[tr], ids=tr),
-        Dataset(features=X[va], targets=y[va], ids=va),
-        Dataset(features=X[te], targets=y[te], ids=te),
-    )
+    return _split_and_corrupt(r, Dataset(features=X, targets=y - y.min() + 0.25), (0.8, 0.9), 0.25, 1.5)
 
 
 def four_group_pool(seed: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -48,20 +66,9 @@ def four_group_pool(seed: int) -> tuple[Dataset, Dataset, Dataset]:
     r = np.random.default_rng(seed)
     Xc = r.uniform(-1, 1, (n, d_cont))
     groups = np.arange(n) % 4
-    X = np.hstack([Xc, np.eye(4)[groups]])
-    y = Xc @ r.uniform(-1, 1, d_cont) + (1.0 + 0.05 * np.arange(4))[groups]
-    y = y + r.normal(0, 0.1, n)
-    y = y - y.min() + 0.25
-    idx = r.permutation(n)
-    tr, va, te = np.split(idx, [int(n * 0.7), int(n * 0.85)])
-    y_tr = y.copy()
-    bad = r.choice(tr, size=int(len(tr) * 0.35), replace=False)
-    y_tr[bad] += r.normal(0, 2.5, len(bad))
-    return (
-        Dataset(features=X[tr], targets=y_tr[tr], groups=groups[tr], ids=tr),
-        Dataset(features=X[va], targets=y[va], groups=groups[va], ids=va),
-        Dataset(features=X[te], targets=y[te], groups=groups[te], ids=te),
-    )
+    y = Xc @ r.uniform(-1, 1, d_cont) + (1.0 + 0.05 * np.arange(4))[groups] + r.normal(0, 0.1, n)
+    pool = Dataset(features=np.hstack([Xc, np.eye(4)[groups]]), targets=y - y.min() + 0.25, groups=groups)
+    return _split_and_corrupt(r, pool, (0.7, 0.85), 0.35, 2.5)
 
 
 def delta_trend(seeds: int, scales: list[float], n: int, d: int, k: int,
@@ -77,13 +84,13 @@ def delta_trend(seeds: int, scales: list[float], n: int, d: int, k: int,
     rows = []
     for seed in range(seeds):
         train, val, test = corrupted_pool(seed, n, d)
-        probe = partition_validation(val, "single", 0.0)
-        base = auto_delta(train, probe, lam)
+        ctx = build_context(train, val, lam=lam, C=C, delta="auto")
+        base = ctx.valpart.delta
         for s in scales:
-            ctx = SetFnContext(train=train, valpart=probe.with_delta(base * s), lam=lam, C=C)
-            res = run_selcon(ctx, SelconConfig(k=k, seed=seed, L=6, alpha_mode="fixed", alpha_value=1.0))
+            s_ctx = replace(ctx, valpart=ctx.valpart.with_delta(base * s))
+            res = run_selcon(s_ctx, SelconConfig(k=k, seed=seed, L=6, alpha_mode="fixed", alpha_value=1.0))
             rows.append({"method": res.method, "k": k, "delta": base * s, "seed": seed,
-                         "metric": "test_mse", "value": mse(res.state.model, test), "scale": s})
+                         "metric": "test_mse", "value": metrics.mse(res.state.model, test), "scale": s})
     return rows
 
 
@@ -96,16 +103,15 @@ def fairness_study(seeds: int, scales: list[float], k: int, lam: float, C: float
     rnd_vals = [[] for _ in scales]
     for seed in range(seeds):
         train, val, test = four_group_pool(seed)
-        probe = partition_validation(val, "by_group", 0.0)
-        base = auto_delta(train, probe, lam)
+        ctx = build_context(train, val, "by_group", lam, C, "auto")
+        base = ctx.valpart.delta
+        part = dataset.partition_validation(test, "by_group", 0.0)  # fairness reads no bound
         for j, s in enumerate(scales):
-            delta = base * s
-            ctx = SetFnContext(train=train, valpart=probe.with_delta(delta), lam=lam, C=C)
-            sel = run_selcon(ctx, SelconConfig(k=k, seed=seed, L=4, alpha_mode="fixed", alpha_value=1.0))
-            rnd = random_with_constraints(ctx, k, seed)
-            part = partition_validation(test, "by_group", delta)
-            sel_vals[j].append(fairness_violation(sel.state.model, test, part))
-            rnd_vals[j].append(fairness_violation(rnd.state.model, test, part))
+            s_ctx = replace(ctx, valpart=ctx.valpart.with_delta(base * s))
+            sel = run_selcon(s_ctx, SelconConfig(k=k, seed=seed, L=4, alpha_mode="fixed", alpha_value=1.0))
+            rnd = baselines.random_with_constraints(s_ctx, k, seed)
+            sel_vals[j].append(metrics.fairness_violation(sel.state.model, test, part))
+            rnd_vals[j].append(metrics.fairness_violation(rnd.state.model, test, part))
     return [{"delta_scale": s, "selcon_median": float(np.median(sv)),
              "random_median": float(np.median(rv)), "wins": sum(a <= b for a, b in zip(sv, rv)),
              "seeds": seeds} for s, sv, rv in zip(scales, sel_vals, rnd_vals)]

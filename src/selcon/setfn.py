@@ -22,6 +22,7 @@ takes a sorted array, as ``train_dual_exact_many`` needs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -113,11 +114,11 @@ class SetFnContext:
         elements, built by ``rows(start, stop)``, and the training blocks of a
         one-stack exact solve, else None; the one place a trainer is picked.
         The exact backend solves the stacks of :meth:`stack_bounds`, building
-        each stack's rows when it reaches them and counting their
-        non-converged rows; its output is (``train_dual_exact_many``'s arrays
-        but the blocks, row).  The sgd backend trains one subset at a time,
-        for ``epochs`` from ``init_state`` when given, and its output is the
-        trained state."""
+        each stack's rows when it reaches them and counting, with a
+        RuntimeWarning, their non-converged rows; its output is
+        (``train_dual_exact_many``'s arrays but the blocks, row).  The sgd
+        backend trains one subset at a time, for ``epochs`` from ``init_state``
+        when given, and its output is the trained state."""
         if self.backend == "sgd":
             states = (train_dual_sgd(subset, self.train, self.valpart, self.lam, self.C,
                                      self.trainer, model_kind=self.model_kind,
@@ -130,6 +131,9 @@ class SetFnContext:
                                            self.lam, self.C)
             blocks, solved = solved[5:] if len(bounds) == 1 else None, solved[:5]
             self.not_converged += int(np.count_nonzero(~solved[4]))
+            if not solved[4].all():  # one fixed text, so the default filter shows it once
+                warnings.warn("an exact dual solve stopped before convergence; "
+                              "SetFnContext.not_converged counts such rows", RuntimeWarning)
             entries += ((value, (solved, r)) for r, value in enumerate(solved[2].tolist()))
         return entries, blocks
 

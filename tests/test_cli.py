@@ -5,8 +5,10 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selcon import cli, dataset, dual, errors, oracle, selection, setfn
@@ -622,6 +624,41 @@ class TestFairnessCmd:
         assert len(payload["rows"]) == 4
         for row in payload["rows"]:
             assert {"delta", "selcon", "random_constrained"} <= set(row)
+
+    def test_partition_defaults_to_by_group(self, grouped_csv, tmp_path):
+        common = ["fairness", "--data", str(grouped_csv), "--target", "y", "--group", "group",
+                  "--k", "8", "--deltas", "0.4,0.2"]
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert run([*common, "--out", str(default)]) == 0
+        assert run([*common, "--partition", "by_group", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    def test_single_partition_names_the_flag(self, tmp_path, capsys):
+        missing = tmp_path / "never_read.csv"  # refused before the CSV is read
+        assert run(["fairness", "--data", str(missing), "--target", "y", "--group", "group",
+                    "--partition", "single"]) == 2
+        assert "--partition by_group" in capsys.readouterr().err
+
+
+class TestNonConvergedWarning:
+    def test_stalled_select_warns_and_keeps_its_report(self, tmp_path):
+        # Features scaled by 120 at lambda 3 and C 3000: 16 of the run's
+        # exact solves reach the Newton cap.
+        r = np.random.default_rng(0)
+        X = r.normal(size=(60, 8)) * 120
+        y = X @ r.normal(size=8) + r.normal(size=60)
+        data = tmp_path / "stall.csv"
+        dataset.save_csv(dataset.Dataset(X, y), data)
+        argv = ["select", "--data", str(data), "--target", "y", "--lambda", "3", "--C", "3000",
+                "--k", "5", "--alpha-mode", "fixed", "--alpha-value", "1"]
+        warned, quiet = tmp_path / "warned.json", tmp_path / "quiet.json"
+        with pytest.warns(RuntimeWarning, match="not_converged"):
+            assert run([*argv, "--out", str(warned)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run([*argv, "--out", str(quiet)]) == 0
+        assert warned.read_bytes() == quiet.read_bytes()
+        assert json.loads(warned.read_text())["selected"]
 
 
 USAGE_ERRORS = (

@@ -26,9 +26,8 @@ from selcon.dual import (
     train_dual_sgd,
 )
 from selcon.errors import SingularSystem
-from selcon.metrics import auto_delta
 from selcon.models import LinearModel, loss_grad, params_of
-from selcon.scenarios import four_group_pool
+from selcon.scenarios import build_context, four_group_pool
 
 CFG = TrainerConfig()
 
@@ -339,9 +338,8 @@ class TestEmptySetCertificate:
         mx, my = train.features.mean(axis=0), train.targets.mean()
         train, val = (Dataset(features=data.features - mx, targets=data.targets - my,
                               groups=data.groups) for data in (train, val))
-        probe = partition_validation(val, "by_group", 0.0)
-        vp = probe.with_delta(auto_delta(train, probe, 0.05))
-        st = train_dual_exact([], train, vp, 0.05, 10.0, TrainerConfig())
+        ctx = build_context(train, val, "by_group", 0.05, 10.0, "auto")
+        st = train_dual_exact([], train, ctx.valpart, ctx.lam, ctx.C, ctx.trainer)
         assert (st.f_value, st.iterations_used, st.converged) == (0.0, 0, True)
         assert not st.mu.any() and not st.model.w.any()
 

@@ -7,11 +7,11 @@ import pytest
 from conftest import make_ctx, make_problem
 from selcon import cli, dual, selection, setfn
 from selcon.bounds import claim1_min
-from selcon.dataset import Dataset, offset_augment, partition_validation
+from selcon.dataset import Dataset, offset_augment
 from selcon.errors import InvalidAlpha, InvalidK
-from selcon.metrics import auto_delta, mse
+from selcon.metrics import mse
 from selcon.oracle import empirical_alpha
-from selcon.scenarios import corrupted_pool
+from selcon.scenarios import build_context, corrupted_pool
 from selcon.selection import (
     SelconConfig,
     _certified_k_smallest,
@@ -220,10 +220,8 @@ class TestRunSelcon:
         # The claim regime: a constant column on every fold, lam 0.005 and
         # the 30% rule.  An int C once truncated every multiplier step.
         train, val, _ = (offset_augment(fold, 0) for fold in corrupted_pool(0, 400, 8))
-        probe = partition_validation(val, "single", 0.0)
-        vp = probe.with_delta(auto_delta(train, probe, 0.005))
         cfg = SelconConfig(k=32, L=10, alpha_mode="fixed", alpha_value=1.0)
-        runs = [run_selcon(SetFnContext(train=train, valpart=vp, lam=0.005, C=C), cfg)
+        runs = [run_selcon(build_context(train, val, lam=0.005, C=C, delta="auto"), cfg)
                 for C in (96, 96.0)]
         got, want = [(r.selected, r.f_value, r.state.mu.tolist(), r.state.converged)
                      for r in runs]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,16 @@ class TestNotConverged:
         ctx = make_ctx(41, n=9, d=3, q=2, C=1.5)
         assert not ctx.f_of((0, 1, 2))[1].converged and ctx.not_converged == 1
         ctx.f_many([(0, 1, 2)])  # a cache hit solves nothing
+        assert ctx.not_converged == 1
+
+    def test_capped_solve_warns(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_ctx(41, n=9, d=3, q=2, C=1.5).f_of((0, 1, 2))
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        ctx = make_ctx(41, n=9, d=3, q=2, C=1.5)
+        with pytest.warns(RuntimeWarning, match="not_converged"):
+            ctx.f_of((0, 1, 2))
         assert ctx.not_converged == 1
 
     def test_table_and_leave_one_out_count(self, monkeypatch):
