@@ -585,15 +585,13 @@ def train_dual_sgd(
     C: float,
     cfg: TrainerConfig,
     model_kind: str = "linear",
-    init_state: TrainedState | None = None,
-    epochs: int | None = None,
 ) -> TrainedState:
     """Stochastic saddle-point trainer: Adam on the parameters, projected
     ascent on the multipliers after every mini-batch step.
 
-    Deterministic for a fixed config seed and subset; passing ``init_state``
-    warm-starts from a previous run (used by the opt-in fast leave-one-out
-    mode of the selection driver).
+    Every run starts from the seeded initialization with zero multipliers and
+    trains for ``cfg.epochs``, so it is deterministic for a fixed config seed
+    and subset whatever else was trained before it.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -601,12 +599,8 @@ def train_dual_sgd(
     ns = len(subset)
     rng = np.random.default_rng([cfg.seed, 1 + ns, *subset])
 
-    if init_state is not None:
-        model = init_state.model
-        mu = init_state.mu.copy()
-    else:
-        model = _init_model(model_kind, train.d, rng)
-        mu = np.zeros(valpart.q)
+    model = _init_model(model_kind, train.d, rng)
+    mu = np.zeros(valpart.q)
     params = params_of(model)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -616,10 +610,9 @@ def train_dual_sgd(
     Xs, ys = _subset_arrays(subset, train)
     Xv, yv = valpart.data.features, valpart.data.targets
     b_eff = min(ns, _SGD_BATCH) if ns else 0
-    n_epochs = epochs if epochs is not None else cfg.epochs
 
     step = 0
-    for _ in range(n_epochs):
+    for _ in range(cfg.epochs):
         if ns:
             order = rng.permutation(ns) if ns > b_eff else np.arange(ns)
             batch_starts = range(0, ns, b_eff)

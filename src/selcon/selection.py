@@ -78,7 +78,6 @@ class SelconConfig:
     alpha_mode: str = "certified"
     alpha_value: float | None = None
     seed: int = 0
-    warm_loo_epochs: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -91,8 +90,6 @@ class SelconConfig:
             raise ValueError("fixed alpha_mode needs a positive, finite alpha_value")
         if self.alpha_mode != "fixed" and self.alpha_value is not None:
             raise ValueError("alpha_value is read only with alpha_mode 'fixed'")
-        if self.warm_loo_epochs is not None and self.warm_loo_epochs < 1:
-            raise ValueError("warm_loo_epochs must be None or >= 1")
 
 
 @dataclass
@@ -200,15 +197,16 @@ class _Family:
         """Refine the rows not yet refined and solve the others exactly.
         False when an exact value falls outside its interval."""
         fresh, stale = rows[~self.refined[rows]], rows[self.refined[rows]]
-        if fresh.size:
-            base, b, c = self.common
-            X, y = self.X[fresh], self.y[fresh]
+        base, b, c = self.common
+        for start, stop in self.ctx.stack_bounds(len(fresh), 1):  # (B, d, d) per stack
+            part = fresh[start:stop]
+            X, y = self.X[part], self.y[part]
             lo, hi = newton_bounds(base + self.sign * X[:, :, None] * X[:, None, :],
                                    b + self.sign * y[:, None] * X, c + self.sign * y * y,
-                                   self.start[fresh], self.ctx.valpart, self.ctx.C)
-            self.lo[fresh] = np.maximum(self.lo[fresh], lo)
-            self.hi[fresh] = np.minimum(self.hi[fresh], hi)
-            self.refined[fresh] = True
+                                   self.start[part], self.ctx.valpart, self.ctx.C)
+            self.lo[part] = np.maximum(self.lo[part], lo)
+            self.hi[part] = np.minimum(self.hi[part], hi)
+        self.refined[fresh] = True
         if not stale.size:
             return True
         values = self.solve(stale)
@@ -234,8 +232,7 @@ def _singleton_family(ctx: SetFnContext) -> _Family:
                    lambda rows: ctx.f_many([(int(i),) for i in rows]))
 
 
-def _leave_one_out_family(ctx: SetFnContext, s_hat: np.ndarray,
-                          warm_epochs: int | None = None) -> _Family:
+def _leave_one_out_family(ctx: SetFnContext, s_hat: np.ndarray) -> _Family:
     """f(S_hat minus i) for every position of S_hat, bracketed on the exact
     backend at mu(S_hat) when S_hat has two elements or more."""
     k = len(s_hat)
@@ -243,7 +240,7 @@ def _leave_one_out_family(ctx: SetFnContext, s_hat: np.ndarray,
     common = (ctx.lam * (k - 1) * np.eye(ctx.train.d) + X.T @ X, X.T @ y, float(y @ y))
     points = ctx.mu_many([s_hat]) if ctx.backend == "exact" and k > 1 else ()
     return _Family(ctx, X, y, -1.0, common, points,
-                   lambda rows: ctx.leave_one_out(s_hat, warm_epochs, drop=rows))
+                   lambda rows: ctx.leave_one_out(s_hat, drop=rows))
 
 
 def _kth_of_the_others(ends: np.ndarray, k: int) -> np.ndarray:
@@ -253,16 +250,15 @@ def _kth_of_the_others(ends: np.ndarray, k: int) -> np.ndarray:
 
 
 def _certified_k_smallest(ctx: SetFnContext, s_hat: tuple[int, ...], f_hat: float, alpha: float,
-                          singletons: _Family, warm_epochs: int | None = None) -> tuple[int, ...]:
+                          singletons: _Family) -> tuple[int, ...]:
     """``_k_smallest(modular_scores(ctx, s_hat, alpha), k)``, solving exactly
-    only the elements whose score intervals cannot place them; ``warm_epochs``
-    reaches :meth:`SetFnContext.leave_one_out`."""
+    only the elements whose score intervals cannot place them."""
     n, k = ctx.train.n, len(s_hat)
     if k == n:
         return s_hat
     s_hat = np.asarray(s_hat, dtype=np.intp)
     f0 = ctx.f_empty()
-    loo = _leave_one_out_family(ctx, s_hat, warm_epochs)
+    loo = _leave_one_out_family(ctx, s_hat)
     while True:
         lo, hi = (singletons.lo - f0) / alpha, (singletons.hi - f0) / alpha
         lo[s_hat], hi[s_hat] = alpha * (f_hat - loo.hi), alpha * (f_hat - loo.lo)
@@ -296,7 +292,7 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     for it in range(cfg.L):
         f_hat, _ = ctx.f_of(s_hat)
         trace.append((it, f_hat, _digest(s_hat)))
-        s_next = _certified_k_smallest(ctx, s_hat, f_hat, alpha, singletons, cfg.warm_loo_epochs)
+        s_next = _certified_k_smallest(ctx, s_hat, f_hat, alpha, singletons)
         if s_next == s_hat:
             break
         s_hat = s_next

@@ -2,10 +2,10 @@
 
 A :class:`SetFnContext` owns the problem data, the trainer configuration and
 an unbounded cache keyed by the sorted index tuple.  Values are
-path-independent: every f(S) trains from the configured initialization, and
-the exact backend's stacked solver computes each subset's row without
-reference to the other rows, so cached numbers do not depend on the order in
-which subsets were queried nor on the batch they were solved in.  Every
+path-independent: every f(S), a leave-one-out row too, trains from the
+configured initialization, and the exact backend's stacked solver computes
+each subset's row without reference to the other rows, so no value depends on
+the order in which subsets were queried nor on the batch they were solved in.  Every
 evaluation has one miss path on both backends, ``SetFnContext._solve``:
 :meth:`SetFnContext.f_of`, :meth:`SetFnContext.f_many` and
 :meth:`SetFnContext.mu_many` read the cache and send its misses there, as
@@ -59,8 +59,8 @@ class SetFnContext:
     :meth:`f_of` evaluates one subset and :meth:`f_many` many at once, through
     the same cache and the same solver calls, so their values are
     bit-identical.  :meth:`leave_one_out` solves the sets S minus i the same
-    way but leaves the cache alone, so only cold, path-independent values are
-    ever cached.  ``C`` is stored as a float.
+    way but leaves the cache alone, since each of its values is used once.
+    ``C`` is stored as a float.
     """
 
     train: Dataset
@@ -108,8 +108,7 @@ class SetFnContext:
         step = max(1, _CHUNK_FLOATS // max(d * (d + self.valpart.q), size * d))
         return [(start, min(start + step, count)) for start in range(0, count, step)]
 
-    def _solve(self, count: int, size: int, rows, epochs: int | None = None,
-               init_state: TrainedState | None = None):
+    def _solve(self, count: int, size: int, rows):
         """(f, solver output) for ``count`` subsets of at most ``size``
         elements, built by ``rows(start, stop)``, and the training blocks of a
         one-stack exact solve, else None; the one place a trainer is picked.
@@ -117,12 +116,11 @@ class SetFnContext:
         each stack's rows when it reaches them and counting, with a
         RuntimeWarning, their non-converged rows; its output is
         (``train_dual_exact_many``'s arrays but the blocks, row).  The sgd
-        backend trains one subset at a time, for ``epochs`` from ``init_state``
-        when given, and its output is the trained state."""
+        backend trains one subset at a time from its seeded initialization,
+        and its output is the trained state."""
         if self.backend == "sgd":
             states = (train_dual_sgd(subset, self.train, self.valpart, self.lam, self.C,
-                                     self.trainer, model_kind=self.model_kind,
-                                     init_state=init_state, epochs=epochs)
+                                     self.trainer, model_kind=self.model_kind)
                       for subset in rows(0, count))
             return [(state.f_value, state) for state in states], None
         entries, blocks, bounds = [], None, self.stack_bounds(count, size)
@@ -181,8 +179,7 @@ class SetFnContext:
                 for _, out in entries]
         return np.array(rows).reshape(len(rows), self.valpart.q)
 
-    def leave_one_out(self, s_hat: np.ndarray, warm_epochs: int | None = None,
-                      drop: np.ndarray | None = None) -> np.ndarray:
+    def leave_one_out(self, s_hat: np.ndarray, drop: np.ndarray | None = None) -> np.ndarray:
         """f(S_hat minus i) for every i of the sorted, non-empty index array ``s_hat``,
         in its order, or for the positions ``drop`` of it only; uncached, and
         no state is built.
@@ -191,13 +188,11 @@ class SetFnContext:
         on the exact backend, each value bit-identical to :meth:`f_of`'s.  An
         exact context that holds the exhaustive :attr:`table` reads them from
         it, and a one-element S_hat reads f(empty) from the cache when it is
-        there.  The sgd backend trains each row from scratch, or, when
-        ``warm_epochs`` is set, for that many epochs from S_hat's trained state.
+        there.  The sgd backend trains each row from scratch, as f_of does.
         """
         s_hat = np.asarray(s_hat, dtype=np.intp)
         k = len(s_hat)
         drop = np.arange(k) if drop is None else np.asarray(drop, dtype=np.intp)
-        init_state = None
 
         def rows(start, stop):
             keep = drop[start:stop, None] != np.arange(k)
@@ -208,10 +203,7 @@ class SetFnContext:
                 return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat[drop])]
             if k == 1 and () in self._cache:
                 return np.full(len(drop), self._cache[()][0])
-        elif warm_epochs is not None:
-            init_state = self.f_of(s_hat)[1]
-        return np.array([value for value, _ in
-                         self._solve(len(drop), k - 1, rows, warm_epochs, init_state)[0]])
+        return np.array([value for value, _ in self._solve(len(drop), k - 1, rows)[0]])
 
     # -- derived quantities --------------------------------------------------
 

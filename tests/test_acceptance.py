@@ -6,12 +6,13 @@ and reused across criteria.
 """
 
 import functools
+import json
 
 import numpy as np
 import pytest
 
 from conftest import make_ctx, make_problem, register_acceptance
-from selcon import cli
+from selcon import cli, setfn
 from selcon.bounds import (
     alpha_hat_linear,
     approx_ratio,
@@ -411,22 +412,28 @@ def test_c14_offset_effect():
 register_acceptance("test_c14_offset_effect", "C14 offsets strictly improve spread and guarantee ratio")
 
 
-def test_c15_determinism(tmp_path):
-    """Identical reports from the CLI regardless of the thread cap."""
+def test_c15_determinism(tmp_path, monkeypatch):
+    """Identical reports from the CLI regardless of the thread cap (the flag
+    is ignored) and of how many subsets one exact solve stacks; with alpha
+    fixed at 1 the MM step moves, so the stacks are real."""
     data = tmp_path / "data.csv"
     assert cli.main(["gen", "--n", "120", "--d", "3", "--noise", "0.3",
                      "--seed", "1", "--out", str(data)]) == 0
     outputs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"report{threads}.json"
-        code = cli.main([
-            "select", "--data", str(data), "--target", "y",
-            "--lambda", "0.5", "--C", "1.0", "--delta", "0.4", "--k", "8",
-            "--threads", threads, "--seed", "3", "--out", str(out),
-        ])
-        assert code == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    for chunk_floats in (1, 60, setfn._CHUNK_FLOATS):
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+        for threads in ("1", "8"):
+            out = tmp_path / f"report{chunk_floats}_{threads}.json"
+            code = cli.main([
+                "select", "--data", str(data), "--target", "y",
+                "--lambda", "0.5", "--C", "1.0", "--delta", "0.4", "--k", "8",
+                "--alpha-mode", "fixed", "--alpha-value", "1",
+                "--threads", threads, "--seed", "3", "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+    assert len(json.loads(outputs[0])["trace"]) > 1
+    assert all(o == outputs[0] for o in outputs[1:])
 
 
-register_acceptance("test_c15_determinism", "C15 byte-identical CLI reports across thread counts")
+register_acceptance("test_c15_determinism", "C15 byte-identical CLI reports across thread counts and stack sizes")

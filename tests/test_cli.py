@@ -344,6 +344,27 @@ def test_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+MODULES = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    # A fresh interpreter per module, so that no earlier import hides a cycle.
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", f"import selcon.{module}"], cwd=src,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_package_import_loads_no_module():
+    # The package re-exports nothing, so importing it loads none of its modules.
+    code = "import sys, selcon; print(sorted(m for m in sys.modules if m.startswith('selcon.')))"
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
 def test_runs_with_scipy_blocked():
     # A None entry in sys.modules makes every scipy import raise ImportError.
     code = (

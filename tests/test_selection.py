@@ -179,11 +179,6 @@ class TestRunSelcon:
         with pytest.raises(ValueError, match="alpha_value is read only with alpha_mode 'fixed'"):
             SelconConfig(k=2, alpha_mode=mode, alpha_value=3.0)
 
-    @pytest.mark.parametrize("epochs", [0, -1])
-    def test_warm_loo_epochs_must_be_positive(self, epochs):
-        with pytest.raises(ValueError, match="warm_loo_epochs"):
-            SelconConfig(k=2, warm_loo_epochs=epochs)
-
     def test_alpha_floor_is_a_constant(self):
         assert selection.ALPHA_FLOOR == 0.05
         with pytest.raises(TypeError):
@@ -227,6 +222,26 @@ class TestRunSelcon:
                      for r in runs]
         assert got == want and want[3]
 
+    def test_refinement_keeps_to_the_stack_budget(self, monkeypatch):
+        # The claim regime at 320 training rows: the first refinement has
+        # hundreds of undecided singletons, and each (B, d, d) stack of
+        # newton_bounds must stay under _CHUNK_FLOATS like every other solve.
+        train, val, _ = (offset_augment(fold, 0) for fold in corrupted_pool(0, 400, 8))
+        cfg = SelconConfig(k=32, L=10, alpha_mode="fixed", alpha_value=1.0)
+
+        def run():
+            result = run_selcon(build_context(train, val, lam=0.005, C=96.0, delta="auto"), cfg)
+            return result.selected, result.f_value, result.trace, result.state.mu.tolist()
+
+        want = run()
+        rows = []
+        bounds = selection.newton_bounds
+        monkeypatch.setattr(selection, "newton_bounds",
+                            lambda base, *a: rows.append(len(base)) or bounds(base, *a))
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", 450)  # 5 rows of d (d + Q) = 9 * 10
+        assert run() == want
+        assert rows and max(rows) <= 5
+
 
 class TestUnconstrained:
     def test_identical_when_C_already_zero(self):
@@ -266,8 +281,7 @@ class TestUnconstrained:
 
 
 def _reference_run(ctx, cfg):
-    """The MM loop with every score solved: cold singletons, and the
-    leave-one-out sweep warm-started as ``cfg.warm_loo_epochs`` says."""
+    """The MM loop with every score solved cold."""
     s_hat = random_subset(ctx.train.n, cfg.k, cfg.seed)
     alpha = selection.resolve_alpha(ctx, cfg)
     trace = []
@@ -275,7 +289,7 @@ def _reference_run(ctx, cfg):
         f_hat = ctx.f_of(s_hat)[0]
         trace.append((it, f_hat, _digest(s_hat)))
         scores = (ctx.singletons() - ctx.f_empty()) / alpha
-        loo = ctx.leave_one_out(np.array(s_hat), cfg.warm_loo_epochs)
+        loo = ctx.leave_one_out(np.array(s_hat))
         scores[list(s_hat)] = alpha * (f_hat - loo)
         s_next = _k_smallest(scores, cfg.k)
         if s_next == s_hat:
@@ -288,43 +302,21 @@ def _reference_run(ctx, cfg):
 
 
 class TestWarmLeaveOneOut:
-    def test_sgd_speed_mode_runs(self):
-        from selcon.dual import TrainerConfig
+    """The sgd backend's leave-one-out rows train from scratch, as f_of's do."""
 
-        trainer = TrainerConfig(epochs=40, seed=0)
-        ctx = make_ctx(62, n=6, backend="sgd", trainer=trainer)
-        cfg = SelconConfig(
-            k=2, L=2, seed=0, alpha_mode="fixed", alpha_value=1.0, warm_loo_epochs=3
-        )
-        result = run_selcon(ctx, cfg)
-        assert len(result.selected) == 2
-        assert result.state.backend == "sgd"
-
-    @pytest.mark.parametrize("k", [1, 5])
-    @pytest.mark.parametrize("warm", [None, 3], ids=["cold", "warm"])
-    def test_sgd_driver_equals_the_reference_loop(self, warm, k):
+    @pytest.mark.parametrize("k", [1, 5], ids=["cold-1", "cold-5"])
+    def test_sgd_driver_equals_the_reference_loop(self, k):
         from selcon.dual import TrainerConfig
 
         make = lambda: make_ctx(63, n=10, q=2, backend="sgd",
                                 trainer=TrainerConfig(epochs=20, seed=1))
         moved = 0
         for seed in range(3):
-            cfg = SelconConfig(k=k, L=3, seed=seed, alpha_mode="fixed", alpha_value=0.8,
-                               warm_loo_epochs=warm)
+            cfg = SelconConfig(k=k, L=3, seed=seed, alpha_mode="fixed", alpha_value=0.8)
             result = run_selcon(make(), cfg)
             assert (result.selected, result.f_value, result.trace) == _reference_run(make(), cfg)
             moved += len(result.trace) > 1
         assert moved >= 2
-
-    def test_warm_values_stay_out_of_the_cache(self):
-        from selcon.dual import TrainerConfig
-
-        trainer = TrainerConfig(epochs=40, seed=0)
-        ctx = make_ctx(62, n=6, backend="sgd", trainer=trainer)
-        ctx.leave_one_out(np.array([0, 2, 5]), 3)
-        cold = make_ctx(62, n=6, backend="sgd", trainer=trainer)
-        for rest in ((2, 5), (0, 5), (0, 2)):
-            assert ctx.f_of(rest)[0] == cold.f_of(rest)[0]
 
 
 class TestBoundDominance:
