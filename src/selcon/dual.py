@@ -14,9 +14,9 @@ realize it:
   outer maximization of the smooth concave dual runs projected Newton on the
   box (Bertsekas 1982) with the exact dual Hessian -2 V'A(mu)^-1 V.  It
   solves a stack of B subsets at once and returns arrays, not states: the
-  training Gram blocks are assembled per subset size by one batched product,
-  the systems A(mu) form a (B, d, d) stack inverted by one call, and Newton
-  runs in lockstep with a step length and stopping test per row.  No
+  training Gram blocks come from :func:`gram_blocks`, the systems A(mu) form
+  a (B, d, d) stack inverted by one call that yields w and the curvature,
+  and Newton runs in lockstep with a step length and stopping test per row.  No
   operation mixes rows, so a subset's value does not depend on the stack it
   was solved in.  This backend is the ground truth for every property check.
   f(empty) is 0 with mu = 0 whenever the validation groups' pooled fit meets
@@ -27,11 +27,10 @@ realize it:
   objective is trained at scale.  Its error relative to ``exact`` is the
   imperfect-estimate epsilon quoted by the approximation guarantee.
 
-``solve_inner_linear_many`` solves the inner minimum alone at given
-multipliers, for a stack of subsets with one row of mu each; the sandwich
-oracle cross-evaluates every sampled pair with two such stacks, or two of
-``solve_inner_blocks`` on given blocks, and ``solve_inner_linear`` is the
-one-subset call.
+``gram_blocks`` assembles the training blocks of a stack of subsets, and
+``solve_inner_blocks`` solves the inner minimum alone on such blocks, at one
+row of mu each: the sandwich oracle cross-evaluates every sampled pair with
+two such calls.  ``solve_inner_linear`` is the one-subset call.
 
 ``primal_value`` solves the equivalent penalized primal directly by a
 restarted Polyak subgradient method; it is kept deliberately independent of
@@ -63,8 +62,8 @@ __all__ = [
     "TrainerConfig",
     "TrainedState",
     "dual_objective",
+    "gram_blocks",
     "solve_inner_linear",
-    "solve_inner_linear_many",
     "solve_inner_blocks",
     "exact_state",
     "train_dual_exact",
@@ -172,58 +171,54 @@ def _mix(mu: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def gram_blocks(subsets: Sequence[Sequence[int]], train: Dataset,
+                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training blocks (base, b, c) of the linear inner problem for a stack of
+    subsets: row r holds lam n_S I + X_S'X_S, X_S'y_S and y_S'y_S of its
+    subset, and zeros for an empty one.
+
+    Rows of one size m share one (B_m, m) gather and one batched product each
+    for X'X, X'y and y'y, which round as per-row products do, so a row's
+    blocks are bit-identical in every stack it appears in.  Memory grows as
+    B (d^2 + m d); callers bound B, as ``SetFnContext.stack_bounds`` does."""
+    B, d = len(subsets), train.d
+    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=B)
+    base, bs, cs = np.zeros((B, d, d)), np.zeros((B, d)), np.zeros(B)
+    for m in sorted(set(sizes.tolist()) - {0}):
+        rows = np.flatnonzero(sizes == m)
+        idx = np.array([subsets[r] for r in rows], dtype=np.intp)
+        X, y = train.features[idx], train.targets[idx]
+        Xt = X.transpose(0, 2, 1)
+        base[rows] = lam * m * np.eye(d) + Xt @ X
+        bs[rows] = (Xt @ y[:, :, None])[:, :, 0]
+        cs[rows] = row_dots(y, y)
+    return base, bs, cs
+
+
 class _Stack:
-    """Gram blocks of the linear inner problem for a stack of subsets.
+    """The linear inner problem of a stack of subsets, given as training
+    blocks (base, b, c) in :func:`gram_blocks`'s form; a zero base is an
+    empty S.  Every row shares the partition's cached validation blocks, and
+    no operation mixes rows, so a row's numbers do not depend on its stack."""
 
-    Row r holds the training side of its subset's system, lam n_S I + X_S'X_S,
-    with b_S = X_S'y_S and c_S = y_S'y_S; every row shares the partition's
-    cached validation blocks.  Rows of one size m share one (B_m, m) gather
-    and one batched product each for X'X, X'y and y'y, which round as
-    per-row products do; no later operation mixes rows, so a row's numbers
-    are bit-identical in every stack it appears in.
-    """
-
-    def __init__(self, subsets: Sequence[Sequence[int]], train: Dataset,
-                 valpart: ValidationPartition, lam: float):
-        B, d = len(subsets), train.d
-        sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=B)
-        self.base = np.zeros((B, d, d))
-        self.bs = np.zeros((B, d))
-        self.cs = np.zeros(B)
-        for m in sorted(set(sizes.tolist()) - {0}):
-            rows = np.flatnonzero(sizes == m)
-            idx = np.array([subsets[r] for r in rows], dtype=np.intp)
-            X, y = train.features[idx], train.targets[idx]
-            Xt = X.transpose(0, 2, 1)
-            self.base[rows] = lam * m * np.eye(d) + Xt @ X
-            self.bs[rows] = (Xt @ y[:, :, None])[:, :, 0]
-            self.cs[rows] = row_dots(y, y)
-        self._share(valpart, sizes == 0)
-
-    @classmethod
-    def of_blocks(cls, base: np.ndarray, bs: np.ndarray, cs: np.ndarray,
-                  valpart: ValidationPartition) -> "_Stack":
-        """A stack of given, non-empty training blocks (base, b_S, c_S)."""
-        stack = cls.__new__(cls)
-        stack.base, stack.bs, stack.cs = base, bs, cs
-        stack._share(valpart, np.zeros(len(base), dtype=bool))
-        return stack
-
-    def _share(self, valpart: ValidationPartition, empty: np.ndarray) -> None:
-        self.empty = empty
+    def __init__(self, base: np.ndarray, bs: np.ndarray, cs: np.ndarray,
+                 valpart: ValidationPartition):
+        self.base, self.bs, self.cs = base, bs, cs
+        self.empty = ~base.any(axis=(1, 2))
         self.Gbar, self.bbar, self.cbar = valpart.gram
         self.delta = valpart.delta
 
     def evaluate(self, rows: np.ndarray, mu: np.ndarray):
-        """Inner minimizer w, dual gradient, dual value phi, A(mu)^-1 and
-        V = Gbar w - bbar at ``mu`` (one row per entry of ``rows``).
+        """Inner minimizer w, dual gradient, dual value phi and the dual's
+        curvature M = 2 V A(mu)^-1 V', with V = Gbar w - bbar, at ``mu`` (one
+        row per entry of ``rows``); the dual Hessian is -M.
 
         The gradient of the dual is the vector of validation slacks
         e(w) - delta, and phi = mu.grad + c_S - 2 w'b_S + w'(lam n_S I + G_S) w.
-        One explicit inverse serves both w and the curvature 2 V A^-1 V'; at
-        d of a few dozen it costs less than a separate factor-and-solve pair.
-        With an empty training sum A is only PSD, and its pseudo-inverse
-        gives the least-norm minimizer.
+        One explicit inverse serves both w and M; at d of a few dozen it costs
+        less than a separate factor-and-solve pair.  With an empty training
+        sum A is only PSD, and its pseudo-inverse gives the least-norm
+        minimizer.
         """
         base = self.base[rows]
         A = base + _mix(mu, self.Gbar)
@@ -240,36 +235,23 @@ class _Stack:
         Gw = (self.Gbar @ w[:, None, :, None])[..., 0]
         grad = _dot(Gw, w[:, None]) - 2.0 * _dot(self.bbar, w[:, None]) + self.cbar - self.delta
         fit = self.cs[rows] - 2.0 * _dot(w, self.bs[rows]) + _dot(w, (base @ w[:, :, None])[:, :, 0])
-        phi = _dot(mu, grad) + fit
-        return w, grad, phi, A_inv, Gw - self.bbar
-
-
-def solve_inner_linear_many(mu: np.ndarray, subsets: Sequence[Sequence[int]], train: Dataset,
-                            valpart: ValidationPartition, lam: float,
-                            allow_degenerate: bool = False) -> np.ndarray:
-    """Exact minimizers of F(., mu_r, S_r) for the linear model, as a (B, d)
-    array: one row per subset and per row of the (B, Q) ``mu``.
-
-    The training blocks are gathered per subset size as in :class:`_Stack`,
-    mu is mixed one q at a time as :func:`_mix` does, and one batched solve
-    serves the stack, so no operation mixes rows and a row's bits do not
-    depend on its stack.  An empty S takes the least-norm minimizer through
-    the pseudo-inverse, or with mu = 0 (the objective is then identically
-    zero) w = 0 when ``allow_degenerate`` is set.  None of the trainer's
-    solves run here, so tests and oracles can check the trainer against it.
-    Memory grows as B (d^2 + m d); callers bound B, as
-    ``SetFnContext.stack_bounds`` does.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    stack = _Stack(subsets, train, valpart, lam)
-    return solve_inner_blocks(mu, stack.base, stack.bs, valpart, allow_degenerate)
+        V = Gw - self.bbar
+        return w, grad, _dot(mu, grad) + fit, 2.0 * ((V @ A_inv) @ V.transpose(0, 2, 1))
 
 
 def solve_inner_blocks(mu: np.ndarray, base: np.ndarray, bs: np.ndarray,
                        valpart: ValidationPartition, allow_degenerate: bool = False) -> np.ndarray:
-    """:func:`solve_inner_linear_many`'s arithmetic on the training blocks
-    (base, b) that :func:`train_dual_exact_many` returns; a zero base is an empty S."""
+    """Exact minimizers of F(., mu_r, S_r) for the linear model, as a (B, d)
+    array: one row per training block (base, b) of :func:`gram_blocks` and
+    per row of the (B, Q) ``mu``.
+
+    mu is mixed one q at a time as :func:`_mix` does, and one batched solve
+    serves the stack, so no operation mixes rows and a row's bits do not
+    depend on its stack.  A zero base is an empty S: it takes the least-norm
+    minimizer through the pseudo-inverse, or with mu = 0 (the objective is
+    then identically zero) w = 0 when ``allow_degenerate`` is set.  None of
+    the trainer's solves run here, so tests and oracles can check the
+    trainer against it."""
     mu = np.asarray(mu, dtype=float).reshape(len(base), valpart.q)
     empty = ~base.any(axis=(1, 2))
     least_norm = empty & (mu > 0).any(axis=1)
@@ -286,19 +268,15 @@ def solve_inner_blocks(mu: np.ndarray, base: np.ndarray, bs: np.ndarray,
     return w
 
 
-def solve_inner_linear(
-    mu: np.ndarray,
-    subset: Sequence[int],
-    train: Dataset,
-    valpart: ValidationPartition,
-    lam: float,
-    allow_degenerate: bool = False,
-) -> LinearModel:
+def solve_inner_linear(mu: np.ndarray, subset: Sequence[int], train: Dataset,
+                       valpart: ValidationPartition, lam: float,
+                       allow_degenerate: bool = False) -> LinearModel:
     """Exact minimizer of F(., mu, S) for the linear model: the one-subset
-    call of :func:`solve_inner_linear_many`, which says how an empty S is
-    solved."""
-    w = solve_inner_linear_many(mu, [list(subset)], train, valpart, lam, allow_degenerate)
-    return LinearModel(w=w[0])
+    call of :func:`solve_inner_blocks`, which says how an empty S is solved."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    base, bs, _ = gram_blocks([list(subset)], train, lam)
+    return LinearModel(w=solve_inner_blocks(mu, base, bs, valpart, allow_degenerate)[0])
 
 
 # Projected-gradient norm at which a row of the Newton loop has converged.
@@ -341,14 +319,17 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: 
     corner mu = hi, or from the rows of ``start``, for at most ``max_iters``
     Newton iterations.
 
-    Each row keeps its own Armijo step and its own stopping test; only the
-    rows still searching are evaluated again.  Returns per-row arrays
-    (w, mu, phi, iterations, converged); every accepted step raises phi up
-    to rounding, so each row's final iterate is its best one.
+    Each row keeps its own arc search and stopping test, and only the rows
+    still searching are evaluated again, through :meth:`_Stack.evaluate`'s
+    (w, grad, phi, M).  An arc trial is accepted on the Armijo test or when
+    grad(trial).(trial - mu) >= 0: on a concave phi that is ascent, with no
+    comparison of two phi values that differ by less than their rounding.
+    Returns per-row arrays (w, mu, phi, iterations, converged); every
+    accepted step raises phi, so each row's final iterate is its best one.
     """
     B = len(lo)
     mu = hi.copy() if start is None else start.copy()
-    w, grad, phi, A_inv, V = stack.evaluate(np.arange(B), mu)
+    w, grad, phi, M = stack.evaluate(np.arange(B), mu)
     iters = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
     live = np.arange(B)
@@ -362,9 +343,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: 
         if not live.size:
             break
         iters[live] += 1
-        VA = V[live] @ A_inv[live]
-        M = 2.0 * (VA @ V[live].transpose(0, 2, 1))
-        direction = _newton_direction(mu[live], grad[live], M, lo[live], hi[live], pg_norm)
+        direction = _newton_direction(mu[live], grad[live], M[live], lo[live], hi[live], pg_norm)
         # Changes below the rounding of phi are noise, not ascent.
         noise = 1e-13 * (1.0 + np.abs(phi[live]))
         t = np.ones(live.size)
@@ -380,10 +359,11 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: 
             if rising.size:
                 r = rows[rising]
                 state = stack.evaluate(r, trial[rising])
-                ok = state[2] >= phi[r] + _ARMIJO * gain[rising] - noise[searching[rising]]
+                ok = ((state[2] >= phi[r] + _ARMIJO * gain[rising] - noise[searching[rising]])
+                      | (_dot(state[1], trial[rising] - mu[r]) >= 0.0))
                 r = r[ok]
                 mu[r] = trial[rising[ok]]
-                for field, value in zip((w, grad, phi, A_inv, V), state):
+                for field, value in zip((w, grad, phi, M), state):
                     field[r] = value[ok]
                 accepted[rising[ok]] = True
             rejected = searching[~accepted]
@@ -401,10 +381,10 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
 
     Each subset is an array or sequence of training indices that must be
     sorted: its order is the order its Gram block is summed in, and only
-    sorted input matches :func:`train_dual_exact` bit for bit.  The subsets are
-    stacked into (B, d, d) systems and one projected Newton loop runs over
-    all of them (see :func:`_projected_newton`).  Each row's arithmetic is
-    independent of the other rows, so a subset's result is bit-identical
+    sorted input matches :func:`train_dual_exact` bit for bit.  The subsets'
+    blocks come from :func:`gram_blocks`, and one projected Newton loop runs
+    over all of them (see :func:`_projected_newton`).  Each row's arithmetic
+    is independent of the other rows, so a subset's result is bit-identical
     whatever stack it is solved in.  Returns arrays (w, mu, f, iterations,
     converged, base, b) with one row per subset, the last two its training
     blocks lam n_S I + X_S'X_S and X_S'y_S.  Memory grows as B (d^2 + m d);
@@ -438,8 +418,9 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     hi = np.full(lo.shape, C, dtype=float)
     if certified:
         hi[empty] = 0.0
-    stack = _Stack(rows, train, valpart, lam)
-    w, mu, f, iters, converged = _projected_newton(stack, lo, hi, _MAX_NEWTON_ITERS)
+    base, bs, cs = gram_blocks(rows, train, lam)
+    w, mu, f, iters, converged = _projected_newton(_Stack(base, bs, cs, valpart), lo, hi,
+                                                   _MAX_NEWTON_ITERS)
     for i, rows_i in zip(empty, faces):
         best = rows_i[int(np.argmax(f[rows_i]))]
         iters[i] = iters[rows_i].sum()
@@ -451,7 +432,7 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
             w[i], mu[i], f[i], converged[i] = w[best], mu[best], f[best], converged[rows_i].all()
     if not np.isfinite(w[:B]).all():
         raise ValueError("weight entries must be finite")
-    return tuple(a[:B] for a in (w, mu, f, iters, converged, stack.base, stack.bs))
+    return tuple(a[:B] for a in (w, mu, f, iters, converged, base, bs))
 
 
 def exact_state(solved: tuple[np.ndarray, ...], r: int) -> TrainedState:
@@ -469,12 +450,14 @@ def train_dual_exact(subset: Sequence[int], train: Dataset, valpart: ValidationP
     sorted subset, so every order of one set gives the same bits.  The inner
     minimum is solved in closed form at every mu.  The concave dual is
     maximized by projected Newton (Bertsekas 1982): each iterate takes one
-    inverse of A(mu), a Newton step on the free multipliers with the exact
-    curvature 2 V'A^-1 V, a scaled gradient step on those held at a bound,
-    and an Armijo search along the projection arc.  It stops when the
+    inverse of A(mu), which gives w and the exact curvature 2 V'A^-1 V, a
+    Newton step on the free multipliers, a scaled gradient step on those
+    held at a bound, and a search along the projection arc that accepts a
+    trial on the Armijo test or on a non-negative directional derivative
+    there (see :func:`_projected_newton`).  It stops when the
     projected-gradient norm drops below ``_MU_TOLERANCE``.  After
-    ``_MAX_NEWTON_ITERS`` Newton iterations, or when the arc search
-    stalls, the last (best) iterate is returned with ``converged=False``.
+    ``_MAX_NEWTON_ITERS`` Newton iterations, or when the arc search finds
+    no ascent, the last (best) iterate is returned with ``converged=False``.
     ``f_value`` is the dual value phi the solver ends at, in the Gram form
     above; :func:`dual_objective` recomputes it from residuals.  The exact
     solver reads no setting of ``cfg``: it is kept only for the call shape of
@@ -551,9 +534,8 @@ def newton_bounds(base: np.ndarray, bs: np.ndarray, cs: np.ndarray, mu: np.ndarr
     """Widened (lower, upper) bounds on f for a stack of non-empty training
     blocks, at the iterate that at most ``_REFINE_ITERS`` iterations of
     :func:`_projected_newton` reach from each row's multiplier ``mu`` (B, Q)."""
-    stack = _Stack.of_blocks(base, bs, cs, valpart)
-    w, mu, phi, _, _ = _projected_newton(stack, np.zeros_like(mu), np.full_like(mu, C),
-                                         _REFINE_ITERS, mu)
+    w, mu, phi, _, _ = _projected_newton(_Stack(base, bs, cs, valpart), np.zeros_like(mu),
+                                         np.full_like(mu, C), _REFINE_ITERS, mu)
     grad = _slacks(w, valpart)
     return _bracket(phi - _dot(mu, grad), grad, mu, cs, valpart, C)
 

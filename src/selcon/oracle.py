@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import solve_inner_blocks, solve_inner_linear_many
+from .dual import gram_blocks, solve_inner_blocks
 from .errors import InvalidK, TooLarge
 from .models import row_dots
 from .setfn import SetFnContext
@@ -256,9 +256,9 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
     :func:`check_monotone`'s draw.  For each stack of pairs that
     ``SetFnContext.stack_bounds`` allows (one stack at desk scale), the
     multipliers of both sides are read in one batch, or from the table by
-    bitmask, and each side is one call of :func:`solve_inner_blocks` on the
-    table's blocks or of :func:`solve_inner_linear_many`, with equal bits;
-    no state is built.  The witness is the first minimum over the pairs'
+    bitmask, and each side is one call of :func:`solve_inner_blocks` on
+    training blocks read from the table by bitmask or assembled by
+    :func:`~selcon.dual.gram_blocks`, with equal bits; no state is built.  The witness is the first minimum over the pairs'
     (lower, upper) slacks in turn, as a strict ``<`` scan keeps.
     """
     if ctx.backend != "exact" or ctx.model_kind != "linear":
@@ -274,12 +274,9 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
         mu = (np.split(ctx.mu_many(keys[0][lo:hi] + keys[1][lo:hi]), 2) if masks is None
               else [mu_table[m[lo:hi]] for m in masks])
         for out, mu_rows, side, degenerate in ((lower, mu[0], 1, False), (upper, mu[1], 0, True)):
-            if blocks is None:
-                w = solve_inner_linear_many(mu_rows, keys[side][lo:hi], ctx.train, ctx.valpart,
-                                            ctx.lam, degenerate)
-            else:
-                w = solve_inner_blocks(mu_rows, *(b[masks[side][lo:hi]] for b in blocks),
-                                       ctx.valpart, degenerate)
+            base_b = (gram_blocks(keys[side][lo:hi], ctx.train, ctx.lam)[:2] if blocks is None
+                      else [b[masks[side][lo:hi]] for b in blocks])
+            w = solve_inner_blocks(mu_rows, *base_b, ctx.valpart, degenerate)
             out[lo:hi] = ctx.lam * row_dots(w, w) + (y_a[lo:hi] - row_dots(w, x_a[lo:hi])) ** 2
     slacks = np.column_stack([gains - lower, upper - gains]).ravel()
     worst = int(np.argmin(slacks))

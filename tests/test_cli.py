@@ -662,16 +662,32 @@ class TestFairnessCmd:
 
 
 class TestNonConvergedWarning:
-    def test_stalled_select_warns_and_keeps_its_report(self, tmp_path):
-        # Features scaled by 120 at lambda 3 and C 3000: 16 of the run's
-        # exact solves reach the Newton cap.
+    @staticmethod
+    def stall_argv(tmp_path):
+        # Features scaled by 120 at lambda 3 and C 3000: once the arc search
+        # accepted on Armijo alone, a row of this run stalled in it, its phi
+        # changes lost in rounding.
         r = np.random.default_rng(0)
         X = r.normal(size=(60, 8)) * 120
         y = X @ r.normal(size=8) + r.normal(size=60)
         data = tmp_path / "stall.csv"
         dataset.save_csv(dataset.Dataset(X, y), data)
-        argv = ["select", "--data", str(data), "--target", "y", "--lambda", "3", "--C", "3000",
+        return ["select", "--data", str(data), "--target", "y", "--lambda", "3", "--C", "3000",
                 "--k", "5", "--alpha-mode", "fixed", "--alpha-value", "1"]
+
+    def test_stall_repro_converges(self, tmp_path):
+        out = tmp_path / "stall.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*self.stall_argv(tmp_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["selected"] == [0, 8, 23, 31, 40]
+        assert report["f_value"] == pytest.approx(93.18178306380585, rel=1e-9)
+
+    def test_stalled_select_warns_and_keeps_its_report(self, tmp_path, monkeypatch):
+        # One Newton iteration per solve leaves rows short of convergence.
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        argv = self.stall_argv(tmp_path)
         warned, quiet = tmp_path / "warned.json", tmp_path / "quiet.json"
         with pytest.warns(RuntimeWarning, match="not_converged"):
             assert run([*argv, "--out", str(warned)]) == 0

@@ -11,6 +11,7 @@ from selcon.dataset import (
     SplitSpec,
     ValidationPartition,
     gen_synthetic,
+    offset_augment,
     partition_validation,
     split,
 )
@@ -18,16 +19,18 @@ from selcon.dual import (
     TrainerConfig,
     _Stack,
     dual_objective,
+    gram_blocks,
     primal_value,
+    solve_inner_blocks,
     solve_inner_linear,
-    solve_inner_linear_many,
     train_dual_exact,
     train_dual_exact_many,
     train_dual_sgd,
 )
 from selcon.errors import SingularSystem
 from selcon.models import LinearModel, loss_grad, params_of
-from selcon.scenarios import build_context, four_group_pool
+from selcon.scenarios import build_context, corrupted_pool, four_group_pool
+from selcon.selection import SelconConfig, run_selcon
 
 CFG = TrainerConfig()
 
@@ -134,14 +137,18 @@ class TestSolveInnerMany:
         mu[np.array([not s for s in subsets]), 0] += 0.1  # empty rows take mu > 0
         return train, vp, lam, subsets, mu
 
+    @staticmethod
+    def _solve(mu, subsets, train, vp, lam, allow_degenerate=False):
+        return solve_inner_blocks(mu, *gram_blocks(subsets, train, lam)[:2], vp, allow_degenerate)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_do_not_depend_on_the_stack(self, seed):
         train, vp, lam, subsets, mu = self._stack(seed)
-        w = solve_inner_linear_many(mu, subsets, train, vp, lam)
+        w = self._solve(mu, subsets, train, vp, lam)
         perm = np.random.default_rng(seed).permutation(len(subsets))
-        shuffled = solve_inner_linear_many(mu[perm], [subsets[p] for p in perm], train, vp, lam)
+        shuffled = self._solve(mu[perm], [subsets[p] for p in perm], train, vp, lam)
         assert np.array_equal(shuffled, w[perm])
-        split = np.concatenate([solve_inner_linear_many(mu[a:b], subsets[a:b], train, vp, lam)
+        split = np.concatenate([self._solve(mu[a:b], subsets[a:b], train, vp, lam)
                                 for a, b in [(0, 1), (1, 4), (4, 11), (11, len(subsets))]])
         assert np.array_equal(split, w)
         for r, subset in enumerate(subsets):
@@ -150,7 +157,7 @@ class TestSolveInnerMany:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_rows_solve_their_systems(self, seed):
         train, vp, lam, subsets, mu = self._stack(seed)
-        w = solve_inner_linear_many(mu, subsets, train, vp, lam)
+        w = self._solve(mu, subsets, train, vp, lam)
         G, b, _ = vp.gram
         for r, subset in enumerate(subsets):
             Xs, ys = train.features[list(subset)], train.targets[list(subset)]
@@ -168,8 +175,8 @@ class TestSolveInnerMany:
         mu = np.array([[0.0, 0.0], [0.7, 0.0], [0.0, 0.0]])
         subsets = [(), (), (0, 3)]
         with pytest.raises(SingularSystem):
-            solve_inner_linear_many(mu, subsets, train, vp, lam)
-        w = solve_inner_linear_many(mu, subsets, train, vp, lam, allow_degenerate=True)
+            self._solve(mu, subsets, train, vp, lam)
+        w = self._solve(mu, subsets, train, vp, lam, allow_degenerate=True)
         assert np.array_equal(w[0], np.zeros(3))
         G, b, _ = vp.gram
         assert np.linalg.matrix_rank(0.7 * G[0]) == 2
@@ -326,6 +333,21 @@ class TestSolverSettings:
         assert (st.iterations_used, st.converged) == (1, False)
 
 
+class TestArcSearch:
+    def test_claim_regime_run_converges(self):
+        # One singleton here ends at a projected gradient of 1.001e-10, where
+        # phi's rounding (about 1e-12) exceeds a Newton step's gain (about
+        # 1e-20): the Armijo test alone rejects every step down to t = 1e-12.
+        # The same run, selection and f, with no stalled row.
+        train, val, _ = (offset_augment(fold, 0.0) for fold in corrupted_pool(0, 2500, 15))
+        ctx = build_context(train, val, "single", 0.005, 600.0, "auto")
+        result = run_selcon(ctx, SelconConfig(k=200, L=2, alpha_mode="fixed", alpha_value=1.0))
+        assert ctx.not_converged == 0
+        assert [digest for _, _, digest in result.trace] == [
+            "f39a7e1ae916", "0a3c597e2d5a", "10a2e5697791"]
+        assert result.f_value == pytest.approx(25.46471400955402, rel=1e-9)
+
+
 class TestEmptySetCertificate:
     """f(empty) = 0 without Newton when the pooled validation fit meets every bound."""
 
@@ -367,7 +389,8 @@ class TestEmptySetCertificate:
 
 
 class TestStackAssembly:
-    """The per-size batched Gram products equal the per-row ones bit for bit."""
+    """The per-size batched Gram products equal the per-row ones bit for bit,
+    and a stack of them reads a zero base as an empty subset."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_bitwise_equal_to_per_row_products(self, d):
@@ -376,14 +399,15 @@ class TestStackAssembly:
         # Empty rows, size-1 rows and several sizes, the sizes in no order.
         sizes = [5, 0, 1, 12, 1, 30, 5, 0, 2, 12, 1, 7, 5]
         subsets = [np.sort(rng.choice(30, size=m, replace=False)) for m in sizes]
-        stack = _Stack(subsets, train, vp, lam)
+        blocks = gram_blocks(subsets, train, lam)
+        empty = _Stack(*blocks, vp).empty
         for r, subset in enumerate(subsets):
             Xs, ys = train.features[subset], train.targets[subset]
             base = lam * len(subset) * np.eye(d) + Xs.T @ Xs if len(subset) else np.zeros((d, d))
-            assert np.array_equal(stack.base[r], base)
-            assert np.array_equal(stack.bs[r], Xs.T @ ys if len(subset) else np.zeros(d))
-            assert np.array_equal(stack.cs[r], ys @ ys if len(subset) else 0.0)
-            assert stack.empty[r] == (not len(subset))
+            assert np.array_equal(blocks[0][r], base)
+            assert np.array_equal(blocks[1][r], Xs.T @ ys if len(subset) else np.zeros(d))
+            assert np.array_equal(blocks[2][r], ys @ ys if len(subset) else 0.0)
+            assert empty[r] == (not len(subset))
 
 
 class TestSgdTrainer:

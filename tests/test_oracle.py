@@ -371,8 +371,8 @@ class TestTablePath:
         for name in ("f_many", "mu_many"):
             monkeypatch.setattr(ctx, name, None)  # a cache read would raise
         monkeypatch.setattr(setfn, "_canonical", None)
-        monkeypatch.setattr(dual, "_Stack", None)  # and so would a gather for the pairs
-        monkeypatch.setattr(oracle, "solve_inner_linear_many", None)
+        monkeypatch.setattr(dual, "gram_blocks", None)  # and so would a gather for the pairs
+        monkeypatch.setattr(oracle, "gram_blocks", None)
         assert self.reports(ctx, 40, seed) == want
 
     def test_cases_cover_the_least_norm_solve(self):
