@@ -275,16 +275,12 @@ def save_csv(
     path: str | Path,
     target_column: str = "y",
     group_column: str = "group",
-    feature_names: list[str] | None = None,
 ) -> None:
     """Write a dataset in the same CSV layout :func:`load_csv` reads.
 
     Reals are written with ``repr``, which round-trips float64 exactly.
     """
-    names = feature_names or [f"f{j}" for j in range(data.d)]
-    if len(names) != data.d:
-        raise ValueError("need one feature name per column")
-    header = list(names) + [target_column]
+    header = [f"f{j}" for j in range(data.d)] + [target_column]
     if data.groups is not None:
         header.append(group_column)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:

@@ -19,9 +19,10 @@ realize it:
   and Newton runs in lockstep with a step length and stopping test per row.  No
   operation mixes rows, so a subset's value does not depend on the stack it
   was solved in.  This backend is the ground truth for every property check.
-  f(empty) is 0 with mu = 0 whenever the validation groups' pooled fit meets
-  every bound (weak duality), and then no Newton step runs for it; otherwise
-  Newton maximizes over the faces mu_q = C.
+  An empty training sum takes the least-norm minimizer, so its origin mu = 0
+  is an ordinary row with w = 0 and f = 0; unless the validation groups'
+  pooled fit meets every bound (weak duality then gives f(empty) = 0), Newton
+  also maximizes over the faces mu_q = C, and the first maximum wins.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
@@ -29,8 +30,9 @@ realize it:
 
 ``gram_blocks`` assembles the training blocks of a stack of subsets, and
 ``solve_inner_blocks`` solves the inner minimum alone on such blocks, at one
-row of mu each: the sandwich oracle cross-evaluates every sampled pair with
-two such calls.  ``solve_inner_linear`` is the one-subset call.
+row of mu each and with the same least-norm convention for an empty S: the
+sandwich oracle cross-evaluates every sampled pair with two such calls.
+``solve_inner_linear`` is the one-subset call.
 
 ``primal_value`` solves the equivalent penalized primal directly by a
 restarted Polyak subgradient method; it is kept deliberately independent of
@@ -46,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, ValidationPartition
-from .errors import DivergenceDetected, NotConverged, SingularSystem
+from .errors import DivergenceDetected, NotConverged
 from .models import (
     LinearModel,
     Model,
@@ -240,7 +242,7 @@ class _Stack:
 
 
 def solve_inner_blocks(mu: np.ndarray, base: np.ndarray, bs: np.ndarray,
-                       valpart: ValidationPartition, allow_degenerate: bool = False) -> np.ndarray:
+                       valpart: ValidationPartition) -> np.ndarray:
     """Exact minimizers of F(., mu_r, S_r) for the linear model, as a (B, d)
     array: one row per training block (base, b) of :func:`gram_blocks` and
     per row of the (B, Q) ``mu``.
@@ -248,35 +250,29 @@ def solve_inner_blocks(mu: np.ndarray, base: np.ndarray, bs: np.ndarray,
     mu is mixed one q at a time as :func:`_mix` does, and one batched solve
     serves the stack, so no operation mixes rows and a row's bits do not
     depend on its stack.  A zero base is an empty S: it takes the least-norm
-    minimizer through the pseudo-inverse, or with mu = 0 (the objective is
-    then identically zero) w = 0 when ``allow_degenerate`` is set.  None of
-    the trainer's solves run here, so tests and oracles can check the
-    trainer against it."""
+    minimizer through the pseudo-inverse, as the trainer does, which is w = 0
+    at mu = 0.  None of the trainer's solves run here, so tests and oracles
+    can check the trainer against it."""
     mu = np.asarray(mu, dtype=float).reshape(len(base), valpart.q)
     empty = ~base.any(axis=(1, 2))
-    least_norm = empty & (mu > 0).any(axis=1)
-    if not allow_degenerate and (empty & ~least_norm).any():
-        raise SingularSystem("empty subset with mu = 0 leaves the inner problem degenerate")
     A = base + _mix(mu, valpart.gram[0])
     b = (bs + _mix(mu, valpart.gram[1]))[:, :, None]
     w = np.zeros(bs.shape)
-    full = ~empty
-    if full.any():
-        w[full] = np.linalg.solve(A[full], b[full])[:, :, 0]
-    if least_norm.any():
-        w[least_norm] = (np.linalg.pinv(A[least_norm], hermitian=True) @ b[least_norm])[:, :, 0]
+    if not empty.all():
+        w[~empty] = np.linalg.solve(A[~empty], b[~empty])[:, :, 0]
+    if empty.any():
+        w[empty] = (np.linalg.pinv(A[empty], hermitian=True) @ b[empty])[:, :, 0]
     return w
 
 
 def solve_inner_linear(mu: np.ndarray, subset: Sequence[int], train: Dataset,
-                       valpart: ValidationPartition, lam: float,
-                       allow_degenerate: bool = False) -> LinearModel:
+                       valpart: ValidationPartition, lam: float) -> LinearModel:
     """Exact minimizer of F(., mu, S) for the linear model: the one-subset
     call of :func:`solve_inner_blocks`, which says how an empty S is solved."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     base, bs, _ = gram_blocks([list(subset)], train, lam)
-    return LinearModel(w=solve_inner_blocks(mu, base, bs, valpart, allow_degenerate)[0])
+    return LinearModel(w=solve_inner_blocks(mu, base, bs, valpart)[0])
 
 
 # Projected-gradient norm at which a row of the Newton loop has converged.
@@ -387,49 +383,41 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     is independent of the other rows, so a subset's result is bit-identical
     whatever stack it is solved in.  Returns arrays (w, mu, f, iterations,
     converged, base, b) with one row per subset, the last two its training
-    blocks lam n_S I + X_S'X_S and X_S'y_S.  Memory grows as B (d^2 + m d);
-    callers bound B, as ``SetFnContext`` does with ``setfn._CHUNK_FLOATS``.
+    blocks lam n_S I + X_S'X_S and X_S'y_S.  Memory grows as
+    B (d^2 + m d + Q^2); callers bound B, as ``SetFnContext`` does with
+    ``setfn._CHUNK_FLOATS``.
 
-    An empty subset is settled without a Newton step when the partition's
-    ``pooled_errors`` are all within delta: by weak duality every
-    phi(mu) <= sum_q mu_q (e_q(w_pooled) - delta) <= 0 = phi(0), so its box
-    shrinks to mu = 0, where it gets w = 0 and f = 0, and it has no face rows.
+    An empty subset takes the least-norm minimizer, so its own row is the
+    origin, pinned at mu = 0 with w = 0 and f = 0.  Its dual is positively
+    homogeneous in mu and not differentiable there, so a positive maximum
+    lies on a face mu_q = C: each face is a smooth problem and gets its own
+    row after the B rows, with lower bound C on its coordinate, and the
+    subset's result is the first maximum over [origin, faces], with the faces'
+    iterations.  No face runs when the partition's ``pooled_errors`` are all
+    within delta: by weak duality every phi(mu) <= sum_q mu_q (e_q(w_pooled)
+    - delta) <= 0 = phi(0).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if C < 0:
         raise ValueError("C must be >= 0")
     B, Q = len(subsets), valpart.q
-    # With an empty training sum the dual is positively homogeneous in mu
-    # and not differentiable at the origin, where it is 0.  A positive
-    # maximum therefore lies on a face mu_q = C; each face is a smooth
-    # problem and gets its own row, with lower bound C on its coordinate.
-    # Row i of an empty subset is its face 0 (for Q = 1, the endpoint
-    # mu = C), and its faces 1..Q-1 are appended after the B rows.
     empty = [i for i, subset in enumerate(subsets) if not len(subset)]
-    # A certified empty subset instead keeps its row, pinned at mu = 0.
-    certified = bool(empty) and bool(np.all(valpart.pooled_errors <= valpart.delta))
-    faces = [] if certified else [
-        [i, *range(B + j * (Q - 1), B + (j + 1) * (Q - 1))] for j, i in enumerate(empty)]
-    rows = [*subsets, *[()] * (len(faces) * (Q - 1))]
+    faced = [] if np.all(valpart.pooled_errors <= valpart.delta) else empty
+    rows = [*subsets, *[()] * (len(faced) * Q)]
     lo = np.zeros((len(rows), Q))
-    for rows_i in faces:
-        lo[rows_i, np.arange(Q)] = C
+    lo[B:] = np.tile(C * np.eye(Q), (len(faced), 1))
     hi = np.full(lo.shape, C, dtype=float)
-    if certified:
-        hi[empty] = 0.0
+    hi[empty] = 0.0
     base, bs, cs = gram_blocks(rows, train, lam)
     w, mu, f, iters, converged = _projected_newton(_Stack(base, bs, cs, valpart), lo, hi,
                                                    _MAX_NEWTON_ITERS)
-    for i, rows_i in zip(empty, faces):
+    for j, i in enumerate(faced):
+        rows_i = [i, *range(B + j * Q, B + (j + 1) * Q)]
         best = rows_i[int(np.argmax(f[rows_i]))]
         iters[i] = iters[rows_i].sum()
-        if f[best] <= 0.0:
-            # The zero multiplier is always feasible here and yields objective
-            # 0, so a non-positive best means the origin is the exact maximum.
-            w[i], mu[i], f[i], converged[i] = 0.0, 0.0, 0.0, True
-        else:
-            w[i], mu[i], f[i], converged[i] = w[best], mu[best], f[best], converged[rows_i].all()
+        converged[i] = best == i or converged[rows_i].all()
+        w[i], mu[i], f[i] = w[best], mu[best], f[best]
     if not np.isfinite(w[:B]).all():
         raise ValueError("weight entries must be finite")
     return tuple(a[:B] for a in (w, mu, f, iters, converged, base, bs))

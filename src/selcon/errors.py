@@ -58,10 +58,6 @@ class DimensionMismatch(SelconError):
     pass
 
 
-class SingularSystem(SelconError):
-    pass
-
-
 # --- trainers ----------------------------------------------------------------
 
 class NotConverged(SelconError):

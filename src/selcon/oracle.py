@@ -273,10 +273,10 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
     for lo, hi in ctx.stack_bounds(trials, int(sizes.max()) + 1):
         mu = (np.split(ctx.mu_many(keys[0][lo:hi] + keys[1][lo:hi]), 2) if masks is None
               else [mu_table[m[lo:hi]] for m in masks])
-        for out, mu_rows, side, degenerate in ((lower, mu[0], 1, False), (upper, mu[1], 0, True)):
+        for out, mu_rows, side in ((lower, mu[0], 1), (upper, mu[1], 0)):
             base_b = (gram_blocks(keys[side][lo:hi], ctx.train, ctx.lam)[:2] if blocks is None
                       else [b[masks[side][lo:hi]] for b in blocks])
-            w = solve_inner_blocks(mu_rows, *base_b, ctx.valpart, degenerate)
+            w = solve_inner_blocks(mu_rows, *base_b, ctx.valpart)
             out[lo:hi] = ctx.lam * row_dots(w, w) + (y_a[lo:hi] - row_dots(w, x_a[lo:hi])) ** 2
     slacks = np.column_stack([gains - lower, upper - gains]).ravel()
     worst = int(np.argmin(slacks))

@@ -41,8 +41,10 @@ from .errors import ElementAlreadyPresent
 
 __all__ = ["SetFnContext"]
 
-# Cap on the floats of one stacked exact solve, max(d (d + Q), m d) per subset
-# of m elements: 2^21 floats are 16 MB (about 500 subsets at d = 64).
+# Cap on the floats of one stacked exact solve, max(d (d + Q), m d) + 3 Q^2 per
+# subset of m elements, the last term for a Newton row's curvature M, its
+# masked copy and its eigenvectors: 2^21 floats are 16 MB (about 500 subsets at
+# d = 64, or 100 at Q = 80).
 _CHUNK_FLOATS = 1 << 21
 
 
@@ -104,8 +106,8 @@ class SetFnContext:
         """(start, stop) of each stack that keeps ``count`` subsets of at most
         ``size`` elements under ``_CHUNK_FLOATS``, for the exact trainer and
         the inner solves alike."""
-        d = self.train.d
-        step = max(1, _CHUNK_FLOATS // max(d * (d + self.valpart.q), size * d))
+        d, q = self.train.d, self.valpart.q
+        step = max(1, _CHUNK_FLOATS // (max(d * (d + q), size * d) + 3 * q * q))
         return [(start, min(start + step, count)) for start in range(0, count, step)]
 
     def _solve(self, count: int, size: int, rows):

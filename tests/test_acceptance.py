@@ -175,9 +175,7 @@ def test_c03_sandwich():
             x_a, y_a = ctx.train.features[a], ctx.train.targets[a]
             w_lo = solve_inner_linear(st_s.mu, with_a, ctx.train, ctx.valpart, ctx.lam).w
             lower = ctx.lam * w_lo @ w_lo + (y_a - w_lo @ x_a) ** 2
-            w_up = solve_inner_linear(
-                st_sa.mu, subset, ctx.train, ctx.valpart, ctx.lam, allow_degenerate=True
-            ).w
+            w_up = solve_inner_linear(st_sa.mu, subset, ctx.train, ctx.valpart, ctx.lam).w
             upper = ctx.lam * w_up @ w_up + (y_a - w_up @ x_a) ** 2
             worst = min(worst, gain - lower, upper - gain)
     assert worst >= -1e-7

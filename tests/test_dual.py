@@ -27,7 +27,6 @@ from selcon.dual import (
     train_dual_exact_many,
     train_dual_sgd,
 )
-from selcon.errors import SingularSystem
 from selcon.models import LinearModel, loss_grad, params_of
 from selcon.scenarios import build_context, corrupted_pool, four_group_pool
 from selcon.selection import SelconConfig, run_selcon
@@ -113,10 +112,9 @@ class TestSolveInner:
             assert np.linalg.norm(grad) <= 1e-8
 
     def test_degenerate_case(self):
+        # An empty S at mu = 0 leaves F identically zero: the least-norm w is 0.
         train, _, vp, lam, _ = make_problem(3)
-        with pytest.raises(SingularSystem):
-            solve_inner_linear(np.zeros(1), [], train, vp, lam)
-        w = solve_inner_linear(np.zeros(1), [], train, vp, lam, allow_degenerate=True)
+        w = solve_inner_linear(np.zeros(1), [], train, vp, lam)
         assert np.array_equal(w.w, np.zeros(2))
 
 
@@ -138,8 +136,8 @@ class TestSolveInnerMany:
         return train, vp, lam, subsets, mu
 
     @staticmethod
-    def _solve(mu, subsets, train, vp, lam, allow_degenerate=False):
-        return solve_inner_blocks(mu, *gram_blocks(subsets, train, lam)[:2], vp, allow_degenerate)
+    def _solve(mu, subsets, train, vp, lam):
+        return solve_inner_blocks(mu, *gram_blocks(subsets, train, lam)[:2], vp)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_do_not_depend_on_the_stack(self, seed):
@@ -174,9 +172,7 @@ class TestSolveInnerMany:
         train, _, vp, lam, _ = make_problem(6, n=5, d=3, q=2, nval=4)
         mu = np.array([[0.0, 0.0], [0.7, 0.0], [0.0, 0.0]])
         subsets = [(), (), (0, 3)]
-        with pytest.raises(SingularSystem):
-            self._solve(mu, subsets, train, vp, lam)
-        w = self._solve(mu, subsets, train, vp, lam, allow_degenerate=True)
+        w = self._solve(mu, subsets, train, vp, lam)
         assert np.array_equal(w[0], np.zeros(3))
         G, b, _ = vp.gram
         assert np.linalg.matrix_rank(0.7 * G[0]) == 2
@@ -348,6 +344,21 @@ class TestArcSearch:
         assert result.f_value == pytest.approx(25.46471400955402, rel=1e-9)
 
 
+def empty_set_problem(rng, seed):
+    """A random problem for f(empty): Q in {1, 2, 4}, d from 2 to 5, some
+    validation groups smaller than d, delta from half to twice the largest
+    pooled group error, and C in {0, 0.7, 3}."""
+    q, d = (1, 2, 4)[seed % 3], int(rng.integers(2, 6))
+    sizes = rng.integers(1, 2 * d + 1, size=q)
+    val = Dataset(features=rng.uniform(-1, 1, (sizes.sum(), d)),
+                  targets=rng.uniform(0.3, 2.0, sizes.sum()))
+    train = Dataset(features=rng.uniform(-1, 1, (4, d)), targets=rng.uniform(0.3, 2.0, 4))
+    cover = tuple(np.split(np.arange(sizes.sum()), np.cumsum(sizes)[:-1]))
+    probe = ValidationPartition(data=val, subsets=cover, delta=0.0)
+    vp = probe.with_delta(max(0.0, probe.pooled_errors.max() * rng.uniform(0.5, 2.0)))
+    return train, val, vp, 0.5, (0.0, 0.7, 3.0)[seed % 3]
+
+
 class TestEmptySetCertificate:
     """f(empty) = 0 without Newton when the pooled validation fit meets every bound."""
 
@@ -369,23 +380,68 @@ class TestEmptySetCertificate:
         rng = np.random.default_rng(0)
         fired = 0
         for seed in range(240):
-            q, d = (1, 2, 4)[seed % 3], int(rng.integers(2, 6))
-            sizes = rng.integers(1, 2 * d + 1, size=q)  # some groups smaller than d
-            val = Dataset(features=rng.uniform(-1, 1, (sizes.sum(), d)),
-                          targets=rng.uniform(0.3, 2.0, sizes.sum()))
-            train = Dataset(features=rng.uniform(-1, 1, (4, d)), targets=rng.uniform(0.3, 2.0, 4))
-            cover = tuple(np.split(np.arange(sizes.sum()), np.cumsum(sizes)[:-1]))
-            probe = ValidationPartition(data=val, subsets=cover, delta=0.0)
-            vp = probe.with_delta(max(0.0, probe.pooled_errors.max() * rng.uniform(0.5, 2.0)))
+            train, _, vp, lam, C = empty_set_problem(rng, seed)
             if not np.all(vp.pooled_errors <= vp.delta):
                 continue
             fired += 1
-            lam, C = 0.5, (0.0, 0.7, 3.0)[seed % 3]
             st = train_dual_exact([], train, vp, lam, C, CFG)
             assert (st.f_value, st.iterations_used) == (0.0, 0)
             assert dual_objective(st.model, st.mu, [], train, vp, lam) == 0.0
             assert primal_value([], train, vp, lam, C) <= 1e-6, seed
         assert fired >= 100
+
+
+class TestEmptySet:
+    """f(empty) from the origin row and its faces, against the primal oracle
+    and against its own one-subset solve."""
+
+    def test_value_is_the_primal_optimum(self):
+        # Three kinds: certified, uncertified with f(empty) = 0 (the origin
+        # wins over every face) and f(empty) > 0 (a face wins).  The primal
+        # oracle can stall above the optimum on these all-hinge problems, so
+        # strong duality is checked against the better of its value and the
+        # penalized primal at the returned w, each an upper bound on f.
+        rng = np.random.default_rng(0)
+        kinds = {"certified": 0, "zero": 0, "positive": 0}
+        for seed in range(400):
+            train, val, vp, lam, C = empty_set_problem(rng, seed)
+            st = train_dual_exact([], train, vp, lam, C, CFG)
+            if np.all(vp.pooled_errors <= vp.delta):
+                kind = "certified"
+            else:
+                kind = "zero" if st.f_value == 0.0 else "positive"
+            if kinds[kind] == 10:
+                continue
+            kinds[kind] += 1
+            f = st.f_value
+            g = primal_value([], train, vp, lam, C, tol=1e-7)
+            slack = vp.errors(val.targets - val.features @ st.model.w) - vp.delta
+            at_w = C * np.maximum(slack, 0.0).sum()
+            # C5's relative tolerance, floored at the oracle's own tol near f = 0.
+            tol = 1e-4 * max(abs(f), 1e-7)
+            assert g >= f - tol and at_w >= f - tol, (seed, f, g, at_w)
+            assert min(g, at_w) - f <= tol, (seed, f, g, at_w)
+            if min(kinds.values()) == 10:
+                break
+        assert min(kinds.values()) == 10, kinds
+
+    @pytest.mark.parametrize("seed,certified,positive", [(1, False, True), (17, False, False),
+                                                         (2, True, False)],
+                             ids=["face", "origin", "certified"])
+    def test_rows_equal_their_own_solves(self, seed, certified, positive):
+        # Two empty rows, each with its own faces after the stack's rows.
+        train, _, vp, lam, C = make_problem(seed, n=5, d=3, q=2, nval=8)
+        subsets = [(), (0,), (), (1, 2)]
+        stacked = train_dual_exact_many(subsets, train, vp, lam, C)
+        for r, subset in enumerate(subsets):
+            alone = train_dual_exact_many([subset], train, vp, lam, C)
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a[r], b[0])
+        w, mu, f, iters = (a[0] for a in stacked[:4])
+        assert bool(np.all(vp.pooled_errors <= vp.delta)) == certified
+        assert (f > 0.0, iters > 0) == (positive, not certified)
+        if not positive:
+            assert f == 0.0 and not w.any() and not mu.any()
 
 
 class TestStackAssembly:

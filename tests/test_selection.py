@@ -100,7 +100,7 @@ class TestRunSelcon:
         assert cli.main(["gen", "--n", "120", "--d", "3", "--groups", "3", "--noise", "0.3",
                          "--seed", "4", "--out", str(data)]) == 0
         outputs = []
-        for chunk_floats in (1, 7, 7 * 3 * (3 + 3), setfn._CHUNK_FLOATS):
+        for chunk_floats in (1, 7, 7 * (3 * (3 + 3) + 3 * 3 * 3), setfn._CHUNK_FLOATS):
             monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
             out = tmp_path / f"report{chunk_floats}.json"
             assert cli.main([
@@ -238,7 +238,7 @@ class TestRunSelcon:
         bounds = selection.newton_bounds
         monkeypatch.setattr(selection, "newton_bounds",
                             lambda base, *a: rows.append(len(base)) or bounds(base, *a))
-        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", 450)  # 5 rows of d (d + Q) = 9 * 10
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", 465)  # 5 rows of d (d + Q) + 3 Q^2 = 93
         assert run() == want
         assert rows and max(rows) <= 5
 

@@ -110,7 +110,8 @@ class TestFMany:
         rng.shuffle(subsets)
         return subsets
 
-    @pytest.mark.parametrize("chunk_floats", [1, 7, 7 * 3 * (3 + 2), setfn._CHUNK_FLOATS],
+    @pytest.mark.parametrize("chunk_floats", [1, 7, 7 * (3 * (3 + 2) + 3 * 2 * 2),
+                                              setfn._CHUNK_FLOATS],
                              ids=["1", "7", "7-rows", "default"])
     @pytest.mark.parametrize("C", [0.0, 1.5])
     def test_bitwise_equal_to_f_of(self, monkeypatch, chunk_floats, C):
@@ -217,7 +218,26 @@ class TestStacks:
         assert sum(map(len, stacks)) == len(s_hat) + 12
         for sizes in stacks:
             if len(sizes) > 1:
-                assert len(sizes) * max(d * (d + q), max(sizes) * d) <= chunk_floats
+                assert len(sizes) * (max(d * (d + q), max(sizes) * d) + 3 * q * q) <= chunk_floats
+
+    def test_curvature_counts_toward_the_cap(self, monkeypatch):
+        # At Q = 40 a Newton row's Q x Q curvature arrays outweigh its d x d
+        # blocks fifty times over; the cap must count them.
+        d, q, cap = 3, 40, 20_000
+        stacks = []
+
+        def record(subsets, *args):
+            stacks.append(len(subsets))
+            return many(subsets, *args)
+
+        many = setfn.train_dual_exact_many
+        want = make_ctx(35, n=60, d=d, q=q, nval=2 * q, C=2.0).singletons()
+        monkeypatch.setattr(setfn, "train_dual_exact_many", record)
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", cap)
+        assert np.array_equal(make_ctx(35, n=60, d=d, q=q, nval=2 * q, C=2.0).singletons(), want)
+        assert sum(stacks) == 61
+        for rows in stacks:
+            assert rows == 1 or rows * (d * (d + q) + 3 * q * q) <= cap
 
     def test_sweeps_build_no_state(self, monkeypatch):
         built = []
@@ -342,9 +362,7 @@ class TestSandwich:
             x_a, y_a = ctx.train.features[a], ctx.train.targets[a]
             w_lo = solve_inner_linear(st_s.mu, with_a, ctx.train, ctx.valpart, ctx.lam).w
             lower = ctx.lam * w_lo @ w_lo + (y_a - w_lo @ x_a) ** 2
-            w_up = solve_inner_linear(
-                st_sa.mu, subset, ctx.train, ctx.valpart, ctx.lam, allow_degenerate=True
-            ).w
+            w_up = solve_inner_linear(st_sa.mu, subset, ctx.train, ctx.valpart, ctx.lam).w
             upper = ctx.lam * w_up @ w_up + (y_a - w_up @ x_a) ** 2
             assert lower - 1e-7 <= gain <= upper + 1e-7
 
