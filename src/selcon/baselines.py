@@ -3,10 +3,10 @@
 Full-data training with and without constraints, and uniform random subsets
 with and without constraints.  The random subsets are
 :func:`selection.random_subset`, the draw the selection driver starts from,
-so at equal k and seed the driver and the random baselines begin alike;
-this module re-exports it.  Each returns the same result type as the
-selection driver so the metrics layer is method-agnostic; the ``method``
-slot also leaves room for merging externally computed numbers into reports.
+so at equal k and seed the driver and the random baselines begin alike.
+Each returns the same result type as the selection driver so the metrics
+layer is method-agnostic; the ``method`` slot also leaves room for merging
+externally computed numbers into reports.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .setfn import SetFnContext
 __all__ = [
     "full_selection",
     "full_with_constraints",
-    "random_subset",
     "random_with_constraints",
 ]
 

@@ -201,16 +201,17 @@ def approx_ratio(k: int, alpha: float, kappa: float, epsilon: float, ell_value: 
 
 
 def bound_report(train: Dataset, consts: DataConstants, lam: float, C: float,
-                 k: int, epsilon: float = 0.0) -> BoundReport:
+                 k: int) -> BoundReport:
     """Assemble every certificate for a linear problem into one report, from
-    the caller's :func:`data_constants` (which carry Q)."""
+    the caller's :func:`data_constants` (which carry Q), for exact training:
+    the imperfect ratio is taken at epsilon 0."""
     q = consts.q
     e_star = ell_star_linear(train, consts.x_max)
     e = ell(train, lam)
     a_hat = alpha_hat_linear(lam, C, q, consts)
     k_hat = kappa_hat(C, q, consts.y_max, e_star)
     if a_hat > 0:
-        perfect, imperfect = approx_ratio(k, a_hat, k_hat, epsilon, e)
+        perfect, imperfect = approx_ratio(k, a_hat, k_hat, 0.0, e)
     else:
         perfect = imperfect = float("inf")
     return BoundReport(
@@ -223,5 +224,5 @@ def bound_report(train: Dataset, consts: DataConstants, lam: float, C: float,
         lambda_min=lambda_min_linear(C, q, consts),
         ratio_perfect=perfect,
         ratio_imperfect=imperfect,
-        epsilon_used=epsilon,
+        epsilon_used=0.0,
     )

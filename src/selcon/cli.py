@@ -6,10 +6,10 @@ Subcommands: ``gen`` (synthetic CSV), ``select`` (run the selection driver),
 file: ``select``, ``bench`` and ``fairness`` read its [problem], [trainer]
 and [selcon] sections, ``verify`` only [trainer]; a section or key that
 :data:`SETTINGS` does not list, or any [DEFAULT] key, is a usage error.
-Command-line flags override the file, and the SELCON_SEED environment
-variable overrides the seed.  Exit codes: 0 ok, 1 runtime error, 2 usage or
-precondition error (a :class:`~selcon.errors.UsageError`, a ``ValueError``,
-a missing file or a directory given as a file), 3 verification failure.
+Command-line flags override the file.  Exit codes: 0 ok, 1 runtime error,
+2 usage or precondition error (a :class:`~selcon.errors.UsageError`, a
+``ValueError``, a missing file or a directory given as a file), 3
+verification failure.
 
 Reports are deterministic for fixed flags, files and seeds; measured wall
 times are excluded from ``select`` output unless ``--timing`` is passed,
@@ -23,7 +23,6 @@ import configparser
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -46,7 +45,7 @@ from .dataset import (
 from .dual import TrainerConfig, train_dual_exact
 from .models import model_to_dict
 from .errors import NeedTwoGroups, SelconError, TooLarge, UsageError
-from .selection import SelconConfig, run_selcon, run_selcon_unconstrained
+from .selection import SelconConfig, random_subset, run_selcon, run_selcon_unconstrained
 from .setfn import SetFnContext
 
 
@@ -114,10 +113,7 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _settings(cp, args, section: str) -> dict:
-    """The fields of one INI section that a flag or the file sets.
-
-    SELCON_SEED overrides the trainer seed from either.
-    """
+    """The fields of one INI section that a flag or the file sets."""
     out = {}
     for key, (flag, field, parse) in SETTINGS[section].items():
         value = getattr(args, flag, None)
@@ -125,8 +121,6 @@ def _settings(cp, args, section: str) -> dict:
             value = parse(cp.get(section, key))
         if value is not None:
             out[field] = value
-    if section == "trainer" and "SELCON_SEED" in os.environ:
-        out["seed"] = int(os.environ["SELCON_SEED"])
     return out
 
 
@@ -157,7 +151,7 @@ def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int, float]:
 
 def cmd_gen(args) -> int:
     data = gen_synthetic(args.n, args.d, noise_sd=args.noise, n_groups=args.groups, seed=args.seed)
-    save_csv(data, args.out, target_column="y", group_column="group")
+    save_csv(data, args.out)
     return 0
 
 
@@ -227,7 +221,7 @@ def cmd_verify(args) -> int:
     if wanted in ("all", "sandwich"):
         reports.append(oracle.check_sandwich(ctx, trials=args.trials, seed=trainer.seed))
     if wanted in ("all", "modular"):
-        s_hat = baselines.random_subset(train.n, min(train.n, max(2, train.n // 3)), trainer.seed)
+        s_hat = random_subset(train.n, min(train.n, max(2, train.n // 3)), trainer.seed)
         alpha = oracle.empirical_alpha(ctx)
         if not 0 < alpha < math.inf:
             raise UsageError(f"the measured alpha {alpha} is not a positive finite number, so "

@@ -270,19 +270,15 @@ def _first_bad_cell(path: Path, header: list[str], numeric: list[int]) -> UsageE
                     return NonFiniteValue(r, header[j])
 
 
-def save_csv(
-    data: Dataset,
-    path: str | Path,
-    target_column: str = "y",
-    group_column: str = "group",
-) -> None:
-    """Write a dataset in the same CSV layout :func:`load_csv` reads.
+def save_csv(data: Dataset, path: str | Path) -> None:
+    """Write a dataset in the same CSV layout :func:`load_csv` reads, with
+    columns f0, f1, ..., y and, when the data has groups, group.
 
     Reals are written with ``repr``, which round-trips float64 exactly.
     """
-    header = [f"f{j}" for j in range(data.d)] + [target_column]
+    header = [f"f{j}" for j in range(data.d)] + ["y"]
     if data.groups is not None:
-        header.append(group_column)
+        header.append("group")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -10,11 +10,12 @@ and return a machine-readable :class:`OracleReport`.
 Every 2^n enumeration reads :func:`f_table`, which raises :class:`TooLarge`
 above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
 ``--alpha-mode empirical`` share one cap.  The table is solved once per
-context and kept on it, so the checks of one context and its leave-one-out
-sweeps all read one table.  The sampled checks share one batched draw of
-(S, a) pairs per context, and read f, mu and the training blocks by bitmask
-from the table's solve when ``verify`` has solved it first; the sandwich
-check then cross-evaluates all pairs as stacked inner solves.
+context and kept on it; only this module reads it by bitmask, and one table
+of its marginal gains serves the ratio, the curvatures and the modular bound.
+The sampled checks share one batched draw of (S, a) pairs per context, and
+read f, mu and the training blocks by bitmask from the table's solve when
+``verify`` has solved it first; the sandwich check then cross-evaluates all
+pairs as stacked inner solves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import gram_blocks, solve_inner_blocks
-from .errors import InvalidK, TooLarge
+from .errors import InvalidAlpha, InvalidK, TooLarge
 from .models import row_dots
 from .setfn import SetFnContext
 
@@ -123,6 +124,13 @@ def brute_force_optimum(ctx: SetFnContext, k: int, cap: int = 20_000) -> tuple[t
     return combs[best], float(values[best])
 
 
+def _gains(f: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2^n) marginal gains from the subset table ``f``: row a, column T
+    holds f(T + a) - f(T minus a), the gain of a at T without it."""
+    masks, bits = np.arange(1 << n), (1 << np.arange(n))[:, None]
+    return f[masks | bits] - f[masks & ~bits]
+
+
 def empirical_alpha_detail(ctx: SetFnContext) -> tuple[float, int, int]:
     """Exact submodularity ratio plus (skipped, checked) triple counts.
 
@@ -137,7 +145,7 @@ def empirical_alpha_detail(ctx: SetFnContext) -> tuple[float, int, int]:
     triples = 1 << members.sum(axis=1)  # the subsets S of each T
     # Row a, column T: the gain of a at T, for every a outside T at once.
     no_a = ~members.T
-    gains = np.where(no_a, f[masks | (1 << np.arange(n))[:, None]] - f, np.inf)
+    gains = np.where(no_a, _gains(f, n), np.inf)
     # Subset-minimum over the lattice: after the sweep, m[a, T] is the
     # smallest gain of a over every S contained in T (sets holding a stay
     # apart from those without it, so sweeping bit a too is harmless).
@@ -156,32 +164,27 @@ def empirical_alpha(ctx: SetFnContext) -> float:
     return value
 
 
+def _curvatures(ctx: SetFnContext) -> np.ndarray:
+    """Measured generalized curvature of every subset, by bitmask:
+    1 - min over active elements a of gain(a, S minus a) / gain(a, empty),
+    where a is active when gain(a, empty) > ``DENOM_CUTOFF``; 0 without one."""
+    f = f_table(ctx)
+    gains = _gains(f, ctx.train.n)
+    active = gains[:, 0] > DENOM_CUTOFF
+    if not active.any():
+        return np.zeros(len(f))
+    return 1.0 - np.min(gains[active] / gains[active, :1], axis=0)
+
+
 def empirical_kappa(ctx: SetFnContext, subset) -> float:
-    """Measured generalized curvature of a single subset:
-    1 - min over elements a of gain(a, S minus a) / gain(a, empty).
-    Elements with near-zero empty-set gain are skipped."""
-    key = tuple(sorted(int(i) for i in subset))
-    denoms = ctx.singletons() - ctx.f_empty()
-    active = np.flatnonzero(denoms > DENOM_CUTOFF).tolist()
-    rests = [tuple(i for i in key if i != a) for a in active]
-    with_a = ctx.f_many(rest + (a,) for rest, a in zip(rests, active))
-    ratios = (with_a - ctx.f_many(rests)) / denoms[active]
-    return 1.0 - min(ratios.tolist(), default=1.0)
+    """Measured generalized curvature of a single subset, read from
+    :func:`_curvatures`, so it enumerates the table."""
+    return float(_curvatures(ctx)[sum(1 << int(i) for i in set(subset))])
 
 
 def empirical_kappa_max(ctx: SetFnContext) -> float:
     """Largest measured curvature over every subset of the ground set."""
-    f = f_table(ctx)
-    masks = np.arange(len(f))
-    denoms = f[1 << np.arange(ctx.train.n)] - f[0]
-    min_ratio = np.full(len(f), np.inf)
-    for a in np.flatnonzero(denoms > DENOM_CUTOFF):
-        rest = masks & ~(1 << a)
-        np.minimum(min_ratio, (f[rest | (1 << a)] - f[rest]) / denoms[a], out=min_ratio)
-    finite = np.isfinite(min_ratio)
-    if not finite.any():
-        return 0.0
-    return float(np.max(1.0 - min_ratio[finite]))
+    return float(np.max(_curvatures(ctx)))
 
 
 def check_alpha_certificate(ctx: SetFnContext, alpha_hat: float) -> OracleReport:
@@ -294,19 +297,21 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
 
 def check_modular_bound(ctx: SetFnContext, s_hat, alpha: float) -> OracleReport:
     """The modular bound built at s_hat must dominate f everywhere and be
-    tight at s_hat; verified over every subset of the ground set."""
-    from .selection import modular_scores
-
+    tight at s_hat; verified over every subset of the ground set, with the
+    driver's scores read from the gains: alpha gain(i, s_hat minus i) for i
+    in s_hat, gain(i, empty) / alpha for the others."""
+    if alpha <= 0:
+        raise InvalidAlpha("the modular bound needs alpha > 0")
     f = f_table(ctx)
-    s_hat = tuple(sorted(int(i) for i in s_hat))
-    scores = modular_scores(ctx, s_hat, alpha)
     members = _members(ctx.train.n)
+    hat = sum(1 << int(i) for i in set(s_hat))
+    gains = _gains(f, ctx.train.n)
+    scores = np.where(members[hat], alpha * gains[:, hat], gains[:, 0] / alpha)
     # Column by column in index order: the bits of a per-subset sum.
     total = np.zeros(len(f))
     for i, column in enumerate(members.T):
         total[column] += scores[i]
-    hat = sum(1 << i for i in s_hat)
-    bound = ctx.f_of(s_hat)[0] - total[hat] + total
+    bound = f[hat] - total[hat] + total
     slack = bound - f
     worst = int(np.argmin(slack))  # the first minimum, as a strict < scan keeps
     witness = {"subset": np.flatnonzero(members[worst]).tolist(),

@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import oracle
 from .bounds import alpha_hat_linear, data_constants
 from .dual import TrainedState, newton_bounds, rank_one_bounds
 from .errors import InvalidAlpha, InvalidK, ZeroTarget
@@ -131,9 +132,7 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
     if cfg.alpha_mode == "fixed":
         return float(cfg.alpha_value)
     if cfg.alpha_mode == "empirical":
-        from .oracle import empirical_alpha
-
-        alpha = empirical_alpha(ctx)
+        alpha = oracle.empirical_alpha(ctx)
         if alpha <= 0:
             raise InvalidAlpha(f"measured alpha {alpha} is not positive")
         return min(alpha, 1.0)
@@ -298,7 +297,7 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
         s_hat = s_next
 
     f_final, state = ctx.f_of(s_hat)
-    if not trace or trace[-1][2] != _digest(s_hat):
+    if trace[-1][2] != _digest(s_hat):
         trace.append((len(trace), f_final, _digest(s_hat)))
     return SelectionResult(
         selected=s_hat,

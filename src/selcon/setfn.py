@@ -13,9 +13,9 @@ evaluation has one miss path on both backends, ``SetFnContext._solve``:
 keeps the solver's output only, without its training blocks, so a state is
 built only when :meth:`SetFnContext.f_of` returns one.  Each leave-one-out value is used
 once, so :meth:`SetFnContext.leave_one_out` returns ``_solve``'s values and
-leaves the cache alone, or reads the exhaustive table when the context holds
-it.  The oracles' pair samples and that table are memoized on the context
-too, never beyond it.  Cache keys are sorted tuples and ``leave_one_out``
+leaves the cache alone.  The oracles' pair samples and their exhaustive
+table are memoized on the context too, never beyond it; only the oracles
+read that table.  Cache keys are sorted tuples and ``leave_one_out``
 takes a sorted array, as ``train_dual_exact_many`` needs.
 """
 
@@ -105,10 +105,15 @@ class SetFnContext:
     def stack_bounds(self, count: int, size: int):
         """(start, stop) of each stack that keeps ``count`` subsets of at most
         ``size`` elements under ``_CHUNK_FLOATS``, for the exact trainer and
-        the inner solves alike."""
+        the inner solves alike, counting the face rows that
+        ``train_dual_exact_many`` appends for an empty subset."""
         d, q = self.train.d, self.valpart.q
-        step = max(1, _CHUNK_FLOATS // (max(d * (d + q), size * d) + 3 * q * q))
-        return [(start, min(start + step, count)) for start in range(0, count, step)]
+        face, per = d * (d + q) + 3 * q * q, max(d * (d + q), size * d) + 3 * q * q
+        step = max(1, _CHUNK_FLOATS // per)
+        # The first stack keeps room for the Q face rows of (), which sorts first.
+        first = max(1, (_CHUNK_FLOATS - q * face) // per)
+        stops = [*range(first, count, step), count] if count else []
+        return list(zip([0, *stops], stops))
 
     def _solve(self, count: int, size: int, rows):
         """(f, solver output) for ``count`` subsets of at most ``size``
@@ -187,10 +192,10 @@ class SetFnContext:
         no state is built.
 
         The rows go to :meth:`_solve`, which builds them one stack at a time
-        on the exact backend, each value bit-identical to :meth:`f_of`'s.  An
-        exact context that holds the exhaustive :attr:`table` reads them from
-        it, and a one-element S_hat reads f(empty) from the cache when it is
-        there.  The sgd backend trains each row from scratch, as f_of does.
+        on the exact backend, each value bit-identical to :meth:`f_of`'s (and
+        so to the exhaustive :attr:`table`'s entry), and a one-element S_hat
+        reads f(empty) from the exact cache when it is there.  The sgd backend
+        trains each row from scratch, as f_of does.
         """
         s_hat = np.asarray(s_hat, dtype=np.intp)
         k = len(s_hat)
@@ -200,11 +205,8 @@ class SetFnContext:
             keep = drop[start:stop, None] != np.arange(k)
             return np.broadcast_to(s_hat, keep.shape)[keep].reshape(stop - start, k - 1)
 
-        if self.backend == "exact":
-            if self.table is not None:
-                return self.table[int((1 << s_hat).sum()) ^ (1 << s_hat[drop])]
-            if k == 1 and () in self._cache:
-                return np.full(len(drop), self._cache[()][0])
+        if self.backend == "exact" and k == 1 and () in self._cache:
+            return np.full(len(drop), self._cache[()][0])
         return np.array([value for value, _ in self._solve(len(drop), k - 1, rows)[0]])
 
     # -- derived quantities --------------------------------------------------
@@ -221,9 +223,9 @@ class SetFnContext:
 
     def singletons(self) -> np.ndarray:
         """f({i}) for every training element, read-only: one batched sweep
-        per context, which solves f(empty) too.  The oracles and the
-        reference :func:`~selcon.selection.modular_scores` read it; the MM
-        driver does not, since its step solves only the singletons it
+        per context, which solves f(empty) too.  The reference
+        :func:`~selcon.selection.modular_scores` reads it; the MM driver
+        does not, since its step solves only the singletons it
         cannot place from their duality intervals."""
         if self._singletons is None:
             self._singletons = self.f_many([(), *((i,) for i in range(self.train.n))])[1:]

@@ -6,11 +6,11 @@ from selcon.baselines import (
     full_selection,
     full_with_constraints,
     random_selection,
-    random_subset,
     random_with_constraints,
 )
 from selcon.dual import solve_inner_linear, dual_objective
 from selcon.errors import InvalidK
+from selcon.selection import random_subset
 
 
 class TestFullSelection:

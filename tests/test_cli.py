@@ -176,14 +176,14 @@ class TestSelect:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_env_seed_override(self, data_csv, tmp_path, monkeypatch):
+    def test_env_does_not_set_the_seed(self, data_csv, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
+        argv = ["select", "--data", str(data_csv), "--target", "y", "--delta", "0.5",
+                "--k", "4", "--seed", "3", "--out"]
         monkeypatch.setenv("SELCON_SEED", "11")
-        run(["select", "--data", str(data_csv), "--target", "y", "--delta", "0.5",
-             "--k", "4", "--seed", "3", "--out", str(out1)])
+        run(argv + [str(out1)])
         monkeypatch.delenv("SELCON_SEED")
-        run(["select", "--data", str(data_csv), "--target", "y", "--delta", "0.5",
-             "--k", "4", "--seed", "11", "--out", str(out2)])
+        run(argv + [str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_sgd_two_layer_backend(self, tmp_path):
@@ -363,6 +363,25 @@ def test_package_import_loads_no_module():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                          check=True)
     assert out.stdout == "[]\n"
+
+
+def test_modular_bound_loads_no_driver():
+    # The oracle checks the bound from its own table, not through the driver.
+    code = (
+        "import sys\n"
+        "from selcon.dataset import gen_synthetic, partition_validation\n"
+        "from selcon.oracle import check_modular_bound, empirical_alpha\n"
+        "from selcon.setfn import SetFnContext\n"
+        "train = gen_synthetic(5, 2, noise_sd=0.3, seed=0)\n"
+        "valpart = partition_validation(gen_synthetic(4, 2, seed=1), 'single', 0.5)\n"
+        "ctx = SetFnContext(train=train, valpart=valpart, lam=1.0, C=1.0)\n"
+        "assert check_modular_bound(ctx, (0, 2), empirical_alpha(ctx)).passed\n"
+        "print('selcon.selection' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_runs_with_scipy_blocked():

@@ -167,14 +167,12 @@ class TestTable:
         assert f_table(ctx) is table and ctx.table is table
         assert calls == []
 
-    def test_leave_one_out_reads_the_table(self, monkeypatch):
-        ctx, ref = make_ctx(77, n=7, d=3, q=2), make_ctx(77, n=7, d=3, q=2)
-        f_table(ctx)
-        s_hats = (np.array([3]), np.array([0, 2, 3, 6]), np.arange(7))
-        want = [ref.leave_one_out(s_hat) for s_hat in s_hats]
-        monkeypatch.setattr(setfn, "train_dual_exact_many", None)  # a solve would raise
-        for s_hat, values in zip(s_hats, want):
-            assert np.array_equal(ctx.leave_one_out(s_hat), values)
+    def test_leave_one_out_equals_the_table(self):
+        ctx = make_ctx(77, n=7, d=3, q=2)
+        table = f_table(ctx)
+        for s_hat in (np.array([3]), np.array([0, 2, 3, 6]), np.arange(7)):
+            hat = int((1 << s_hat).sum())
+            assert np.array_equal(ctx.leave_one_out(s_hat), table[hat ^ (1 << s_hat)])
 
 
 class TestEmpiricalKappa:
@@ -196,6 +194,25 @@ class TestEmpiricalKappa:
         for _ in range(6):
             subset = tuple(sorted(rng.choice(5, size=2, replace=False)))
             assert empirical_kappa(ctx, subset) >= 1.0 - 1.0 / alpha - 1e-9
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_equals_the_per_subset_formula(self, n, q):
+        # The per-subset formula written out with f_many, on a context that
+        # never solves the table.
+        ctx, ref = make_ctx(93 + n, n=n, q=q), make_ctx(93 + n, n=n, q=q)
+        denoms = ref.singletons() - ref.f_empty()
+        active = np.flatnonzero(denoms > DENOM_CUTOFF).tolist()
+        kappas = []
+        for mask in range(1 << n):
+            key = tuple(i for i in range(n) if mask >> i & 1)
+            rests = [tuple(i for i in key if i != a) for a in active]
+            with_a = ref.f_many(rest + (a,) for rest, a in zip(rests, active))
+            ratios = (with_a - ref.f_many(rests)) / denoms[active]
+            kappas.append(1.0 - min(ratios.tolist(), default=1.0))
+            assert empirical_kappa(ctx, key) == kappas[-1]
+        assert ref.table is None
+        assert empirical_kappa_max(ctx) == max(kappas)
 
 
 class TestCheckers:

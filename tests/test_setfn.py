@@ -239,6 +239,22 @@ class TestStacks:
         for rows in stacks:
             assert rows == 1 or rows * (d * (d + q) + 3 * q * q) <= cap
 
+    @pytest.mark.parametrize("q", [40, 80])
+    def test_face_rows_count_toward_the_cap(self, monkeypatch, q):
+        # f(empty) is not certified here, so the stack that holds () also
+        # runs its Q face rows; the first stack must leave room for them.
+        d, rows = 3, []
+        blocks = dual.gram_blocks
+
+        def record(subsets, *args):
+            rows.append(len(subsets))
+            return blocks(subsets, *args)
+
+        monkeypatch.setattr(dual, "gram_blocks", record)
+        make_ctx(0, n=6000, d=d, q=q, nval=20 * q, C=2.0).singletons()
+        assert sum(rows) == 6001 + q
+        assert max(rows) * (d * (d + q) + 3 * q * q) <= setfn._CHUNK_FLOATS
+
     def test_sweeps_build_no_state(self, monkeypatch):
         built = []
         post_init = dual.TrainedState.__post_init__
