@@ -212,9 +212,12 @@ def cmd_verify(args) -> int:
         if not math.isfinite(lam_cert):
             raise UsageError(f"--C {args.C:g} is too large to certify: the certificates' "
                              "lambda threshold is not finite")
+        cert_ctx = replace(ctx, lam=lam_cert)
     reports = []
     if wanted in ("all", "modular"):
-        oracle.f_table(ctx)  # every check below then reads its values from the cache
+        # Every check below reads its values from the tables; all solves the
+        # instance's and the certificate instance's in one pass.
+        oracle.f_table(ctx, *([cert_ctx] if wanted == "all" else []))
 
     if wanted in ("all", "monotone"):
         reports.append(oracle.check_monotone(ctx, trials=args.trials, seed=trainer.seed))
@@ -230,7 +233,6 @@ def cmd_verify(args) -> int:
         reports.append(oracle.check_modular_bound(ctx, s_hat, alpha))
     if wanted in ("all", "alpha", "kappa"):
         cert = bound_report(train, consts, lam_cert, args.C, train.n)
-        cert_ctx = replace(ctx, lam=lam_cert)
         if wanted in ("all", "alpha"):
             reports.append(oracle.check_alpha_certificate(cert_ctx, cert.alpha_hat))
         if wanted in ("all", "kappa"):

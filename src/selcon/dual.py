@@ -174,15 +174,17 @@ def _mix(mu: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def gram_blocks(subsets: Sequence[Sequence[int]], train: Dataset,
-                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                lam: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Training blocks (base, b, c) of the linear inner problem for a stack of
     subsets: row r holds lam n_S I + X_S'X_S, X_S'y_S and y_S'y_S of its
-    subset, and zeros for an empty one.
+    subset, and zeros for an empty one.  ``lam`` is a float, or an array
+    with one value per row, so that one stack can hold several lam.
 
     Rows of one size m share one (B_m, m) gather and one batched product each
     for X'X, X'y and y'y, which round as per-row products do, so a row's
-    blocks are bit-identical in every stack it appears in.  Memory grows as
-    B (d^2 + m d); callers bound B, as ``SetFnContext.stack_bounds`` does."""
+    blocks are bit-identical in every stack it appears in, and lam m rounds
+    once either way.  Memory grows as B (d^2 + m d); callers bound B, as
+    ``SetFnContext.stack_bounds`` does."""
     B, d = len(subsets), train.d
     sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=B)
     base, bs, cs = np.zeros((B, d, d)), np.zeros((B, d)), np.zeros(B)
@@ -191,7 +193,8 @@ def gram_blocks(subsets: Sequence[Sequence[int]], train: Dataset,
         idx = np.array([subsets[r] for r in rows], dtype=np.intp)
         X, y = train.features[idx], train.targets[idx]
         Xt = X.transpose(0, 2, 1)
-        base[rows] = lam * m * np.eye(d) + Xt @ X
+        scale = lam * m if np.ndim(lam) == 0 else (np.asarray(lam)[rows] * m)[:, None, None]
+        base[rows] = scale * np.eye(d) + Xt @ X
         bs[rows] = (Xt @ y[:, :, None])[:, :, 0]
         cs[rows] = row_dots(y, y)
     return base, bs, cs
@@ -371,7 +374,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: 
 
 
 def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
-                          valpart: ValidationPartition, lam: float,
+                          valpart: ValidationPartition, lam: float | np.ndarray,
                           C: float) -> tuple[np.ndarray, ...]:
     """:func:`train_dual_exact` for a stack of subsets, solved in lockstep.
 
@@ -385,7 +388,8 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     converged, base, b) with one row per subset, the last two its training
     blocks lam n_S I + X_S'X_S and X_S'y_S.  Memory grows as
     B (d^2 + m d + Q^2); callers bound B, as ``SetFnContext`` does with
-    ``setfn._CHUNK_FLOATS``.
+    ``setfn._CHUNK_FLOATS``.  ``lam`` is a float or an array with one value
+    per subset, as :func:`gram_blocks` takes it.
 
     An empty subset takes the least-norm minimizer, so its own row is the
     origin, pinned at mu = 0 with w = 0 and f = 0.  Its dual is positively
@@ -397,7 +401,7 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     within delta: by weak duality every phi(mu) <= sum_q mu_q (e_q(w_pooled)
     - delta) <= 0 = phi(0).
     """
-    if lam <= 0:
+    if np.min(lam) <= 0:
         raise ValueError("lam must be positive")
     if C < 0:
         raise ValueError("C must be >= 0")
@@ -405,6 +409,8 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     empty = [i for i, subset in enumerate(subsets) if not len(subset)]
     faced = [] if np.all(valpart.pooled_errors <= valpart.delta) else empty
     rows = [*subsets, *[()] * (len(faced) * Q)]
+    if np.ndim(lam):  # a face row takes its subset's lam, which an empty sum never reads
+        lam = np.concatenate([lam, np.repeat(np.asarray(lam)[faced], Q)])
     lo = np.zeros((len(rows), Q))
     lo[B:] = np.tile(C * np.eye(Q), (len(faced), 1))
     hi = np.full(lo.shape, C, dtype=float)

@@ -9,9 +9,10 @@ and return a machine-readable :class:`OracleReport`.
 
 Every 2^n enumeration reads :func:`f_table`, which raises :class:`TooLarge`
 above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
-``--alpha-mode empirical`` share one cap.  The table is solved once per
-context and kept on it; only this module reads it by bitmask, and one table
-of its marginal gains serves the ratio, the curvatures and the modular bound.
+``--alpha-mode empirical`` share one cap.  The table is kept on its context,
+and contexts that differ only in lam solve their tables in one pass; only
+this module reads a table by bitmask, and one table of its marginal gains
+serves the ratio, the curvatures and the modular bound.
 The sampled checks share one batched draw of (S, a) pairs per context, and
 read f, mu and the training blocks by bitmask from the table's solve when
 ``verify`` has solved it first; the sandwich check then cross-evaluates all
@@ -95,17 +96,21 @@ def _members(n: int) -> np.ndarray:
     return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
 
 
-def f_table(ctx: SetFnContext) -> np.ndarray:
+def f_table(ctx: SetFnContext, *others: SetFnContext) -> np.ndarray:
     """f over all subsets, indexed by bitmask (bit i = training element i):
-    solved once per context and kept read-only as ``ctx.table``, beside ``ctx.table_solve``."""
+    kept read-only as ``ctx.table``, beside ``ctx.table_solve``.  The tables
+    of ``others``, contexts that differ from ``ctx`` in lam only, are solved
+    in the same pass, so f(empty) is solved once for all of them; a context
+    that holds its table already is left as it is."""
     n = ctx.train.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{MAX_EXHAUSTIVE_N}")
-    if ctx.table is None:
+    pending = [c for c in (ctx, *others) if c.table is None]
+    if pending:
         keys = [()]
         for i in range(n):  # the masks with bit i set follow those without it
             keys += [key + (i,) for key in keys]
-        ctx.solve_table(keys)
+        pending[0].solve_table(keys, *pending[1:])
     return ctx.table
 
 

@@ -11,9 +11,11 @@ evaluation has one miss path on both backends, ``SetFnContext._solve``:
 :meth:`SetFnContext.mu_many` read the cache and send its misses there, as
 :meth:`SetFnContext.solve_table` sends the exhaustive table, and the cache
 keeps the solver's output only, without its training blocks, so a state is
-built only when :meth:`SetFnContext.f_of` returns one.  Each leave-one-out value is used
-once, so :meth:`SetFnContext.leave_one_out` returns ``_solve``'s values and
-leaves the cache alone.  The oracles' pair samples and their exhaustive
+built only when :meth:`SetFnContext.f_of` returns one.  One table solve can
+serve several contexts that differ only in lam, each row at its own lam.
+Each leave-one-out value is used once, so
+:meth:`SetFnContext.leave_one_out` returns ``_solve``'s values and leaves
+the cache alone.  The oracles' pair samples and their exhaustive
 table are memoized on the context too, never beyond it; only the oracles
 read that table.  Cache keys are sorted tuples and ``leave_one_out``
 takes a sorted array, as ``train_dual_exact_many`` needs.
@@ -115,32 +117,49 @@ class SetFnContext:
         stops = [*range(first, count, step), count] if count else []
         return list(zip([0, *stops], stops))
 
-    def _solve(self, count: int, size: int, rows):
+    def _solve(self, count: int, size: int, rows, lam=None, takes=()):
         """(f, solver output) for ``count`` subsets of at most ``size``
-        elements, built by ``rows(start, stop)``, and the training blocks of a
-        one-stack exact solve, else None; the one place a trainer is picked.
-        The exact backend solves the stacks of :meth:`stack_bounds`, building
-        each stack's rows when it reaches them and counting, with a
-        RuntimeWarning, their non-converged rows; its output is
+        elements, built by ``rows(start, stop)`` and solved at ``lam``, the
+        context's or an array of one per row, and for each index array of
+        ``takes`` its rows' (multipliers, non-converged count, training
+        blocks), the blocks None unless those rows lie in one exact stack; the
+        one place a trainer is picked.  The exact backend solves the stacks of
+        :meth:`stack_bounds`, building each stack's rows when it reaches them
+        and warning, with a RuntimeWarning, of non-converged rows, which it
+        counts on the context when no ``takes`` are given; its output is
         (``train_dual_exact_many``'s arrays but the blocks, row).  The sgd
         backend trains one subset at a time from its seeded initialization,
-        and its output is the trained state."""
+        counts nothing, and its output is the trained state."""
+        lam = self.lam if lam is None else lam
         if self.backend == "sgd":
-            states = (train_dual_sgd(subset, self.train, self.valpart, self.lam, self.C,
+            lams = np.broadcast_to(lam, count).tolist()
+            states = [train_dual_sgd(subset, self.train, self.valpart, lam_r, self.C,
                                      self.trainer, model_kind=self.model_kind)
-                      for subset in rows(0, count))
-            return [(state.f_value, state) for state in states], None
-        entries, blocks, bounds = [], None, self.stack_bounds(count, size)
-        for start, stop in bounds:
+                      for subset, lam_r in zip(rows(0, count), lams)]
+            mu = np.array([state.mu for state in states]).reshape(count, self.valpart.q)
+            entries = [(state.f_value, state) for state in states]
+            return entries, [(mu[take], 0, None) for take in takes]
+        entries, mus, converged, blocks = [], [], [], [None] * len(takes)
+        for start, stop in self.stack_bounds(count, size):
             solved = train_dual_exact_many(rows(start, stop), self.train, self.valpart,
-                                           self.lam, self.C)
-            blocks, solved = solved[5:] if len(bounds) == 1 else None, solved[:5]
-            self.not_converged += int(np.count_nonzero(~solved[4]))
+                                           lam if np.ndim(lam) == 0 else lam[start:stop], self.C)
+            for t, take in enumerate(takes):
+                if start <= take[0] and take[-1] < stop:
+                    blocks[t] = tuple(b[take - start] for b in solved[5:])
+            solved = solved[:5]
+            mus.append(solved[1])
+            converged.append(solved[4])
+            if not takes:
+                self.not_converged += int(np.count_nonzero(~solved[4]))
             if not solved[4].all():  # one fixed text, so the default filter shows it once
                 warnings.warn("an exact dual solve stopped before convergence; "
                               "SetFnContext.not_converged counts such rows", RuntimeWarning)
             entries += ((value, (solved, r)) for r, value in enumerate(solved[2].tolist()))
-        return entries, blocks
+        if not takes:
+            return entries, []
+        mu, failed = np.concatenate(mus), ~np.concatenate(converged)
+        return entries, [(mu[take], int(np.count_nonzero(failed[take])), kept)
+                         for take, kept in zip(takes, blocks)]
 
     def _entries(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, object]]:
         """Cache entries (f, solver output) for each subset, in input order;
@@ -154,16 +173,37 @@ class SetFnContext:
                                                         lambda a, b: missing[a:b])[0]))
         return [self._cache[key] for key in keys]
 
-    def solve_table(self, keys: list[tuple[int, ...]]) -> None:
-        """Solve the sorted ``keys``, one per bitmask in order, in one pass of
-        :meth:`_solve`, each cached and counted as a miss, as :attr:`table`
-        and :attr:`table_solve`."""
-        entries, blocks = self._solve(len(keys), len(keys[-1]), lambda a, b: keys[a:b])
-        self.cache_misses += len(keys)
-        self._cache.update(zip(keys, entries))
-        self.table = np.array([value for value, _ in entries])
-        self.table.setflags(write=False)
-        self.table_solve = self._mu_rows(entries), blocks
+    def solve_table(self, keys: list[tuple[int, ...]], *others: SetFnContext) -> None:
+        """Solve the sorted ``keys``, one per bitmask in order from (), as
+        :attr:`table` and :attr:`table_solve`, each cached and counted as a
+        miss, on this context and on each of ``others``, exact contexts that
+        differ from it in lam only, in one pass of :meth:`_solve`.
+
+        f(empty) does not read lam: row 0 solves it, first in the first stack
+        as :meth:`stack_bounds` expects, for every context, and each further
+        context adds its other keys at its own lam.  Each context then takes
+        its rows' entries, multipliers, non-converged count and, when they lie
+        in one stack, training blocks.  No row's arithmetic depends on its
+        stack, so each table equals the one its context solves alone."""
+        for other in others:
+            if not (self.backend == other.backend == "exact" and other.train is self.train
+                    and other.valpart is self.valpart and other.C == self.C
+                    and other.trainer == self.trainer):
+                raise ValueError("tables solved together need exact contexts that differ "
+                                 "in lam only")
+        n, ctxs = len(keys), (self, *others)
+        rows = keys + keys[1:] * len(others)
+        lam = np.repeat([ctx.lam for ctx in ctxs], [n] + [n - 1] * len(others))
+        takes = [np.r_[0, j * (n - 1) + 1:(j + 1) * (n - 1) + 1] for j in range(len(ctxs))]
+        entries, solves = self._solve(len(rows), len(keys[-1]), lambda a, b: rows[a:b], lam, takes)
+        for ctx, take, (mu, not_converged, blocks) in zip(ctxs, takes, solves):
+            own = [entries[r] for r in take.tolist()]
+            ctx.cache_misses += n
+            ctx.not_converged += not_converged
+            ctx._cache.update(zip(keys, own))
+            ctx.table = np.array([value for value, _ in own])
+            ctx.table.setflags(write=False)
+            ctx.table_solve = mu, blocks
 
     def f_of(self, subset: Iterable[int]) -> tuple[float, TrainedState]:
         """Value and trained state for a subset, from cache when available; an

@@ -513,15 +513,25 @@ class TestVerify:
     def test_one_table_solve_per_context(self, tmp_path, monkeypatch):
         # The pair draw, the multipliers, alpha, kappa, the modular bound and
         # its leave-one-out rows all read the instance's and the certificate
-        # instance's tables.
+        # instance's tables, solved in one stack that solves f(empty) once:
+        # 128 + 127 rows.
+        assert self.stacks(tmp_path, monkeypatch, "all") == [255]
+
+    @pytest.mark.parametrize("prop", ["modular", "alpha", "kappa"])
+    def test_single_table_property_solves_one_table(self, tmp_path, monkeypatch, prop):
+        assert self.stacks(tmp_path, monkeypatch, prop) == [128]
+
+    @staticmethod
+    def stacks(tmp_path, monkeypatch, prop):
+        """Rows of each stacked exact solve of a verify --n 7 --Q 2 run."""
         stacks = []
         solve = dual.train_dual_exact_many
         counted = lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a)
         monkeypatch.setattr(setfn, "train_dual_exact_many", counted)
         monkeypatch.setattr(dual, "train_dual_exact_many", counted)
-        assert run(["verify", "--n", "7", "--Q", "2", "--seed", "16",
+        assert run(["verify", "--n", "7", "--Q", "2", "--seed", "16", "--property", prop,
                     "--out", str(tmp_path / "v.json")]) == 0
-        assert stacks == [128, 128]
+        return stacks
 
     def test_one_run_leaves_few_cycles(self, tmp_path):
         argv = ["verify", "--n", "7", "--Q", "2", "--out", str(tmp_path / "v.json")]

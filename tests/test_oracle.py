@@ -1,11 +1,13 @@
+import argparse
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_ctx
-from selcon import dual, oracle, setfn
-from selcon.dual import solve_inner_linear
+from selcon import cli, dual, oracle, setfn
+from selcon.dual import TrainerConfig, solve_inner_linear
 from selcon.bounds import (
     alpha_hat_linear,
     data_constants,
@@ -167,12 +169,115 @@ class TestTable:
         assert f_table(ctx) is table and ctx.table is table
         assert calls == []
 
+    def test_sgd_table_equals_the_cache_path(self):
+        ctx = make_ctx(78, n=3, q=2, backend="sgd", trainer=TrainerConfig(epochs=5))
+        f_table(ctx)
+        ref = make_ctx(78, n=3, q=2, backend="sgd", trainer=TrainerConfig(epochs=5))
+        keys = [tuple(np.flatnonzero(mask >> np.arange(3) & 1).tolist()) for mask in range(8)]
+        mu, blocks = ctx.table_solve
+        assert np.array_equal(ctx.table, ref.f_many(keys)) and blocks is None
+        assert np.array_equal(mu, ref.mu_many(keys)) and ctx.not_converged == 0
+
     def test_leave_one_out_equals_the_table(self):
         ctx = make_ctx(77, n=7, d=3, q=2)
         table = f_table(ctx)
         for s_hat in (np.array([3]), np.array([0, 2, 3, 6]), np.arange(7)):
             hat = int((1 << s_hat).sum())
             assert np.array_equal(ctx.leave_one_out(s_hat), table[hat ^ (1 << s_hat)])
+
+
+def verify_contexts(seed):
+    """The contexts of ``verify --n 7 --Q 2 --seed <seed>``: the instance at
+    lam 1 and C 1, and the certificate instance at its lam."""
+    train, valpart = cli._verify_instance(argparse.Namespace(n=7, d=2, Q=2, delta=0.5), seed)
+    ctx = SetFnContext(train=train, valpart=valpart, lam=1.0, C=1.0)
+    consts = data_constants(train, valpart.data, q=2)
+    return ctx, replace(ctx, lam=1.5 * lambda_min_linear(1.0, 2, consts))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestJointTables:
+    """Tables that differ only in lam, solved in one pass, equal the tables
+    each context solves alone bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_alone(ctx):
+        alone = replace(ctx)
+        f_table(alone)
+        assert same_bits(ctx.table, alone.table)
+        assert same_bits(ctx.table_solve[0], alone.table_solve[0])
+        blocks, ref = ctx.table_solve[1], alone.table_solve[1]
+        if blocks is not None:
+            assert ref is not None and all(map(same_bits, blocks, ref))
+        keys = [tuple(np.flatnonzero(mask >> np.arange(7) & 1).tolist()) for mask in range(128)]
+        for key in keys:  # the cached rows build the same states
+            state, want = ctx.f_of(key)[1], alone.f_of(key)[1]
+            assert same_bits(state.model.w, want.model.w) and same_bits(state.mu, want.mu)
+            assert (state.iterations_used, state.converged) == (want.iterations_used, want.converged)
+        assert (ctx.cache_misses, ctx.not_converged) == (alone.cache_misses, alone.not_converged)
+        return blocks, ref
+
+    @pytest.mark.parametrize("seed,kind", [(18, "certified"), (20, "faced"), (31, "origin")])
+    def test_equals_each_table_alone(self, monkeypatch, seed, kind):
+        ctx, cert = verify_contexts(seed)
+        empty = replace(ctx).f_of(())[1]
+        certified = bool(np.all(ctx.valpart.pooled_errors <= ctx.valpart.delta))
+        assert (certified, empty.f_value > 0) == {"certified": (True, False), "faced": (False, True),
+                                                  "origin": (False, False)}[kind]
+        stacks = []
+        solve = setfn.train_dual_exact_many
+        monkeypatch.setattr(setfn, "train_dual_exact_many",
+                            lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a))
+        assert f_table(ctx, cert) is ctx.table
+        assert stacks == [255]  # f(empty) once
+        monkeypatch.setattr(setfn, "train_dual_exact_many", solve)
+        for one in (ctx, cert):
+            blocks, ref = self.assert_equal_to_alone(one)
+            assert blocks is not None
+        assert ctx.table[0] == cert.table[0] == empty.f_value
+
+    @pytest.mark.parametrize("chunk_floats,kept", [(1, [False, False]), (3368, [True, False])])
+    def test_split_across_stacks(self, monkeypatch, chunk_floats, kept):
+        # At 3368 floats the first of two stacks holds the 128 rows of the
+        # instance's table, which keeps its blocks; the certificate table's
+        # rows, f(empty) among them, lie in both stacks and keep none.
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
+        for seed in (20, 31):
+            ctx, cert = verify_contexts(seed)
+            assert len(ctx.stack_bounds(255, 7)) > 1
+            f_table(ctx, cert)
+            assert [one.table_solve[1] is not None for one in (ctx, cert)] == kept
+            for one in (ctx, cert):
+                blocks, ref = self.assert_equal_to_alone(one)
+                assert (ref is None) == (chunk_floats == 1)
+
+    def test_counts_non_converged_rows_per_table(self, monkeypatch):
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        ctx, cert = verify_contexts(20)
+        with pytest.warns(RuntimeWarning, match="not_converged"):
+            f_table(ctx, cert)
+        assert ctx.not_converged > 0 and cert.not_converged > 0
+        with pytest.warns(RuntimeWarning, match="not_converged"):
+            for one in (ctx, cert):
+                self.assert_equal_to_alone(one)
+
+    @pytest.mark.parametrize("change", ["C", "train", "valpart", "trainer", "backend"])
+    def test_contexts_must_differ_in_lam_only(self, change):
+        ctx, cert = verify_contexts(18)
+        other = replace(ctx, lam=2.0, **{
+            "C": {"C": 2.0},
+            "train": {"train": replace(ctx.train)},
+            "valpart": {"valpart": replace(ctx.valpart)},
+            "trainer": {"trainer": TrainerConfig(seed=1)},
+            "backend": {"backend": "sgd"},
+        }[change])
+        for first, second in ((ctx, other), (other, ctx)):
+            with pytest.raises(ValueError, match="lam only"):
+                f_table(first, cert, second)
+        assert all(one.table is None and not one._cache for one in (ctx, cert, other))
 
 
 class TestEmpiricalKappa:
