@@ -4,10 +4,9 @@ Everything here is a pure function of the data extrema and the problem
 scalars: the per-element regularized-loss floor of both models in closed
 form, the certified submodularity-ratio lower bound ``alpha_hat``, the
 certified curvature upper bound ``kappa_hat``, the regularization threshold
-that makes those certificates valid, the trained-parameter norm bound, and
-the approximation ratios for exact and imperfect training.  :func:`bound_report`
-assembles them all: ``select`` reports it, and ``verify`` checks its
-``alpha_hat`` and ``kappa_hat``.
+that makes those certificates valid, and the approximation ratio.
+:func:`bound_report` assembles them for exact training: ``select`` reports
+it, and ``verify`` checks its ``alpha_hat`` and ``kappa_hat``.
 
 The two-layer floor: any parameters p = (hidden rows h_j, outputs o_j) have
 |h(x)| <= sum_j |o_j| ||h_j|| ||x|| <= ||x|| ||p||^2 / 2, so with a = lam/||x||
@@ -34,10 +33,8 @@ __all__ = [
     "ell_star_linear",
     "ell",
     "alpha_hat_linear",
-    "alpha_hat_nonlinear",
     "kappa_hat",
     "lambda_min_linear",
-    "w_norm_bound",
     "approx_ratio",
     "bound_report",
 ]
@@ -54,7 +51,6 @@ class DataConstants:
     y_max: float
     y_min: float
     x_max: float
-    q: int
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,6 @@ class BoundReport:
     ell: float
     lambda_min: float
     ratio_perfect: float
-    ratio_imperfect: float
-    epsilon_used: float
 
     def as_dict(self) -> dict:
         # Vacuous ratios are infinite; JSON has no Infinity, so emit null.
@@ -77,7 +71,7 @@ class BoundReport:
         }
 
 
-def data_constants(train: Dataset, val: Dataset, q: int = 1) -> DataConstants:
+def data_constants(train: Dataset, val: Dataset) -> DataConstants:
     """Exact extrema over train and validation rows.
 
     Raises :class:`ZeroTarget` when any |y| is zero; the certificates need
@@ -91,7 +85,6 @@ def data_constants(train: Dataset, val: Dataset, q: int = 1) -> DataConstants:
         y_max=float(ys.max()),
         y_min=float(ys.min()),
         x_max=float(norms.max()),
-        q=q,
     )
 
 
@@ -143,16 +136,6 @@ def alpha_hat_linear(lam: float, C: float, q: int, consts: DataConstants) -> flo
     return 1.0 - num / (lam * consts.y_min**2)
 
 
-def alpha_hat_nonlinear(lam: float, C: float, q: int, y_max: float, H: float, ell_star: float) -> float:
-    """Certified ratio bound for an H-Lipschitz model with loss floor ell_star."""
-    if lam <= 0 or ell_star <= 0 or H <= 0:
-        raise ValueError("lam, ell_star and H must be positive")
-    try:
-        return 1.0 - 32.0 * (1.0 + C * q) ** 2 * y_max**2 * H**2 / (lam * ell_star)
-    except OverflowError:
-        return -math.inf
-
-
 def kappa_hat(C: float, q: int, y_max: float, ell_star: float) -> float:
     """Certified upper bound on the generalized curvature."""
     if ell_star <= 0:
@@ -169,17 +152,6 @@ def lambda_min_linear(C: float, q: int, consts: DataConstants) -> float:
     except OverflowError:
         return math.inf
     return max(consts.x_max**2, bound)
-
-
-def w_norm_bound(C: float, q: int, y_max: float, scale: float, lam: float,
-                 linear: bool = True) -> float:
-    """Norm bound on the trained parameters for any box multiplier and
-    non-empty subset: (1+CQ)*y_max*x_max/lam for the linear model, twice
-    that with the Lipschitz constant for a generic model."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    base = (1.0 + C * q) * y_max * scale / lam
-    return base if linear else 2.0 * base
 
 
 def approx_ratio(k: int, alpha: float, kappa: float, epsilon: float, ell_value: float) -> tuple[float, float]:
@@ -200,20 +172,15 @@ def approx_ratio(k: int, alpha: float, kappa: float, epsilon: float, ell_value: 
     return perfect, perfect + 2.0 * k * epsilon / ell_value
 
 
-def bound_report(train: Dataset, consts: DataConstants, lam: float, C: float,
+def bound_report(train: Dataset, consts: DataConstants, lam: float, C: float, q: int,
                  k: int) -> BoundReport:
-    """Assemble every certificate for a linear problem into one report, from
-    the caller's :func:`data_constants` (which carry Q), for exact training:
-    the imperfect ratio is taken at epsilon 0."""
-    q = consts.q
+    """Assemble every certificate for a linear problem with ``q`` groups into
+    one report, from the caller's :func:`data_constants`, for exact training:
+    the ratio is taken at epsilon 0, and is infinite when alpha_hat <= 0."""
     e_star = ell_star_linear(train, consts.x_max)
     e = ell(train, lam)
     a_hat = alpha_hat_linear(lam, C, q, consts)
     k_hat = kappa_hat(C, q, consts.y_max, e_star)
-    if a_hat > 0:
-        perfect, imperfect = approx_ratio(k, a_hat, k_hat, 0.0, e)
-    else:
-        perfect = imperfect = float("inf")
     return BoundReport(
         alpha_hat=a_hat,
         kappa_hat=k_hat,
@@ -222,7 +189,5 @@ def bound_report(train: Dataset, consts: DataConstants, lam: float, C: float,
         ell_star_loss_floor=lam * consts.y_min**2 / (lam + consts.x_max**2),
         ell=e,
         lambda_min=lambda_min_linear(C, q, consts),
-        ratio_perfect=perfect,
-        ratio_imperfect=imperfect,
-        epsilon_used=0.0,
+        ratio_perfect=approx_ratio(k, a_hat, k_hat, 0.0, e)[0] if a_hat > 0 else math.inf,
     )

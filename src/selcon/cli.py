@@ -44,7 +44,7 @@ from .dataset import (
 )
 from .dual import TrainerConfig, train_dual_exact
 from .models import model_to_dict
-from .errors import NeedTwoGroups, SelconError, TooLarge, UsageError
+from .errors import NeedTwoGroups, SelconError, TooLarge, UsageError, ZeroTarget
 from .selection import SelconConfig, random_subset, run_selcon, run_selcon_unconstrained
 from .setfn import SetFnContext
 
@@ -175,9 +175,9 @@ def cmd_select(args) -> int:
     report["bounds"] = None  # the certificates cover the linear model only
     if ctx.model_kind == "linear":
         try:
-            consts = data_constants(train, val, q=ctx.valpart.q)
-            report["bounds"] = bound_report(train, consts, ctx.lam, ctx.C, k).as_dict()
-        except UsageError:  # ZeroTarget: the certificates need every |y| > 0
+            consts = data_constants(train, val)
+            report["bounds"] = bound_report(train, consts, ctx.lam, ctx.C, ctx.valpart.q, k).as_dict()
+        except ZeroTarget:  # the certificates need every |y| > 0
             pass
     if args.timing:
         report["timing"] = {"wall_time_seconds": wall_time, "load_seconds": load_seconds}
@@ -207,7 +207,7 @@ def cmd_verify(args) -> int:
     ctx = SetFnContext(train=train, valpart=valpart, lam=args.lam, C=args.C, trainer=trainer)
     if wanted in ("all", "alpha", "kappa"):
         # Certificates only hold above the lam threshold; build that instance.
-        consts = data_constants(train, valpart.data, q=valpart.q)
+        consts = data_constants(train, valpart.data)
         lam_cert = 1.5 * lambda_min_linear(args.C, valpart.q, consts)
         if not math.isfinite(lam_cert):
             raise UsageError(f"--C {args.C:g} is too large to certify: the certificates' "
@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
                              "like C, and a smaller C keeps its gains above rounding")
         reports.append(oracle.check_modular_bound(ctx, s_hat, alpha))
     if wanted in ("all", "alpha", "kappa"):
-        cert = bound_report(train, consts, lam_cert, args.C, train.n)
+        cert = bound_report(train, consts, lam_cert, args.C, valpart.q, train.n)
         if wanted in ("all", "alpha"):
             reports.append(oracle.check_alpha_certificate(cert_ctx, cert.alpha_hat))
         if wanted in ("all", "kappa"):

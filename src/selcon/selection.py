@@ -139,7 +139,7 @@ def resolve_alpha(ctx: SetFnContext, cfg: SelconConfig) -> float:
     if ctx.model_kind != "linear":
         return ALPHA_FLOOR  # the certificate covers the linear model only
     try:
-        consts = data_constants(ctx.train, ctx.valpart.data, q=ctx.valpart.q)
+        consts = data_constants(ctx.train, ctx.valpart.data)
         a_hat = alpha_hat_linear(ctx.lam, ctx.C, ctx.valpart.q, consts)
     except ZeroTarget:
         a_hat = -float("inf")  # certificate undefined; fall back to the floor
@@ -288,20 +288,19 @@ def run_selcon(ctx: SetFnContext, cfg: SelconConfig) -> SelectionResult:
     singletons = _singleton_family(ctx)
 
     trace: list[tuple[int, float, str]] = []
-    for it in range(cfg.L):
-        f_hat, _ = ctx.f_of(s_hat)
+    for it in range(cfg.L + 1):  # L steps, each visited subset evaluated once
+        f_hat, state = ctx.f_of(s_hat)
         trace.append((it, f_hat, _digest(s_hat)))
+        if it == cfg.L:
+            break
         s_next = _certified_k_smallest(ctx, s_hat, f_hat, alpha, singletons)
         if s_next == s_hat:
             break
         s_hat = s_next
 
-    f_final, state = ctx.f_of(s_hat)
-    if trace[-1][2] != _digest(s_hat):
-        trace.append((len(trace), f_final, _digest(s_hat)))
     return SelectionResult(
         selected=s_hat,
-        f_value=f_final,
+        f_value=f_hat,
         trace=trace,
         state=state,
         method="selcon",

@@ -107,14 +107,12 @@ class SetFnContext:
     def stack_bounds(self, count: int, size: int):
         """(start, stop) of each stack that keeps ``count`` subsets of at most
         ``size`` elements under ``_CHUNK_FLOATS``, for the exact trainer and
-        the inner solves alike, counting the face rows that
-        ``train_dual_exact_many`` appends for an empty subset."""
+        the inner solves alike.  Every stack keeps room for the Q face rows
+        that ``train_dual_exact_many`` appends for one empty subset."""
         d, q = self.train.d, self.valpart.q
         face, per = d * (d + q) + 3 * q * q, max(d * (d + q), size * d) + 3 * q * q
-        step = max(1, _CHUNK_FLOATS // per)
-        # The first stack keeps room for the Q face rows of (), which sorts first.
-        first = max(1, (_CHUNK_FLOATS - q * face) // per)
-        stops = [*range(first, count, step), count] if count else []
+        step = max(1, (_CHUNK_FLOATS - q * face) // per)
+        stops = [*range(step, count, step), count] if count else []
         return list(zip([0, *stops], stops))
 
     def _solve(self, count: int, size: int, rows, lam=None, takes=()):
@@ -179,12 +177,12 @@ class SetFnContext:
         miss, on this context and on each of ``others``, exact contexts that
         differ from it in lam only, in one pass of :meth:`_solve`.
 
-        f(empty) does not read lam: row 0 solves it, first in the first stack
-        as :meth:`stack_bounds` expects, for every context, and each further
-        context adds its other keys at its own lam.  Each context then takes
-        its rows' entries, multipliers, non-converged count and, when they lie
-        in one stack, training blocks.  No row's arithmetic depends on its
-        stack, so each table equals the one its context solves alone."""
+        f(empty) does not read lam: row 0 solves it once for every context,
+        and each further context adds its other keys at its own lam.  Each
+        context then takes its rows' entries, multipliers, non-converged count
+        and, when they lie in one stack, training blocks.  No row's arithmetic
+        depends on its stack, so each table equals the one its context solves
+        alone."""
         for other in others:
             if not (self.backend == other.backend == "exact" and other.train is self.train
                     and other.valpart is self.valpart and other.C == self.C

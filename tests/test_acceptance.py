@@ -90,7 +90,7 @@ def certified_instance(seed, n, k):
     train = Dataset(features=X, targets=y)
     val = Dataset(features=Xv, targets=yv)
     C = 1.0
-    consts = data_constants(train, val, q=1)
+    consts = data_constants(train, val)
     lam = float(lambda_min_linear(C, 1, consts) * r.uniform(1.0, 2.0))
     # delta feasible at the pooled validation fit, with a margin, so the
     # empty-set value is 0 while subset constraints can still bind.
@@ -396,7 +396,7 @@ def test_c14_offset_effect():
     for c in [0.0, 2.0, 4.0, 8.0, 16.0]:
         train = offset_augment(base_train, c)
         val = offset_augment(base_val, c)
-        consts = data_constants(train, val, q=1)
+        consts = data_constants(train, val)
         spreads.append(consts.y_max / consts.y_min)
         lam = 2.0 * lambda_min_linear(1.0, 1, consts)
         a_hat = alpha_hat_linear(lam, 1.0, 1, consts)

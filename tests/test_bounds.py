@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import make_problem
 from selcon.bounds import (
     alpha_hat_linear,
-    alpha_hat_nonlinear,
     approx_ratio,
     bound_report,
     claim1_min,
@@ -19,7 +18,6 @@ from selcon.bounds import (
     ell_star_linear,
     kappa_hat,
     lambda_min_linear,
-    w_norm_bound,
 )
 from selcon.dataset import Dataset
 from selcon.errors import InvalidAlpha, ZeroTarget
@@ -185,16 +183,6 @@ class TestAlphaHat:
     def test_linear_limit(self):
         assert alpha_hat_linear(1e12, 1.0, 1, consts_for()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_nonlinear_spot(self):
-        assert alpha_hat_nonlinear(64.0, 0.0, 1, 1.0, 1.0, 1.0) == pytest.approx(0.5)
-
-    def test_nonlinear_boundary_and_scaling(self):
-        thresh = 32.0 * (1 + 2) ** 2 * 1.0 * 4.0 / 0.5
-        assert alpha_hat_nonlinear(thresh, 2.0, 1, 1.0, 2.0, 0.5) == pytest.approx(0.0, abs=1e-12)
-        gap1 = 1 - alpha_hat_nonlinear(100.0, 0.0, 1, 1.0, 1.0, 1.0)
-        gap2 = 1 - alpha_hat_nonlinear(200.0, 0.0, 1, 1.0, 1.0, 1.0)
-        assert gap2 == pytest.approx(gap1 / 2)
-
 
 class TestKappaHat:
     def test_spot(self):
@@ -226,16 +214,6 @@ class TestLambdaMin:
             Dataset(features=np.zeros((1, 1)), targets=np.array([1.0])),
         )
         assert lambda_min_linear(1.0, 1, c) == 0.0
-
-
-class TestWNormBound:
-    def test_linear_spot(self):
-        assert w_norm_bound(0.0, 1, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_generic_doubles_linear(self):
-        lin = w_norm_bound(1.0, 2, 1.5, 0.8, 2.0, linear=True)
-        gen = w_norm_bound(1.0, 2, 1.5, 0.8, 2.0, linear=False)
-        assert gen == pytest.approx(2 * lin)
 
 
 class TestApproxRatio:
@@ -275,7 +253,7 @@ class TestDataConstants:
         c = data_constants(train, val)
         assert (c.y_min, c.y_max) == (1.0, 3.0)
         assert c.x_max == pytest.approx(5.0)
-        assert [f.name for f in dataclasses.fields(c)] == ["y_max", "y_min", "x_max", "q"]
+        assert [f.name for f in dataclasses.fields(c)] == ["y_max", "y_min", "x_max"]
 
     def test_zero_target(self):
         train = Dataset(features=np.array([[1.0]]), targets=np.array([0.0]))
@@ -289,32 +267,32 @@ class TestBoundReport:
         train, val, vp, _, _ = make_problem(7, y_lo=0.5, y_hi=1.5)
         consts = data_constants(train, val)
         lam = 1.5 * lambda_min_linear(1.0, 1, consts)
-        report = bound_report(train, consts, lam, 1.0, k=2)
+        report = bound_report(train, consts, lam, 1.0, 1, k=2)
         assert 0.0 < report.alpha_hat <= 1.0
         assert report.kappa_hat <= 1.0
         assert report.ratio_perfect >= 1.0
-        assert report.ratio_imperfect == report.ratio_perfect  # epsilon 0
+        assert report.ratio_perfect == approx_ratio(2, report.alpha_hat, report.kappa_hat, 0.0,
+                                                    report.ell)[0]
         d = report.as_dict()
         assert set(d) == {
             "alpha_hat", "kappa_hat", "ell_star", "ell_star_loss_floor", "ell", "lambda_min",
-            "ratio_perfect", "ratio_imperfect", "epsilon_used",
+            "ratio_perfect",
         }
 
     def test_overflowing_certificate(self):
         # (1 + C*Q)**2 overflows a float above C*Q ~ 1.3e154: alpha_hat is
-        # -inf, lambda_min inf, and the report writes them and the ratios as null.
+        # -inf, lambda_min inf, and the report writes them and the ratio as null.
         train, val, _, lam, _ = make_problem(7)
         consts = data_constants(train, val)
         assert alpha_hat_linear(lam, 1e200, 1, consts) == -math.inf
-        assert alpha_hat_nonlinear(lam, 1e200, 1, 1.0, 1.0, 1.0) == -math.inf
         assert lambda_min_linear(1e200, 1, consts) == math.inf
-        d = bound_report(train, consts, lam, 1e200, k=2).as_dict()
-        assert [d[k] for k in ("alpha_hat", "lambda_min", "ratio_perfect", "ratio_imperfect")] == [None] * 4
+        d = bound_report(train, consts, lam, 1e200, 1, k=2).as_dict()
+        assert [d[k] for k in ("alpha_hat", "lambda_min", "ratio_perfect")] == [None] * 3
         assert math.isfinite(d["kappa_hat"]) and math.isfinite(d["ell"])
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_loss_floor_formula(self, seed):
         train, val, _, lam, _ = make_problem(seed, q=2, signed=True)
-        consts = data_constants(train, val, q=2)
-        report = bound_report(train, consts, lam, 1.0, k=3)
+        consts = data_constants(train, val)
+        report = bound_report(train, consts, lam, 1.0, 2, k=3)
         assert report.ell_star_loss_floor == lam * consts.y_min**2 / (lam + consts.x_max**2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selcon import cli, dataset, dual, errors, oracle, selection, setfn
+from selcon import bounds, cli, dataset, dual, errors, oracle, selection, setfn
 from selcon.dual import TrainerConfig
 
 
@@ -73,6 +73,20 @@ class TestSelect:
         assert len(report["selected"]) == 8
         assert {"f_value", "trace", "bounds", "test_mse", "selected_ids", "delta"} <= set(report)
         assert "timing" not in report
+
+    def test_bounds_hold_what_exact_training_certifies(self, grouped_csv, tmp_path):
+        # One ratio, at exact training, and every certificate at the run's Q.
+        out = tmp_path / "report.json"
+        assert run(["select", "--data", str(grouped_csv), "--target", "y", "--group", "group",
+                    "--partition", "by_group", "--lambda", "0.5", "--C", "2.0", "--delta", "auto",
+                    "--k", "8", "--out", str(out)]) == 0
+        block = json.loads(out.read_text())["bounds"]
+        assert set(block) == {"alpha_hat", "kappa_hat", "ell_star", "ell_star_loss_floor", "ell",
+                              "lambda_min", "ratio_perfect"}
+        train, val, _ = dataset.split(dataset.load_csv(grouped_csv, "y", "group"),
+                                      dataset.SplitSpec(0.8, 0.1, 0.1))
+        consts = bounds.data_constants(train, val)
+        assert block["lambda_min"] == bounds.lambda_min_linear(2.0, 4, consts)
 
     def test_trace_non_increasing(self, data_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -141,7 +155,7 @@ class TestSelect:
         assert run(["select", "--data", str(data_csv), "--target", "y", "--C", "1e200",
                     "--k", "4", "--iters", "1", *mode, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        for key in ("alpha_hat", "lambda_min", "ratio_perfect", "ratio_imperfect"):
+        for key in ("alpha_hat", "lambda_min", "ratio_perfect"):
             assert report["bounds"][key] is None
         assert report["alpha_used"] == (1.0 if mode else selection.ALPHA_FLOOR)
 

@@ -44,7 +44,7 @@ def drawn_pairs(n, trials, seed):
 
 def certified_ctx(seed, n=6, C=1.0):
     base = make_ctx(seed, n=n, y_lo=0.5, y_hi=1.5, C=C)
-    consts = data_constants(base.train, base.valpart.data, q=1)
+    consts = data_constants(base.train, base.valpart.data)
     lam = float(lambda_min_linear(C, 1, consts) * (1.0 + 0.3 * (seed % 3)))
     return (
         SetFnContext(
@@ -191,7 +191,7 @@ def verify_contexts(seed):
     lam 1 and C 1, and the certificate instance at its lam."""
     train, valpart = cli._verify_instance(argparse.Namespace(n=7, d=2, Q=2, delta=0.5), seed)
     ctx = SetFnContext(train=train, valpart=valpart, lam=1.0, C=1.0)
-    consts = data_constants(train, valpart.data, q=2)
+    consts = data_constants(train, valpart.data)
     return ctx, replace(ctx, lam=1.5 * lambda_min_linear(1.0, 2, consts))
 
 

@@ -188,7 +188,7 @@ class TestRunSelcon:
         from selcon.bounds import alpha_hat_linear, data_constants, lambda_min_linear
 
         base = make_ctx(57, n=6, y_lo=0.5, y_hi=1.5)
-        consts = data_constants(base.train, base.valpart.data, q=1)
+        consts = data_constants(base.train, base.valpart.data)
         lam = 2.0 * lambda_min_linear(base.C, 1, consts)
         ctx = base.__class__(
             train=base.train, valpart=base.valpart, lam=lam, C=base.C, trainer=base.trainer
@@ -203,7 +203,7 @@ class TestRunSelcon:
         from selcon.bounds import alpha_hat_linear, data_constants, lambda_min_linear
 
         base = make_ctx(57, n=6, y_lo=0.5, y_hi=1.5)
-        consts = data_constants(base.train, base.valpart.data, q=1)
+        consts = data_constants(base.train, base.valpart.data)
         linear = replace(base, lam=2.0 * lambda_min_linear(base.C, 1, consts))
         cfg = SelconConfig(k=2, seed=0, alpha_mode="certified")
         assert resolve_alpha(linear, cfg) == alpha_hat_linear(linear.lam, linear.C, 1, consts)

@@ -255,6 +255,26 @@ class TestStacks:
         assert sum(rows) == 6001 + q
         assert max(rows) * (d * (d + q) + 3 * q * q) <= setfn._CHUNK_FLOATS
 
+    def test_every_stack_keeps_room_for_face_rows(self, monkeypatch):
+        # An empty subset outside the first stack still runs its Q face rows
+        # under the cap: every stack, not only the first, keeps room for them.
+        d, q, rows = 3, 4, []
+        per = d * (d + q) + 3 * q * q
+        blocks = dual.gram_blocks
+
+        def record(subsets, *args):
+            rows.append(len(subsets))
+            return blocks(subsets, *args)
+
+        ctx = make_ctx(0, n=60, d=d, q=q, nval=20 * q, C=2.0)
+        keys = [(i,) for i in range(40)]
+        keys.insert(17, ())
+        monkeypatch.setattr(dual, "gram_blocks", record)
+        monkeypatch.setattr(setfn, "_CHUNK_FLOATS", 20 * per)
+        entries, _ = ctx._solve(len(keys), 1, lambda a, b: keys[a:b])
+        assert len(entries) == len(keys) and sum(rows) == len(keys) + q  # () runs its faces
+        assert rows[0] == 16 and max(rows) * per <= setfn._CHUNK_FLOATS
+
     def test_sweeps_build_no_state(self, monkeypatch):
         built = []
         post_init = dual.TrainedState.__post_init__
