@@ -44,7 +44,7 @@ from .dataset import (
 )
 from .dual import TrainerConfig, train_dual_exact
 from .models import model_to_dict
-from .errors import NeedTwoGroups, SelconError, TooLarge, UsageError, ZeroTarget
+from .errors import InvalidK, NeedTwoGroups, SelconError, TooLarge, UsageError, ZeroTarget
 from .selection import SelconConfig, random_subset, run_selcon, run_selcon_unconstrained
 from .setfn import SetFnContext
 
@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
     if wanted in ("all", "modular"):
         # Every check below reads its values from the tables; all solves the
         # instance's and the certificate instance's in one pass.
-        oracle.f_table(ctx, *([cert_ctx] if wanted == "all" else []))
+        oracle.f_table(ctx, cert_ctx if wanted == "all" else None)
 
     if wanted in ("all", "monotone"):
         reports.append(oracle.check_monotone(ctx, trials=args.trials, seed=trainer.seed))
@@ -247,6 +247,9 @@ def cmd_bench(args) -> int:
     ctx, test, _, _ = _build_context(args, cp)
     train, trainer = ctx.train, ctx.trainer
     ks = [int(v) for v in args.ks.split(",")]
+    for k in ks:  # before the full fits below, which take the longest
+        if not 1 <= k <= train.n:
+            raise InvalidK(f"k = {k} is outside [1, {train.n}]")
 
     # select_seconds times the method; fit_seconds one exact fit on the
     # subset it returns, the training a selection exists to make cheap.

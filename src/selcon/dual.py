@@ -26,7 +26,8 @@ realize it:
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
-  imperfect-estimate epsilon quoted by the approximation guarantee.
+  epsilon that ``bounds.approx_ratio`` takes for imperfect training; only
+  acceptance check C10 measures it, and no command measures or reports it.
 
 ``gram_blocks`` assembles the training blocks of a stack of subsets, and
 ``solve_inner_blocks`` solves the inner minimum alone on such blocks, at one

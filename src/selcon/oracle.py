@@ -10,13 +10,13 @@ and return a machine-readable :class:`OracleReport`.
 Every 2^n enumeration reads :func:`f_table`, which raises :class:`TooLarge`
 above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
 ``--alpha-mode empirical`` share one cap.  The table is kept on its context,
-and contexts that differ only in lam solve their tables in one pass; only
+and two contexts that differ only in lam solve their tables in one pass; only
 this module reads a table by bitmask, and one table of its marginal gains
 serves the ratio, the curvatures and the modular bound.
 The sampled checks share one batched draw of (S, a) pairs per context, and
-read f, mu and the training blocks by bitmask from the table's solve when
-``verify`` has solved it first; the sandwich check then cross-evaluates all
-pairs as stacked inner solves.
+read f, mu and, when one stack held it, the training blocks by bitmask from
+the table's solve when ``verify`` has solved it first; the sandwich check
+then cross-evaluates all pairs as stacked inner solves.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "OracleReport",
     "brute_force_optimum",
     "empirical_alpha",
-    "empirical_alpha_detail",
     "empirical_kappa",
     "empirical_kappa_max",
     "check_monotone",
@@ -96,16 +95,16 @@ def _members(n: int) -> np.ndarray:
     return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
 
 
-def f_table(ctx: SetFnContext, *others: SetFnContext) -> np.ndarray:
+def f_table(ctx: SetFnContext, other: SetFnContext | None = None) -> np.ndarray:
     """f over all subsets, indexed by bitmask (bit i = training element i):
-    kept read-only as ``ctx.table``, beside ``ctx.table_solve``.  The tables
-    of ``others``, contexts that differ from ``ctx`` in lam only, are solved
-    in the same pass, so f(empty) is solved once for all of them; a context
+    kept read-only as ``ctx.table``, beside ``ctx.table_solve``.  The table
+    of ``other``, an exact context on ``ctx``'s data, partition and C, is
+    solved in the same pass, so f(empty) is solved once for both; a context
     that holds its table already is left as it is."""
     n = ctx.train.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{MAX_EXHAUSTIVE_N}")
-    pending = [c for c in (ctx, *others) if c.table is None]
+    pending = [c for c in (ctx, other) if c is not None and c.table is None]
     if pending:
         keys = [()]
         for i in range(n):  # the masks with bit i set follow those without it
@@ -136,18 +135,13 @@ def _gains(f: np.ndarray, n: int) -> np.ndarray:
     return f[masks | bits] - f[masks & ~bits]
 
 
-def empirical_alpha_detail(ctx: SetFnContext) -> tuple[float, int, int]:
-    """Exact submodularity ratio plus (skipped, checked) triple counts.
-
-    The ratio is min over nested pairs S within T and elements a outside T of
-    gain(a, S) / gain(a, T); triples whose denominator is at most
-    ``DENOM_CUTOFF`` are skipped and counted rather than silently dropped.
-    """
+def empirical_alpha(ctx: SetFnContext) -> float:
+    """Exact submodularity ratio: min over nested pairs S within T and
+    elements a outside T of gain(a, S) / gain(a, T), skipping the triples
+    whose denominator is at most ``DENOM_CUTOFF``."""
     n = ctx.train.n
     f = f_table(ctx)
     members = _members(n)
-    masks = np.arange(1 << n)
-    triples = 1 << members.sum(axis=1)  # the subsets S of each T
     # Row a, column T: the gain of a at T, for every a outside T at once.
     no_a = ~members.T
     gains = np.where(no_a, _gains(f, n), np.inf)
@@ -157,16 +151,9 @@ def empirical_alpha_detail(ctx: SetFnContext) -> tuple[float, int, int]:
     m = gains.copy()
     for j in range(n):
         has = members[:, j]
-        m[:, has] = np.minimum(m[:, has], m[:, masks[has] ^ (1 << j)])
+        m[:, has] = np.minimum(m[:, has], m[:, np.flatnonzero(has) ^ (1 << j)])
     ok = no_a & (gains > DENOM_CUTOFF)
-    skipped = int(((no_a & ~ok) * triples).sum())
-    checked = int((ok * triples).sum())
-    return np.min(m[ok] / gains[ok], initial=math.inf), skipped, checked
-
-
-def empirical_alpha(ctx: SetFnContext) -> float:
-    value, _, _ = empirical_alpha_detail(ctx)
-    return value
+    return np.min(m[ok] / gains[ok], initial=math.inf)
 
 
 def _curvatures(ctx: SetFnContext) -> np.ndarray:

@@ -6,13 +6,15 @@ path-independent: every f(S), a leave-one-out row too, trains from the
 configured initialization, and the exact backend's stacked solver computes
 each subset's row without reference to the other rows, so no value depends on
 the order in which subsets were queried nor on the batch they were solved in.  Every
-evaluation has one miss path on both backends, ``SetFnContext._solve``:
-:meth:`SetFnContext.f_of`, :meth:`SetFnContext.f_many` and
-:meth:`SetFnContext.mu_many` read the cache and send its misses there, as
+evaluation has one miss path on both backends, ``SetFnContext._solve``, which
+returns the cache entries beside arrays of multipliers and non-converged
+rows, and the training blocks when one stack held every row; each caller
+slices what it reads.  :meth:`SetFnContext.f_of`, :meth:`SetFnContext.f_many`
+and :meth:`SetFnContext.mu_many` read the cache and send its misses there, as
 :meth:`SetFnContext.solve_table` sends the exhaustive table, and the cache
 keeps the solver's output only, without its training blocks, so a state is
 built only when :meth:`SetFnContext.f_of` returns one.  One table solve can
-serve several contexts that differ only in lam, each row at its own lam.
+serve a second context that differs only in lam, each row at its own lam.
 Each leave-one-out value is used once, so
 :meth:`SetFnContext.leave_one_out` returns ``_solve``'s values and leaves
 the cache alone.  The oracles' pair samples and their exhaustive
@@ -64,7 +66,8 @@ class SetFnContext:
     the same cache and the same solver calls, so their values are
     bit-identical.  :meth:`leave_one_out` solves the sets S minus i the same
     way but leaves the cache alone, since each of its values is used once.
-    ``C`` is stored as a float.
+    Every solve counts its rows that stop before convergence in
+    ``not_converged``.  ``C`` is stored as a float.
     """
 
     train: Dataset
@@ -115,49 +118,43 @@ class SetFnContext:
         stops = [*range(step, count, step), count] if count else []
         return list(zip([0, *stops], stops))
 
-    def _solve(self, count: int, size: int, rows, lam=None, takes=()):
-        """(f, solver output) for ``count`` subsets of at most ``size``
-        elements, built by ``rows(start, stop)`` and solved at ``lam``, the
-        context's or an array of one per row, and for each index array of
-        ``takes`` its rows' (multipliers, non-converged count, training
-        blocks), the blocks None unless those rows lie in one exact stack; the
-        one place a trainer is picked.  The exact backend solves the stacks of
+    def _solve(self, count: int, size: int, rows, lam=None):
+        """(entries, mu, failed, blocks) for ``count`` subsets of at most
+        ``size`` elements, built by ``rows(start, stop)`` and solved at
+        ``lam``, the context's or an array of one per row; the one place a
+        trainer is picked.  ``entries`` are the cache entries (f, solver
+        output), ``mu`` the (count, Q) multipliers, ``failed`` a bool array
+        of the rows that stopped before convergence, which callers count, and
+        ``blocks`` the training blocks when one exact stack held every row,
+        else None.  The exact backend solves the stacks of
         :meth:`stack_bounds`, building each stack's rows when it reaches them
-        and warning, with a RuntimeWarning, of non-converged rows, which it
-        counts on the context when no ``takes`` are given; its output is
-        (``train_dual_exact_many``'s arrays but the blocks, row).  The sgd
+        and warning, with a RuntimeWarning, of non-converged rows; its output
+        is (``train_dual_exact_many``'s arrays but the blocks, row).  The sgd
         backend trains one subset at a time from its seeded initialization,
-        counts nothing, and its output is the trained state."""
-        lam = self.lam if lam is None else lam
+        and its output is the trained state."""
+        lam, q = self.lam if lam is None else lam, self.valpart.q
         if self.backend == "sgd":
             lams = np.broadcast_to(lam, count).tolist()
             states = [train_dual_sgd(subset, self.train, self.valpart, lam_r, self.C,
                                      self.trainer, model_kind=self.model_kind)
                       for subset, lam_r in zip(rows(0, count), lams)]
-            mu = np.array([state.mu for state in states]).reshape(count, self.valpart.q)
-            entries = [(state.f_value, state) for state in states]
-            return entries, [(mu[take], 0, None) for take in takes]
-        entries, mus, converged, blocks = [], [], [], [None] * len(takes)
-        for start, stop in self.stack_bounds(count, size):
+            mu = np.array([state.mu for state in states]).reshape(count, q)
+            failed = np.array([not state.converged for state in states], dtype=bool)
+            return [(state.f_value, state) for state in states], mu, failed, None
+        entries, mus, failed, blocks = [], [np.empty((0, q))], [np.empty(0, dtype=bool)], None
+        bounds = self.stack_bounds(count, size)
+        for start, stop in bounds:
             solved = train_dual_exact_many(rows(start, stop), self.train, self.valpart,
                                            lam if np.ndim(lam) == 0 else lam[start:stop], self.C)
-            for t, take in enumerate(takes):
-                if start <= take[0] and take[-1] < stop:
-                    blocks[t] = tuple(b[take - start] for b in solved[5:])
-            solved = solved[:5]
+            solved, blocks = solved[:5], solved[5:]
             mus.append(solved[1])
-            converged.append(solved[4])
-            if not takes:
-                self.not_converged += int(np.count_nonzero(~solved[4]))
+            failed.append(~solved[4])
             if not solved[4].all():  # one fixed text, so the default filter shows it once
                 warnings.warn("an exact dual solve stopped before convergence; "
                               "SetFnContext.not_converged counts such rows", RuntimeWarning)
             entries += ((value, (solved, r)) for r, value in enumerate(solved[2].tolist()))
-        if not takes:
-            return entries, []
-        mu, failed = np.concatenate(mus), ~np.concatenate(converged)
-        return entries, [(mu[take], int(np.count_nonzero(failed[take])), kept)
-                         for take, kept in zip(takes, blocks)]
+        return (entries, np.concatenate(mus), np.concatenate(failed),
+                blocks if len(bounds) == 1 else None)
 
     def _entries(self, subsets: Iterable[Iterable[int]]) -> list[tuple[float, object]]:
         """Cache entries (f, solver output) for each subset, in input order;
@@ -167,41 +164,38 @@ class SetFnContext:
         self.cache_misses += len(missing)
         self.cache_hits += len(keys) - len(missing)
         if missing:
-            self._cache.update(zip(missing, self._solve(len(missing), max(map(len, missing)),
-                                                        lambda a, b: missing[a:b])[0]))
+            entries, _, failed, _ = self._solve(len(missing), max(map(len, missing)),
+                                                lambda a, b: missing[a:b])
+            self.not_converged += int(np.count_nonzero(failed))
+            self._cache.update(zip(missing, entries))
         return [self._cache[key] for key in keys]
 
-    def solve_table(self, keys: list[tuple[int, ...]], *others: SetFnContext) -> None:
+    def solve_table(self, keys: list[tuple[int, ...]], other: SetFnContext | None = None) -> None:
         """Solve the sorted ``keys``, one per bitmask in order from (), as
         :attr:`table` and :attr:`table_solve`, each cached and counted as a
-        miss, on this context and on each of ``others``, exact contexts that
-        differ from it in lam only, in one pass of :meth:`_solve`.
-
-        f(empty) does not read lam: row 0 solves it once for every context,
-        and each further context adds its other keys at its own lam.  Each
-        context then takes its rows' entries, multipliers, non-converged count
-        and, when they lie in one stack, training blocks.  No row's arithmetic
-        depends on its stack, so each table equals the one its context solves
-        alone."""
-        for other in others:
-            if not (self.backend == other.backend == "exact" and other.train is self.train
-                    and other.valpart is self.valpart and other.C == self.C
-                    and other.trainer == self.trainer):
-                raise ValueError("tables solved together need exact contexts that differ "
-                                 "in lam only")
-        n, ctxs = len(keys), (self, *others)
-        rows = keys + keys[1:] * len(others)
-        lam = np.repeat([ctx.lam for ctx in ctxs], [n] + [n - 1] * len(others))
-        takes = [np.r_[0, j * (n - 1) + 1:(j + 1) * (n - 1) + 1] for j in range(len(ctxs))]
-        entries, solves = self._solve(len(rows), len(keys[-1]), lambda a, b: rows[a:b], lam, takes)
-        for ctx, take, (mu, not_converged, blocks) in zip(ctxs, takes, solves):
+        miss, on this context and on ``other``, an exact context on the same
+        training data, partition and C, in one pass of :meth:`_solve`: row 0
+        solves f(empty), which does not read lam, once for both, and ``other``
+        adds its other keys at its own lam.  Each context slices its rows'
+        entries, multipliers, non-converged rows and, when one stack held the
+        pass, training blocks.  No row's arithmetic depends on its stack, so
+        each table equals the one its context solves alone."""
+        if other is not None and not (self.backend == other.backend == "exact" and other.C == self.C
+                                      and other.train is self.train and other.valpart is self.valpart):
+            raise ValueError("tables solved together need exact contexts that differ in lam only")
+        n, ctxs = len(keys), (self,) if other is None else (self, other)
+        rows = keys + keys[1:] * (len(ctxs) - 1)
+        lam = np.repeat([ctx.lam for ctx in ctxs], [n, n - 1][:len(ctxs)])
+        entries, mu, failed, blocks = self._solve(len(rows), len(keys[-1]),
+                                                  lambda a, b: rows[a:b], lam)
+        for ctx, take in zip(ctxs, (np.arange(n), np.r_[0, n:2 * n - 1])):
             own = [entries[r] for r in take.tolist()]
             ctx.cache_misses += n
-            ctx.not_converged += not_converged
+            ctx.not_converged += int(np.count_nonzero(failed[take]))
             ctx._cache.update(zip(keys, own))
             ctx.table = np.array([value for value, _ in own])
             ctx.table.setflags(write=False)
-            ctx.table_solve = mu, blocks
+            ctx.table_solve = mu[take], None if blocks is None else tuple(b[take] for b in blocks)
 
     def f_of(self, subset: Iterable[int]) -> tuple[float, TrainedState]:
         """Value and trained state for a subset, from cache when available; an
@@ -217,11 +211,8 @@ class SetFnContext:
         """The optimal multipliers of each subset as rows of a (B, Q) array,
         read and counted as :meth:`f_many` reads and counts values; no state
         is built."""
-        return self._mu_rows(self._entries(subsets))
-
-    def _mu_rows(self, entries: list[tuple[float, object]]) -> np.ndarray:
         rows = [out.mu if isinstance(out, TrainedState) else out[0][1][out[1]]
-                for _, out in entries]
+                for _, out in self._entries(subsets)]
         return np.array(rows).reshape(len(rows), self.valpart.q)
 
     def leave_one_out(self, s_hat: np.ndarray, drop: np.ndarray | None = None) -> np.ndarray:
@@ -245,7 +236,9 @@ class SetFnContext:
 
         if self.backend == "exact" and k == 1 and () in self._cache:
             return np.full(len(drop), self._cache[()][0])
-        return np.array([value for value, _ in self._solve(len(drop), k - 1, rows)[0]])
+        entries, _, failed, _ = self._solve(len(drop), k - 1, rows)
+        self.not_converged += int(np.count_nonzero(failed))
+        return np.array([value for value, _ in entries])
 
     # -- derived quantities --------------------------------------------------
 

@@ -669,6 +669,18 @@ class TestBench:
             for field in numbers:
                 float(field)  # raises on reprs such as np.float64(...)
 
+    @pytest.mark.parametrize("ks", ["0", "500", "4,500"])
+    def test_bad_k_exits_before_any_fit(self, data_csv, monkeypatch, capsys, ks):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full_selection called")
+
+        # A numeric --delta, so that the 30% rule fits nothing either.
+        monkeypatch.setattr(cli.baselines, "full_selection", refuse)
+        assert run(["bench", "--data", str(data_csv), "--target", "y", "--ks", ks,
+                    "--delta", "0.4", "--alpha-mode", "fixed", "--alpha-value", "1"]) == 2
+        k = ks.split(",")[-1]
+        assert f"k = {k} is outside [1, " in capsys.readouterr().err
+
 
 class TestFairnessCmd:
     def test_requires_group(self, data_csv):

@@ -26,7 +26,6 @@ from selcon.oracle import (
     check_monotone,
     check_sandwich,
     empirical_alpha,
-    empirical_alpha_detail,
     empirical_kappa,
     empirical_kappa_max,
     f_table,
@@ -98,13 +97,6 @@ class TestEmpiricalAlpha:
             a_hat = alpha_hat_linear(lam, ctx.C, 1, consts)
             assert a_emp >= a_hat - 1e-9
 
-    def test_detail_counts(self):
-        ctx = make_ctx(73, n=4)
-        value, skipped, checked = empirical_alpha_detail(ctx)
-        # Triples: sum over (T, a not in T) of 2^|T| = n * 3^(n-1).
-        assert skipped + checked == 4 * 3**3
-        assert value <= 1.0 + 1e-12
-
     def test_too_large(self):
         ctx = make_ctx(74, n=MAX_EXHAUSTIVE_N + 1)
         with pytest.raises(TooLarge):
@@ -114,22 +106,17 @@ class TestEmpiricalAlpha:
     @pytest.mark.parametrize("q", [1, 2])
     def test_detail_matches_brute_force(self, n, q):
         ctx = make_ctx(90 + n, n=n, q=q)
-        best, skipped, checked = math.inf, 0, 0
+        best = math.inf
         for t in range(1 << n):
             t_set = [i for i in range(n) if t >> i & 1]
             for a in set(range(n)) - set(t_set):
                 g_t = ctx.marginal(a, t_set)
                 for s in range(1 << n):
-                    if s & ~t:
+                    if s & ~t or g_t <= DENOM_CUTOFF:
                         continue
-                    if g_t <= DENOM_CUTOFF:
-                        skipped += 1
-                        continue
-                    checked += 1
                     g_s = ctx.marginal(a, [i for i in t_set if s >> i & 1])
                     best = min(best, g_s / g_t)
-        value, got_skipped, got_checked = empirical_alpha_detail(make_ctx(90 + n, n=n, q=q))
-        assert (got_skipped, got_checked) == (skipped, checked)
+        value = empirical_alpha(make_ctx(90 + n, n=n, q=q))
         assert np.float64(value).tobytes() == np.float64(best).tobytes()
 
 
@@ -239,11 +226,11 @@ class TestJointTables:
             assert blocks is not None
         assert ctx.table[0] == cert.table[0] == empty.f_value
 
-    @pytest.mark.parametrize("chunk_floats,kept", [(1, [False, False]), (3368, [True, False])])
+    @pytest.mark.parametrize("chunk_floats,kept", [(1, [False, False]), (3368, [False, False])])
     def test_split_across_stacks(self, monkeypatch, chunk_floats, kept):
-        # At 3368 floats the first of two stacks holds the 128 rows of the
-        # instance's table, which keeps its blocks; the certificate table's
-        # rows, f(empty) among them, lie in both stacks and keep none.
+        # At 3368 floats the pass runs as stacks of 128 and 127 rows; blocks
+        # are kept only when one stack holds the whole pass, so neither table
+        # keeps them, though the instance's table alone is one stack.
         monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
         for seed in (20, 31):
             ctx, cert = verify_contexts(seed)
@@ -253,6 +240,22 @@ class TestJointTables:
             for one in (ctx, cert):
                 blocks, ref = self.assert_equal_to_alone(one)
                 assert (ref is None) == (chunk_floats == 1)
+
+    def test_other_trainer_joins_the_pass(self, monkeypatch):
+        # No exact solve reads TrainerConfig, so it does not keep a context
+        # out of the joint pass.
+        ctx, cert = verify_contexts(20)
+        cert = replace(cert, trainer=TrainerConfig(seed=1, epochs=3))
+        stacks = []
+        solve = setfn.train_dual_exact_many
+        monkeypatch.setattr(setfn, "train_dual_exact_many",
+                            lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a))
+        f_table(ctx, cert)
+        assert stacks == [255]
+        monkeypatch.setattr(setfn, "train_dual_exact_many", solve)
+        for one in (ctx, cert):
+            blocks, ref = self.assert_equal_to_alone(one)
+            assert blocks is not None
 
     def test_counts_non_converged_rows_per_table(self, monkeypatch):
         monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
@@ -264,20 +267,19 @@ class TestJointTables:
             for one in (ctx, cert):
                 self.assert_equal_to_alone(one)
 
-    @pytest.mark.parametrize("change", ["C", "train", "valpart", "trainer", "backend"])
+    @pytest.mark.parametrize("change", ["C", "train", "valpart", "backend"])
     def test_contexts_must_differ_in_lam_only(self, change):
-        ctx, cert = verify_contexts(18)
+        ctx, _ = verify_contexts(18)
         other = replace(ctx, lam=2.0, **{
             "C": {"C": 2.0},
             "train": {"train": replace(ctx.train)},
             "valpart": {"valpart": replace(ctx.valpart)},
-            "trainer": {"trainer": TrainerConfig(seed=1)},
             "backend": {"backend": "sgd"},
         }[change])
         for first, second in ((ctx, other), (other, ctx)):
             with pytest.raises(ValueError, match="lam only"):
-                f_table(first, cert, second)
-        assert all(one.table is None and not one._cache for one in (ctx, cert, other))
+                f_table(first, second)
+        assert all(one.table is None and not one._cache for one in (ctx, other))
 
 
 class TestEmpiricalKappa:

@@ -271,7 +271,7 @@ class TestStacks:
         keys.insert(17, ())
         monkeypatch.setattr(dual, "gram_blocks", record)
         monkeypatch.setattr(setfn, "_CHUNK_FLOATS", 20 * per)
-        entries, _ = ctx._solve(len(keys), 1, lambda a, b: keys[a:b])
+        entries, *_ = ctx._solve(len(keys), 1, lambda a, b: keys[a:b])
         assert len(entries) == len(keys) and sum(rows) == len(keys) + q  # () runs its faces
         assert rows[0] == 16 and max(rows) * per <= setfn._CHUNK_FLOATS
 
@@ -363,6 +363,31 @@ class TestNotConverged:
         ref.leave_one_out(np.arange(4))
         assert ref.not_converged == sum(tuple(j for j in range(4) if j != i) in cut
                                         for i in range(4)) > 0
+
+    @pytest.mark.filterwarnings("ignore:an exact dual solve stopped:RuntimeWarning")
+    @pytest.mark.parametrize("split", [False, True], ids=["one-stack", "split"])
+    @pytest.mark.parametrize("backend", ["exact", "sgd"])
+    def test_solve_returns_mu_and_failed_rows(self, monkeypatch, backend, split):
+        # 120 floats split the exact call into stacks of at most 2 rows, and
+        # the Newton cap cuts (0, 1, 2) and maybe others before convergence.
+        if split:
+            monkeypatch.setattr(setfn, "_CHUNK_FLOATS", 120)
+        monkeypatch.setattr(dual, "_MAX_NEWTON_ITERS", 1)
+        kw = dict(n=9, d=3, q=2, C=1.5, backend=backend, trainer=TrainerConfig(epochs=3))
+        keys = [(), (4,), (0, 1, 2), (1, 5, 7), (0, 2, 3, 8)]
+        ctx, ref = make_ctx(41, **kw), make_ctx(41, **kw)
+        one_stack = len(ctx.stack_bounds(len(keys), 4)) == 1
+        assert one_stack != split
+        entries, mu, failed, blocks = ctx._solve(len(keys), 4, lambda a, b: keys[a:b])
+        states = [ref.f_of(key)[1] for key in keys]
+        assert [value for value, _ in entries] == [state.f_value for state in states]
+        assert np.array_equal(mu, ref.mu_many(keys)) and mu.shape == (len(keys), 2)
+        assert failed.dtype == bool and failed.tolist() == [not s.converged for s in states]
+        assert failed[2] == (backend == "exact") and ref.not_converged == failed.sum()
+        assert (blocks is not None) == (backend == "exact" and one_stack)
+        if blocks is not None:
+            want = dual.gram_blocks(keys, ctx.train, ctx.lam)[:2]
+            assert all(map(np.array_equal, blocks, want))
 
 
 class TestFEmpty:
