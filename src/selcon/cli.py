@@ -128,9 +128,11 @@ def _selcon_config(cp, args, k: int, seed: int) -> SelconConfig:
     return SelconConfig(k=k, seed=seed, **_settings(cp, args, "selcon"))
 
 
-def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int, float]:
+def _build_context(args, cp, ks: list[int] | None = None) -> tuple[SetFnContext, Dataset, int, float]:
     """Load, split and partition the data; returns the set-function context,
-    the test fold, k and the seconds spent loading the CSV."""
+    the test fold, k and the seconds spent loading the CSV.  Every subset
+    size the command will use, ``ks`` or else k, is checked against
+    [1, n_train] right after the split, before ``--delta auto``'s fit."""
     t0 = time.perf_counter()
     data = load_csv(args.data, target_column=args.target, group_column=args.group)
     load_seconds = time.perf_counter() - t0
@@ -141,6 +143,9 @@ def _build_context(args, cp) -> tuple[SetFnContext, Dataset, int, float]:
     train, val, test = split(data, SplitSpec(*fracs, seed=trainer.seed))
     problem = _settings(cp, args, "problem")
     k = problem.pop("k", max(1, train.n // 10))
+    for size in ks or [k]:
+        if not 1 <= size <= train.n:
+            raise InvalidK(f"k = {size} is outside [1, {train.n}]")
     ctx = scenarios.build_context(train, val, args.partition, backend=args.backend,
                                   trainer=trainer, model_kind=args.model, **problem)
     return ctx, test, k, load_seconds
@@ -244,12 +249,9 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     cp = _read_config(args.config)
-    ctx, test, _, _ = _build_context(args, cp)
-    train, trainer = ctx.train, ctx.trainer
     ks = [int(v) for v in args.ks.split(",")]
-    for k in ks:  # before the full fits below, which take the longest
-        if not 1 <= k <= train.n:
-            raise InvalidK(f"k = {k} is outside [1, {train.n}]")
+    ctx, test, _, _ = _build_context(args, cp, ks)
+    train, trainer = ctx.train, ctx.trainer
 
     # select_seconds times the method; fit_seconds one exact fit on the
     # subset it returns, the training a selection exists to make cheap.

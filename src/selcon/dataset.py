@@ -4,9 +4,11 @@ A :class:`Dataset` is an immutable bundle of a feature matrix, a target vector,
 optional integer group labels and the original row ids.  The validation side of
 a problem is carried by a :class:`ValidationPartition`, which binds a validation
 dataset to a disjoint cover of its rows plus the per-group error bound ``delta``.
-It caches what does not depend on ``delta``: the per-group Gram moments and
-the group errors of the pooled least-squares fit, which certify f(empty) = 0
-when no group exceeds its bound.  A copy at another bound shares them.
+It caches what does not depend on ``delta``: the per-group Gram moments, the
+extreme eigenvalues of each group's Gram block, which prove a multiplier mix
+of the blocks definite, and the group errors of the pooled least-squares fit,
+which certify f(empty) = 0 when no group exceeds its bound.  A copy at another
+bound shares them.
 
 CSV is the only ingestion format: UTF-8, comma separated, ``"``-quoted
 fields, one header row, blank lines skipped, ASCII decimal reals (the
@@ -118,6 +120,14 @@ class Dataset:
         )
 
 
+# A mix sum_q mu_q G_q whose Weyl bounds sum_q mu_q lambda_min(G_q) and
+# sum_q mu_q lambda_max(G_q) are within this ratio is proven definite.  Its
+# condition number is then below 1e10, so the pseudo-inverse's cutoff (1e-15
+# of the largest eigenvalue) keeps every eigenvalue and its least-norm
+# minimizer is the unique one that inv or solve gives.
+_DEFINITE_RATIO = 1e-10
+
+
 def _check_delta(delta: float) -> None:
     if not (0 <= delta < math.inf):
         raise ValueError("delta must be >= 0 and finite")
@@ -126,7 +136,9 @@ def _check_delta(delta: float) -> None:
 @dataclass(frozen=True)
 class ValidationPartition:
     """Disjoint cover of a validation dataset's rows plus the error bound;
-    :meth:`errors` is the one definition of a group's validation error."""
+    :meth:`errors` is the one definition of a group's validation error.
+    :attr:`gram`, :attr:`spectrum` and :attr:`pooled_errors` are lazy
+    caches that copies made by :meth:`with_delta` share."""
 
     data: Dataset
     subsets: tuple[np.ndarray, ...]
@@ -167,19 +179,43 @@ class ValidationPartition:
         return _frozen(G), _frozen(b), _frozen(self.errors(y))
 
     @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest and the largest eigenvalue of each group block G_q of
+        :attr:`gram`, from one batched ``eigvalsh``, built on first use."""
+        vals = np.linalg.eigvalsh(self.gram[0])
+        return _frozen(vals[:, 0]), _frozen(vals[:, -1])
+
+    def definite(self, mu: np.ndarray) -> np.ndarray:
+        """Per row of the (B, Q) ``mu``: whether Weyl's bounds from
+        :attr:`spectrum`, sum_q mu_q lambda_min(G_q) <= lambda(A) <=
+        sum_q mu_q lambda_max(G_q), prove A = sum_q mu_q G_q definite enough
+        to invert directly.  Each row's test reads that row alone.  Rows
+        left out include mu = 0 and rows whose positive multipliers all sit on
+        singular blocks, such as groups with fewer rows than features."""
+        lo, hi = self.spectrum
+        return (mu * lo).sum(axis=-1) > _DEFINITE_RATIO * (mu * hi).sum(axis=-1)
+
+    @cached_property
     def pooled_errors(self) -> np.ndarray:
         """Group errors e_q(w) at the pooled fit w = (sum_q G_q)^+ sum_q b_q,
-        from :attr:`gram` alone.  If none exceeds delta, w meets every bound."""
+        from :attr:`gram` alone.  If none exceeds delta, w meets every bound.
+        A pooled block that :meth:`definite` proves definite is solved
+        directly; only a singular one takes the pseudo-inverse."""
         G, b, c = self.gram
-        w = np.linalg.pinv(G.sum(axis=0), hermitian=True) @ b.sum(axis=0)
+        A, rhs = G.sum(axis=0), b.sum(axis=0)
+        if self.definite(np.ones(self.q)):
+            w = np.linalg.solve(A, rhs)
+        else:
+            w = np.linalg.pinv(A, hermitian=True) @ rhs
         return _frozen((G @ w) @ w - 2.0 * (b @ w) + c)
 
     def with_delta(self, delta: float) -> "ValidationPartition":
         """This cover at another bound ``delta``.  The validated subsets,
-        :attr:`gram` and :attr:`pooled_errors` do not depend on delta: the
-        two caches are built here first, so every copy shares them."""
+        :attr:`gram`, :attr:`spectrum` and :attr:`pooled_errors` do not
+        depend on delta: the three caches are built here first, so every copy
+        shares them."""
         _check_delta(delta)
-        self.pooled_errors  # builds the gram too
+        self.pooled_errors  # builds the gram and the spectrum too
         part = copy.copy(self)  # a shallow copy shares the cached properties
         object.__setattr__(part, "delta", delta)
         return part

@@ -22,7 +22,10 @@ realize it:
   An empty training sum takes the least-norm minimizer, so its origin mu = 0
   is an ordinary row with w = 0 and f = 0; unless the validation groups'
   pooled fit meets every bound (weak duality then gives f(empty) = 0), Newton
-  also maximizes over the faces mu_q = C, and the first maximum wins.
+  also maximizes over the faces mu_q = C, and the first maximum wins.  Only
+  an empty row that the partition's eigenvalue bounds do not prove definite
+  (see :func:`_inverse_rows`) pays for a pseudo-inverse, and only a Newton
+  row with two or more free multipliers for an eigendecomposition.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
   over mini-batches of S and projected ascent on mu, mirroring how the
   objective is trained at scale.  Its error relative to ``exact`` is the
@@ -31,8 +34,9 @@ realize it:
 
 ``gram_blocks`` assembles the training blocks of a stack of subsets, and
 ``solve_inner_blocks`` solves the inner minimum alone on such blocks, at one
-row of mu each and with the same least-norm convention for an empty S: the
-sandwich oracle cross-evaluates every sampled pair with two such calls.
+row of mu each and with the same least-norm convention and the same
+per-row choice of solver for an empty S: the sandwich oracle cross-evaluates
+every sampled pair with two such calls.
 ``solve_inner_linear`` is the one-subset call.
 
 ``primal_value`` solves the equivalent penalized primal directly by a
@@ -201,6 +205,26 @@ def gram_blocks(subsets: Sequence[Sequence[int]], train: Dataset,
     return base, bs, cs
 
 
+def _inverse_rows(empty: np.ndarray, mu: np.ndarray,
+                  valpart: ValidationPartition) -> tuple[np.ndarray, np.ndarray]:
+    """How each row of a stack inverts its A(mu): masks (direct, pseudo).
+
+    With an empty training sum A = sum_q mu_q G_q is only PSD, and the inner
+    minimum takes the least-norm minimizer.  Non-empty rows, and empty rows
+    that :meth:`ValidationPartition.definite` proves definite, are ``direct``:
+    there the least-norm minimizer is A^-1 b, and they share the batched
+    ``inv`` or ``solve``.  Empty rows at mu = 0 are in neither mask: A = 0,
+    so the inverse is zero with no call.  The rest are ``pseudo`` and take
+    the pseudo-inverse.  Each rule reads only the row's mu and the partition,
+    so a row's bits do not depend on its stack."""
+    direct, pseudo = ~empty, np.zeros_like(empty)
+    if empty.any():
+        m = mu[empty]
+        direct[empty] = valpart.definite(m)
+        pseudo[empty] = ~direct[empty] & m.any(axis=1)
+    return direct, pseudo
+
+
 class _Stack:
     """The linear inner problem of a stack of subsets, given as training
     blocks (base, b, c) in :func:`gram_blocks`'s form; a zero base is an
@@ -211,8 +235,8 @@ class _Stack:
                  valpart: ValidationPartition):
         self.base, self.bs, self.cs = base, bs, cs
         self.empty = ~base.any(axis=(1, 2))
+        self.valpart = valpart
         self.Gbar, self.bbar, self.cbar = valpart.gram
-        self.delta = valpart.delta
 
     def evaluate(self, rows: np.ndarray, mu: np.ndarray):
         """Inner minimizer w, dual gradient, dual value phi and the dual's
@@ -223,23 +247,26 @@ class _Stack:
         e(w) - delta, and phi = mu.grad + c_S - 2 w'b_S + w'(lam n_S I + G_S) w.
         One explicit inverse serves both w and M; at d of a few dozen it costs
         less than a separate factor-and-solve pair.  With an empty training
-        sum A is only PSD, and its pseudo-inverse gives the least-norm
-        minimizer.
+        sum A is only PSD: a row that the partition's eigenvalue bounds prove
+        definite takes the same batched ``inv``, the origin mu = 0 the zero
+        inverse, and only the rest the pseudo-inverse, which gives the
+        least-norm minimizer (see :func:`_inverse_rows`).
         """
         base = self.base[rows]
         A = base + _mix(mu, self.Gbar)
         b = self.bs[rows] + _mix(mu, self.bbar)
-        empty = self.empty[rows]
-        if empty.any():
-            A_inv = np.empty_like(A)
-            if not empty.all():
-                A_inv[~empty] = np.linalg.inv(A[~empty])
-            A_inv[empty] = np.linalg.pinv(A[empty], hermitian=True)
-        else:
+        direct, pseudo = _inverse_rows(self.empty[rows], mu, self.valpart)
+        if direct.all():
             A_inv = np.linalg.inv(A)
+        else:
+            A_inv = np.zeros_like(A)
+            if direct.any():
+                A_inv[direct] = np.linalg.inv(A[direct])
+            if pseudo.any():
+                A_inv[pseudo] = np.linalg.pinv(A[pseudo], hermitian=True)
         w = (A_inv @ b[:, :, None])[:, :, 0]
         Gw = (self.Gbar @ w[:, None, :, None])[..., 0]
-        grad = _dot(Gw, w[:, None]) - 2.0 * _dot(self.bbar, w[:, None]) + self.cbar - self.delta
+        grad = _dot(Gw, w[:, None]) - 2.0 * _dot(self.bbar, w[:, None]) + self.cbar - self.valpart.delta
         fit = self.cs[rows] - 2.0 * _dot(w, self.bs[rows]) + _dot(w, (base @ w[:, :, None])[:, :, 0])
         V = Gw - self.bbar
         return w, grad, _dot(mu, grad) + fit, 2.0 * ((V @ A_inv) @ V.transpose(0, 2, 1))
@@ -254,18 +281,20 @@ def solve_inner_blocks(mu: np.ndarray, base: np.ndarray, bs: np.ndarray,
     mu is mixed one q at a time as :func:`_mix` does, and one batched solve
     serves the stack, so no operation mixes rows and a row's bits do not
     depend on its stack.  A zero base is an empty S: it takes the least-norm
-    minimizer through the pseudo-inverse, as the trainer does, which is w = 0
-    at mu = 0.  None of the trainer's solves run here, so tests and oracles
-    can check the trainer against it."""
+    minimizer, as the trainer does.  The rows are split as in
+    :func:`_inverse_rows`: an empty row proven definite joins the batched
+    solve, mu = 0 gives w = 0 with no call, and only the rest take the
+    pseudo-inverse.  None of the trainer's solves run here, so tests and
+    oracles can check the trainer against it."""
     mu = np.asarray(mu, dtype=float).reshape(len(base), valpart.q)
-    empty = ~base.any(axis=(1, 2))
+    direct, pseudo = _inverse_rows(~base.any(axis=(1, 2)), mu, valpart)
     A = base + _mix(mu, valpart.gram[0])
     b = (bs + _mix(mu, valpart.gram[1]))[:, :, None]
     w = np.zeros(bs.shape)
-    if not empty.all():
-        w[~empty] = np.linalg.solve(A[~empty], b[~empty])[:, :, 0]
-    if empty.any():
-        w[empty] = (np.linalg.pinv(A[empty], hermitian=True) @ b[empty])[:, :, 0]
+    if direct.any():
+        w[direct] = np.linalg.solve(A[direct], b[direct])[:, :, 0]
+    if pseudo.any():
+        w[pseudo] = (np.linalg.pinv(A[pseudo], hermitian=True) @ b[pseudo])[:, :, 0]
     return w
 
 
@@ -299,18 +328,28 @@ def _newton_direction(mu, grad, M, lo, hi, pg_norm):
     the free ones take a Newton step on their block of the curvature
     M = 2 V'A^-1 V (the dual Hessian is -M).  Masking M to its free block
     plus the diagonal keeps each row's bound coordinates out of one batched
-    eigendecomposition.
+    eigendecomposition, which runs only on rows with two or more free
+    coordinates.  Any other row's masked block is diagonal, so its Newton
+    step is the scaled gradient step too, bit for bit: the eigenvalues of a
+    diagonal matrix are its diagonal and its eigenvectors a permutation.
     """
     eps = np.minimum(pg_norm, 0.5 * np.max(hi - lo, axis=1))[:, None]
     bound = ((mu <= lo + eps) & (grad < 0.0)) | ((mu >= hi - eps) & (grad > 0.0))
     free = ~bound
     diag = np.diagonal(M, axis1=1, axis2=2)
     floor = _CURVATURE_FLOOR * np.maximum(np.max(diag, axis=1), 1e-300)[:, None]
-    block = (free[:, :, None] & free[:, None, :]) | np.eye(M.shape[1], dtype=bool)
-    vals, vecs = np.linalg.eigh(np.where(block, M, 0.0))
-    coef = (vecs.transpose(0, 2, 1) @ np.where(free, grad, 0.0)[:, :, None])[:, :, 0]
-    newton = (vecs @ (coef / np.maximum(vals, floor))[:, :, None])[:, :, 0]
-    return np.where(free, newton, grad / np.maximum(diag, floor))
+    scaled = grad / np.maximum(diag, floor)
+    # The eigen path sums a free step from zeros, which turns -0.0 into 0.0.
+    direction = np.where(free, scaled + 0.0, scaled)
+    coupled = np.flatnonzero(free.sum(axis=1) > 1)
+    if coupled.size:
+        free, floor = free[coupled], floor[coupled]
+        block = (free[:, :, None] & free[:, None, :]) | np.eye(M.shape[1], dtype=bool)
+        vals, vecs = np.linalg.eigh(np.where(block, M[coupled], 0.0))
+        coef = (vecs.transpose(0, 2, 1) @ np.where(free, grad[coupled], 0.0)[:, :, None])[:, :, 0]
+        newton = (vecs @ (coef / np.maximum(vals, floor))[:, :, None])[:, :, 0]
+        direction[coupled] = np.where(free, newton, scaled[coupled])
+    return direction
 
 
 def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: int,

@@ -514,6 +514,18 @@ class TestVerify:
         assert len(contexts) == 2 and all(ctx.table is not None for ctx in contexts)
         assert [ctx.not_converged for ctx in contexts] == [0, 0]
 
+    @pytest.mark.parametrize("argv,used", [
+        (["--n", "7", "--Q", "2", "--seed", "16"], False),
+        # 3 validation rows per group at d = 30: empty rows are singular.
+        (["--n", "12", "--d", "30", "--Q", "2", "--seed", "3"], True),
+    ], ids=["definite", "rank-deficient"])
+    def test_pseudo_inverse_only_on_singular_empty_sums(self, tmp_path, monkeypatch, argv, used):
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: calls.append(1) or pinv(*a, **kw))
+        assert run(["verify", *argv, "--out", str(tmp_path / "v.json")]) == 0
+        assert bool(calls) == used
+
     def test_sampled_checks_read_the_table_as_the_cache(self, tmp_path):
         # With --property all the monotone and sandwich checks read the table;
         # alone, they read the cache.  Their entries are the same.
@@ -680,6 +692,18 @@ class TestBench:
                     "--delta", "0.4", "--alpha-mode", "fixed", "--alpha-value", "1"]) == 2
         k = ks.split(",")[-1]
         assert f"k = {k} is outside [1, " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["select", "--k", "500"], ["bench", "--ks", "4,500"]],
+                             ids=["select", "bench"])
+    def test_bad_k_exits_before_the_30_percent_rule(self, data_csv, monkeypatch, capsys, argv):
+        # --delta auto fits the whole pool; the size check runs before that fit.
+        def refuse(*args, **kwargs):
+            raise AssertionError("full_selection called")
+
+        monkeypatch.setattr(cli.baselines, "full_selection", refuse)
+        assert run([*argv, "--data", str(data_csv), "--target", "y", "--delta", "auto",
+                    "--alpha-mode", "fixed", "--alpha-value", "1"]) == 2
+        assert "k = 500 is outside [1, " in capsys.readouterr().err
 
 
 class TestFairnessCmd:

@@ -365,6 +365,19 @@ class TestPartition:
         with pytest.raises(ValueError):
             part.with_delta(-0.1)
 
+    def test_spectrum_is_lazy_and_shared(self):
+        val = gen_synthetic(30, 3, noise_sd=0.2, n_groups=3, seed=4)
+        part = partition_validation(val, "by_group", 0.5)
+        assert "spectrum" not in vars(part)  # built on first use, not with the partition
+        lo, hi = part.spectrum
+        vals = np.linalg.eigvalsh(part.gram[0])
+        assert np.array_equal(lo, vals[:, 0]) and np.array_equal(hi, vals[:, -1])
+        assert part.with_delta(0.1).spectrum is part.spectrum
+        assert not lo.flags.writeable and not hi.flags.writeable
+        # with_delta builds it first, so a copy shares the one it builds.
+        fresh = partition_validation(val, "by_group", 0.5)
+        assert fresh.with_delta(0.2).spectrum is fresh.spectrum
+
     def test_missing_groups(self):
         val = gen_synthetic(6, 2, seed=0)
         with pytest.raises(MissingGroups):

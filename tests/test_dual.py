@@ -181,6 +181,134 @@ class TestSolveInnerMany:
         assert np.array_equal(w[2], solve_inner_linear(mu[2], (0, 3), train, vp, lam).w)
 
 
+class TestEmptyRowSolvers:
+    """An empty training sum's rows split by the partition's Weyl bounds: the
+    origin takes w = 0, a row proven definite the direct solve, and only a row
+    whose positive multipliers all sit on singular group blocks the
+    pseudo-inverse.  Each gives its least-norm minimizer, bit-equal in every
+    stack."""
+
+    @staticmethod
+    def _problem(delta=0.5):
+        # Group 0 has 6 validation rows at d = 3 (full rank), group 1 has 2.
+        train, val, _, lam, C = make_problem(6, n=5, d=3, q=2, nval=8)
+        vp = ValidationPartition(data=val, subsets=(np.arange(6), np.arange(6, 8)), delta=delta)
+        G, _, _ = vp.gram
+        assert np.linalg.matrix_rank(G[0]) == 3 and np.linalg.matrix_rank(G[1]) == 2
+        return train, vp, lam, C
+
+    @staticmethod
+    def _check_least_norm(w, mu, vp):
+        """w against the least-norm minimizer at mu of an empty training sum."""
+        G, b, _ = vp.gram
+        A, rhs = np.tensordot(mu, G, axes=1), mu @ b
+        if not mu.any():
+            assert np.array_equal(w, np.zeros(len(w))) and not np.signbit(w).any()
+        elif mu[0] > 0.0:
+            want = np.linalg.solve(A, rhs)
+            np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
+        else:
+            want = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            np.testing.assert_allclose(w, want, rtol=0, atol=1e-10)
+
+    def test_rows_take_their_least_norm_minimizers(self):
+        train, vp, lam, _ = self._problem()
+        subsets = [(), (), (0, 3), (), (), (1,), (), (2, 4)]
+        mu = np.array([[0.0, 0.0], [0.0, 0.7], [0.4, 0.1], [0.7, 0.0], [0.3, 5.0],
+                       [0.0, 0.0], [1e-3, 2.0], [0.0, 0.9]])
+        assert vp.definite(mu[[0, 1, 3, 4, 6]]).tolist() == [False, False, True, True, True]
+        solve = TestSolveInnerMany._solve
+        w = solve(mu, subsets, train, vp, lam)
+        for r, subset in enumerate(subsets):
+            if not subset:
+                self._check_least_norm(w[r], mu[r], vp)
+            assert np.array_equal(solve(mu[r:r + 1], [subset], train, vp, lam), w[r:r + 1])
+        perm = np.random.default_rng(0).permutation(len(subsets))
+        shuffled = solve(mu[perm], [subsets[p] for p in perm], train, vp, lam)
+        assert np.array_equal(shuffled, w[perm])
+        split = np.concatenate([solve(mu[a:b], subsets[a:b], train, vp, lam)
+                                for a, b in [(0, 2), (2, 5), (5, 8)]])
+        assert np.array_equal(split, w)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_face_rows(self, delta):
+        # A bound no empty S meets: the pooled fit is not certified, and a
+        # face mu_q = C wins f(empty) > 0.
+        train, vp, lam, C = self._problem(delta)
+        assert not np.all(vp.pooled_errors <= vp.delta)
+        subsets = [(), (0, 1), (), (3,)]
+        stacked = train_dual_exact_many(subsets, train, vp, lam, C)
+        w, mu, f = (a[0] for a in stacked[:3])
+        assert f > 0.0 and (mu == C).any()
+        self._check_least_norm(w, mu, vp)
+        for r, subset in enumerate(subsets):
+            alone = train_dual_exact_many([subset], train, vp, lam, C)
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a[r], b[0])
+
+
+def _newton_direction_reference(mu, grad, M, lo, hi, pg_norm):
+    """The projected Newton direction with an eigendecomposition on every row."""
+    eps = np.minimum(pg_norm, 0.5 * np.max(hi - lo, axis=1))[:, None]
+    bound = ((mu <= lo + eps) & (grad < 0.0)) | ((mu >= hi - eps) & (grad > 0.0))
+    free = ~bound
+    diag = np.diagonal(M, axis1=1, axis2=2)
+    floor = dual._CURVATURE_FLOOR * np.maximum(np.max(diag, axis=1), 1e-300)[:, None]
+    block = (free[:, :, None] & free[:, None, :]) | np.eye(M.shape[1], dtype=bool)
+    vals, vecs = np.linalg.eigh(np.where(block, M, 0.0))
+    coef = (vecs.transpose(0, 2, 1) @ np.where(free, grad, 0.0)[:, :, None])[:, :, 0]
+    newton = (vecs @ (coef / np.maximum(vals, floor))[:, :, None])[:, :, 0]
+    return np.where(free, newton, grad / np.maximum(diag, floor))
+
+
+class TestNewtonDirection:
+    """Rows with at most one free coordinate skip the eigendecomposition and
+    still match it bit for bit, signed zeros included."""
+
+    @staticmethod
+    def _batch(rng, Q, B=64, C=2.0):
+        L = rng.normal(size=(B, Q, Q))
+        M = L @ L.transpose(0, 2, 1)
+        scale = 10.0 ** rng.uniform(-1.5, 1.5, (B, Q))  # curvatures from 1e-3 to 1e3
+        M = M * scale[:, :, None] * scale[:, None, :]
+        zero = rng.random(B) < 0.2  # one coordinate of zero curvature
+        M[zero, rng.integers(Q), :] = 0.0
+        M[zero, :, rng.integers(Q)] = 0.0
+        lo, hi = np.zeros((B, Q)), np.full((B, Q), C)
+        mu = rng.uniform(0.1, C - 0.1, (B, Q))
+        grad = rng.normal(size=(B, Q)) * 10.0 ** rng.uniform(-3, 3, (B, Q))
+        n_free = rng.integers(0, Q + 1, B)
+        for r in range(B):
+            # Bound coordinates sit on a bound with the gradient pointing out.
+            for q in rng.permutation(Q)[n_free[r]:]:
+                mu[r, q] = C if grad[r, q] > 0.0 else 0.0
+        zeros = rng.random((B, Q)) < 0.1  # free coordinates with a zero gradient
+        grad[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        pg_norm = 10.0 ** rng.uniform(-8, -2, B)
+        return mu, grad, M, lo, hi, pg_norm
+
+    def test_equals_the_eigen_path_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        seen = {"none": 0, "one": 0, "coupled": 0, "zero_grad": 0}
+        for trial in range(300):
+            Q = trial % 6 + 1
+            args = self._batch(rng, Q)
+            with np.errstate(over="ignore", invalid="ignore"):  # zero curvature at Q = 1
+                got = dual._newton_direction(*args)
+                want = _newton_direction_reference(*args)
+            assert np.array_equal(got, want, equal_nan=True), (trial, Q)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (trial, Q)
+            mu, grad, _, lo, hi, pg_norm = args
+            eps = np.minimum(pg_norm, 0.5 * np.max(hi - lo, axis=1))[:, None]
+            free = ~(((mu <= lo + eps) & (grad < 0.0)) | ((mu >= hi - eps) & (grad > 0.0)))
+            n_free = free.sum(axis=1)
+            seen["none"] += int((n_free == 0).sum())
+            seen["one"] += int((n_free == 1).sum())
+            seen["coupled"] += int((n_free > 1).sum())
+            seen["zero_grad"] += int((free & (grad == 0.0) & np.signbit(grad)).sum())
+        assert min(seen.values()) >= 50, seen
+
+
 class TestExactTrainer:
     def test_C_zero_gives_ridge(self):
         train, _, vp, lam, _ = make_problem(4, n=6)
