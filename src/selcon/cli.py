@@ -36,6 +36,7 @@ from .dataset import (
     Dataset,
     SplitSpec,
     ValidationPartition,
+    _check_delta,
     gen_synthetic,
     load_csv,
     partition_validation,  # unused here; bound by name so that tracers can wrap it
@@ -285,16 +286,15 @@ def cmd_fairness(args) -> int:
         raise NeedTwoGroups("fairness runs need --group naming the group column")
     if args.partition == "single":
         raise NeedTwoGroups("fairness compares validation groups: use --partition by_group")
+    deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else []
+    for delta in deltas:  # refused before any fit, --delta auto's too
+        _check_delta(delta)
     ctx, _, k, _ = _build_context(args, cp)
     if ctx.valpart.q < 2:
         raise NeedTwoGroups("the validation split contains fewer than two groups")
     val, seed = ctx.valpart.data, ctx.trainer.seed
     base = ctx.valpart.delta
-    deltas = (
-        [float(v) for v in args.deltas.split(",")]
-        if args.deltas
-        else [2.0 * base, base, 0.5 * base, 0.25 * base]
-    )
+    deltas = deltas or [2.0 * base, base, 0.5 * base, 0.25 * base]
     sel_cfg = _selcon_config(cp, args, k, seed)
 
     out = {"q": ctx.valpart.q, "k": k, "rows": []}

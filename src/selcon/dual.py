@@ -22,8 +22,9 @@ realize it:
   An empty training sum takes the least-norm minimizer, so its origin mu = 0
   is an ordinary row with w = 0 and f = 0; unless the validation groups'
   pooled fit meets every bound (weak duality then gives f(empty) = 0), Newton
-  also maximizes over the faces mu_q = C, and the first maximum wins.  Only
-  an empty row that the partition's eigenvalue bounds do not prove definite
+  also maximizes over the faces mu_q = C, one set of rows per stacked call,
+  and each empty row takes the first maximum.  Only an empty row that the
+  partition's eigenvalue bounds do not prove definite
   (see :func:`_inverse_rows`) pays for a pseudo-inverse, and only a Newton
   row with two or more free multipliers for an eigendecomposition.
 * ``sgd`` (any model): alternating adaptive-moment descent on the parameters
@@ -183,7 +184,7 @@ def gram_blocks(subsets: Sequence[Sequence[int]], train: Dataset,
     """Training blocks (base, b, c) of the linear inner problem for a stack of
     subsets: row r holds lam n_S I + X_S'X_S, X_S'y_S and y_S'y_S of its
     subset, and zeros for an empty one.  ``lam`` is a float, or an array
-    with one value per row, so that one stack can hold several lam.
+    read by row at non-empty rows only, so that one stack can hold several lam.
 
     Rows of one size m share one (B_m, m) gather and one batched product each
     for X'X, X'y and y'y, which round as per-row products do, so a row's
@@ -353,21 +354,21 @@ def _newton_direction(mu, grad, M, lo, hi, pg_norm):
 
 
 def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: int,
-                      start: np.ndarray | None = None):
+                      start: np.ndarray):
     """Maximize every row's dual over its box [lo, hi], in lockstep from the
-    corner mu = hi, or from the rows of ``start``, for at most ``max_iters``
-    Newton iterations.
+    rows of ``start``, for at most ``max_iters`` Newton iterations.
 
     Each row keeps its own arc search and stopping test, and only the rows
     still searching are evaluated again, through :meth:`_Stack.evaluate`'s
     (w, grad, phi, M).  An arc trial is accepted on the Armijo test or when
     grad(trial).(trial - mu) >= 0: on a concave phi that is ascent, with no
     comparison of two phi values that differ by less than their rounding.
-    Returns per-row arrays (w, mu, phi, iterations, converged); every
-    accepted step raises phi, so each row's final iterate is its best one.
+    Returns per-row arrays (w, mu, phi, iterations, converged, slacks), the
+    last the dual gradient e(w) - delta at the final iterate; every accepted
+    step raises phi, so each row's final iterate is its best one.
     """
     B = len(lo)
-    mu = hi.copy() if start is None else start.copy()
+    mu = start.copy()
     w, grad, phi, M = stack.evaluate(np.arange(B), mu)
     iters = np.zeros(B, dtype=int)
     converged = np.zeros(B, dtype=bool)
@@ -410,7 +411,7 @@ def _projected_newton(stack: _Stack, lo: np.ndarray, hi: np.ndarray, max_iters: 
             stalled[rejected[t[rejected] < 1e-12]] = True
             searching = rejected[t[rejected] >= 1e-12]
         live = live[~stalled]
-    return w, mu, phi, iters, converged
+    return w, mu, phi, iters, converged, grad
 
 
 def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
@@ -434,36 +435,34 @@ def train_dual_exact_many(subsets: Sequence[Sequence[int]], train: Dataset,
     An empty subset takes the least-norm minimizer, so its own row is the
     origin, pinned at mu = 0 with w = 0 and f = 0.  Its dual is positively
     homogeneous in mu and not differentiable there, so a positive maximum
-    lies on a face mu_q = C: each face is a smooth problem and gets its own
-    row after the B rows, with lower bound C on its coordinate, and the
-    subset's result is the first maximum over [origin, faces], with the faces'
-    iterations.  No face runs when the partition's ``pooled_errors`` are all
-    within delta: by weak duality every phi(mu) <= sum_q mu_q (e_q(w_pooled)
-    - delta) <= 0 = phi(0).
+    lies on a face mu_q = C.  Each face is a smooth problem, and a call that
+    holds an empty subset appends one row per face after the B rows, with
+    lower bound C on its coordinate; every empty subset's result is the first
+    maximum over [its origin, the faces], with the faces' iterations.  No
+    face runs when the partition's ``pooled_errors`` are all within delta:
+    by weak duality every phi(mu) <= sum_q mu_q (e_q(w_pooled) - delta) <= 0
+    = phi(0).
     """
     if np.min(lam) <= 0:
         raise ValueError("lam must be positive")
     if C < 0:
         raise ValueError("C must be >= 0")
     B, Q = len(subsets), valpart.q
-    empty = [i for i, subset in enumerate(subsets) if not len(subset)]
-    faced = [] if np.all(valpart.pooled_errors <= valpart.delta) else empty
-    rows = [*subsets, *[()] * (len(faced) * Q)]
-    if np.ndim(lam):  # a face row takes its subset's lam, which an empty sum never reads
-        lam = np.concatenate([lam, np.repeat(np.asarray(lam)[faced], Q)])
-    lo = np.zeros((len(rows), Q))
-    lo[B:] = np.tile(C * np.eye(Q), (len(faced), 1))
+    empty = np.flatnonzero([not len(subset) for subset in subsets])
+    faced = empty.size > 0 and not np.all(valpart.pooled_errors <= valpart.delta)
+    lo = np.zeros((B + Q * faced, Q))
+    np.fill_diagonal(lo[B:], C)  # face row q holds mu_q at C
     hi = np.full(lo.shape, C, dtype=float)
     hi[empty] = 0.0
-    base, bs, cs = gram_blocks(rows, train, lam)
-    w, mu, f, iters, converged = _projected_newton(_Stack(base, bs, cs, valpart), lo, hi,
-                                                   _MAX_NEWTON_ITERS)
-    for j, i in enumerate(faced):
-        rows_i = [i, *range(B + j * Q, B + (j + 1) * Q)]
-        best = rows_i[int(np.argmax(f[rows_i]))]
-        iters[i] = iters[rows_i].sum()
-        converged[i] = best == i or converged[rows_i].all()
-        w[i], mu[i], f[i] = w[best], mu[best], f[best]
+    base, bs, cs = gram_blocks([*subsets, *[()] * (Q * faced)], train, lam)
+    w, mu, f, iters, converged, _ = _projected_newton(_Stack(base, bs, cs, valpart), lo, hi,
+                                                      _MAX_NEWTON_ITERS, hi)
+    if faced:
+        face = B + int(np.argmax(f[B:]))
+        won = empty[f[face] > f[empty]]  # the origin, listed first, wins a tie
+        iters[empty] += iters[B:].sum()
+        converged[won] &= converged[B:].all()
+        w[won], mu[won], f[won] = w[face], mu[face], f[face]
     if not np.isfinite(w[:B]).all():
         raise ValueError("weight entries must be finite")
     return tuple(a[:B] for a in (w, mu, f, iters, converged, base, bs))
@@ -566,11 +565,10 @@ def rank_one_bounds(X: np.ndarray, y: np.ndarray, sign: float, base: np.ndarray,
 def newton_bounds(base: np.ndarray, bs: np.ndarray, cs: np.ndarray, mu: np.ndarray,
                   valpart: ValidationPartition, C: float) -> tuple[np.ndarray, np.ndarray]:
     """Widened (lower, upper) bounds on f for a stack of non-empty training
-    blocks, at the iterate that at most ``_REFINE_ITERS`` iterations of
-    :func:`_projected_newton` reach from each row's multiplier ``mu`` (B, Q)."""
-    w, mu, phi, _, _ = _projected_newton(_Stack(base, bs, cs, valpart), np.zeros_like(mu),
-                                         np.full_like(mu, C), _REFINE_ITERS, mu)
-    grad = _slacks(w, valpart)
+    blocks, from the iterate and slacks that at most ``_REFINE_ITERS``
+    iterations of :func:`_projected_newton` reach from each row's ``mu`` (B, Q)."""
+    _, mu, phi, _, _, grad = _projected_newton(_Stack(base, bs, cs, valpart), np.zeros_like(mu),
+                                               np.full_like(mu, C), _REFINE_ITERS, mu)
     return _bracket(phi - _dot(mu, grad), grad, mu, cs, valpart, C)
 
 

@@ -13,10 +13,10 @@ above ``MAX_EXHAUSTIVE_N`` rows before any solve, so ``verify`` and
 and two contexts that differ only in lam solve their tables in one pass; only
 this module reads a table by bitmask, and one table of its marginal gains
 serves the ratio, the curvatures and the modular bound.
-The sampled checks share one batched draw of (S, a) pairs per context, and
-read f, mu and, when one stack held it, the training blocks by bitmask from
-the table's solve when ``verify`` has solved it first; the sandwich check
-then cross-evaluates all pairs as stacked inner solves.
+The sampled checks share one batched draw of (S, a) pairs per context and
+read f from the table when ``verify`` has solved it first, and mu and the
+training blocks from the table's solve when the table keeps it, else the
+cache; the sandwich check cross-evaluates all pairs as stacked inner solves.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def f_table(ctx: SetFnContext, other: SetFnContext | None = None) -> np.ndarray:
     """f over all subsets, indexed by bitmask (bit i = training element i):
     kept read-only as ``ctx.table``, beside ``ctx.table_solve``.  The table
     of ``other``, an exact context on ``ctx``'s data, partition and C, is
-    solved in the same pass, so f(empty) is solved once for both; a context
-    that holds its table already is left as it is."""
+    solved in the same pass, in rows of its own; a context that holds its
+    table already is left as it is."""
     n = ctx.train.n
     if n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"full enumeration of 2^{n} subsets exceeds the cap 2^{MAX_EXHAUSTIVE_N}")
@@ -249,11 +249,12 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
     multipliers frozen at S's optimum.  Upper: the same expression with the
     roles of the two subsets swapped.  The pairs and gains are
     :func:`check_monotone`'s draw.  For each stack of pairs that
-    ``SetFnContext.stack_bounds`` allows (one stack at desk scale), the
-    multipliers of both sides are read in one batch, or from the table by
-    bitmask, and each side is one call of :func:`solve_inner_blocks` on
-    training blocks read from the table by bitmask or assembled by
-    :func:`~selcon.dual.gram_blocks`, with equal bits; no state is built.  The witness is the first minimum over the pairs'
+    ``SetFnContext.stack_bounds`` allows (one stack at desk scale), both
+    sides' multipliers and training blocks are read by bitmask from the
+    table's solve when the context keeps one, else the multipliers in one
+    batch from the cache and the blocks from :func:`~selcon.dual.gram_blocks`,
+    with equal bits; each side is one call of :func:`solve_inner_blocks`, and
+    no state is built.  The witness is the first minimum over the pairs'
     (lower, upper) slacks in turn, as a strict ``<`` scan keeps.
     """
     if ctx.backend != "exact" or ctx.model_kind != "linear":
@@ -262,7 +263,7 @@ def check_sandwich(ctx: SetFnContext, trials: int = 200, seed: int = 0) -> Oracl
     elements = orders[np.arange(trials), sizes]
     x_a, y_a = ctx.train.features[elements], ctx.train.targets[elements]
     mu_table, blocks = ctx.table_solve or (None, None)
-    masks = None if mu_table is None else _masks(sizes, orders)
+    masks = None if blocks is None else _masks(sizes, orders)
     keys = None if blocks is not None else _keys(sizes, orders)
     lower, upper = np.empty(trials), np.empty(trials)
     for lo, hi in ctx.stack_bounds(trials, int(sizes.max()) + 1):

@@ -92,10 +92,11 @@ class SetFnContext:
         self._cache: dict[tuple[int, ...], tuple[float, object]] = {}
         self._singletons: np.ndarray | None = None
         # f over every subset, indexed by bitmask, once oracle.f_table has
-        # solved it; read-only.  Beside it, that solve's multipliers by bitmask
-        # and its training blocks, kept only when it was one stack, else None.
+        # solved it; read-only.  Beside it, that solve's multipliers and
+        # training blocks by bitmask, kept whole when one stack held the
+        # solve, else None.
         self.table: np.ndarray | None = None
-        self.table_solve: tuple[np.ndarray, tuple | None] | None = None
+        self.table_solve: tuple[np.ndarray, tuple] | None = None
         # The oracles' (S, a) pair draws with their gains, keyed by (trials,
         # seed), so that the checks of one run share a draw.
         self.pair_draws: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
@@ -111,7 +112,7 @@ class SetFnContext:
         """(start, stop) of each stack that keeps ``count`` subsets of at most
         ``size`` elements under ``_CHUNK_FLOATS``, for the exact trainer and
         the inner solves alike.  Every stack keeps room for the Q face rows
-        that ``train_dual_exact_many`` appends for one empty subset."""
+        that ``train_dual_exact_many`` appends once if it holds an empty subset."""
         d, q = self.train.d, self.valpart.q
         face, per = d * (d + q) + 3 * q * q, max(d * (d + q), size * d) + 3 * q * q
         step = max(1, (_CHUNK_FLOATS - q * face) // per)
@@ -174,28 +175,27 @@ class SetFnContext:
         """Solve the sorted ``keys``, one per bitmask in order from (), as
         :attr:`table` and :attr:`table_solve`, each cached and counted as a
         miss, on this context and on ``other``, an exact context on the same
-        training data, partition and C, in one pass of :meth:`_solve`: row 0
-        solves f(empty), which does not read lam, once for both, and ``other``
-        adds its other keys at its own lam.  Each context slices its rows'
-        entries, multipliers, non-converged rows and, when one stack held the
-        pass, training blocks.  No row's arithmetic depends on its stack, so
-        each table equals the one its context solves alone."""
+        training data, partition and C, in one pass of :meth:`_solve`: each
+        context stacks all its keys at its own lam, in n rows of its own, and
+        slices its rows' entries, multipliers, non-converged rows and, when
+        one stack held the pass, training blocks.  No row's arithmetic depends
+        on its stack, so each table equals the one its context solves alone."""
         if other is not None and not (self.backend == other.backend == "exact" and other.C == self.C
                                       and other.train is self.train and other.valpart is self.valpart):
             raise ValueError("tables solved together need exact contexts that differ in lam only")
         n, ctxs = len(keys), (self,) if other is None else (self, other)
-        rows = keys + keys[1:] * (len(ctxs) - 1)
-        lam = np.repeat([ctx.lam for ctx in ctxs], [n, n - 1][:len(ctxs)])
+        rows = keys * len(ctxs)
+        lam = np.repeat([ctx.lam for ctx in ctxs], n)
         entries, mu, failed, blocks = self._solve(len(rows), len(keys[-1]),
                                                   lambda a, b: rows[a:b], lam)
-        for ctx, take in zip(ctxs, (np.arange(n), np.r_[0, n:2 * n - 1])):
-            own = [entries[r] for r in take.tolist()]
+        for i, ctx in enumerate(ctxs):
+            take = slice(i * n, (i + 1) * n)
             ctx.cache_misses += n
             ctx.not_converged += int(np.count_nonzero(failed[take]))
-            ctx._cache.update(zip(keys, own))
-            ctx.table = np.array([value for value, _ in own])
+            ctx._cache.update(zip(keys, entries[take]))
+            ctx.table = np.array([value for value, _ in entries[take]])
             ctx.table.setflags(write=False)
-            ctx.table_solve = mu[take], None if blocks is None else tuple(b[take] for b in blocks)
+            ctx.table_solve = None if blocks is None else (mu[take], tuple(b[take] for b in blocks))
 
     def f_of(self, subset: Iterable[int]) -> tuple[float, TrainedState]:
         """Value and trained state for a subset, from cache when available; an

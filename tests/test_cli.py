@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selcon import bounds, cli, dataset, dual, errors, oracle, selection, setfn
+from selcon import baselines, bounds, cli, dataset, dual, errors, oracle, selection, setfn
 from selcon.dual import TrainerConfig
 
 
@@ -539,9 +539,8 @@ class TestVerify:
     def test_one_table_solve_per_context(self, tmp_path, monkeypatch):
         # The pair draw, the multipliers, alpha, kappa, the modular bound and
         # its leave-one-out rows all read the instance's and the certificate
-        # instance's tables, solved in one stack that solves f(empty) once:
-        # 128 + 127 rows.
-        assert self.stacks(tmp_path, monkeypatch, "all") == [255]
+        # instance's tables, solved in one stack of 128 + 128 rows.
+        assert self.stacks(tmp_path, monkeypatch, "all") == [256]
 
     @pytest.mark.parametrize("prop", ["modular", "alpha", "kappa"])
     def test_single_table_property_solves_one_table(self, tmp_path, monkeypatch, prop):
@@ -732,6 +731,19 @@ class TestFairnessCmd:
         assert run([*common, "--out", str(default)]) == 0
         assert run([*common, "--partition", "by_group", "--out", str(explicit)]) == 0
         assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("deltas,message", [("1,-1", "delta must be >= 0 and finite"),
+                                                ("1,abc", "could not convert string to float")])
+    def test_bad_deltas_refused_before_any_fit(self, grouped_csv, monkeypatch, capsys,
+                                               deltas, message):
+        def fit(*args):
+            raise AssertionError("a fit ran before --deltas was checked")
+
+        monkeypatch.setattr(cli, "run_selcon", fit)
+        monkeypatch.setattr(baselines, "full_selection", fit)  # --delta auto's fit
+        assert run(["fairness", "--data", str(grouped_csv), "--target", "y", "--group", "group",
+                    "--delta", "auto", "--deltas", deltas]) == 2
+        assert message in capsys.readouterr().err
 
     def test_single_partition_names_the_flag(self, tmp_path, capsys):
         missing = tmp_path / "never_read.csv"  # refused before the CSV is read

@@ -556,11 +556,15 @@ class TestEmptySet:
     @pytest.mark.parametrize("seed,certified,positive", [(1, False, True), (17, False, False),
                                                          (2, True, False)],
                              ids=["face", "origin", "certified"])
-    def test_rows_equal_their_own_solves(self, seed, certified, positive):
-        # Two empty rows, each with its own faces after the stack's rows.
+    def test_rows_equal_their_own_solves(self, monkeypatch, seed, certified, positive):
+        # Two empty rows share one set of Q = 2 face rows after the stack's rows.
         train, _, vp, lam, C = make_problem(seed, n=5, d=3, q=2, nval=8)
         subsets = [(), (0,), (), (1, 2)]
-        stacked = train_dual_exact_many(subsets, train, vp, lam, C)
+        rows, blocks = [], dual.gram_blocks
+        with monkeypatch.context() as mp:
+            mp.setattr(dual, "gram_blocks", lambda s, *a: rows.append(len(s)) or blocks(s, *a))
+            stacked = train_dual_exact_many(subsets, train, vp, lam, C)
+        assert rows == [4 + 2 * (not certified)]
         for r, subset in enumerate(subsets):
             alone = train_dual_exact_many([subset], train, vp, lam, C)
             for a, b in zip(stacked, alone):

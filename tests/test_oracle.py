@@ -161,9 +161,8 @@ class TestTable:
         f_table(ctx)
         ref = make_ctx(78, n=3, q=2, backend="sgd", trainer=TrainerConfig(epochs=5))
         keys = [tuple(np.flatnonzero(mask >> np.arange(3) & 1).tolist()) for mask in range(8)]
-        mu, blocks = ctx.table_solve
-        assert np.array_equal(ctx.table, ref.f_many(keys)) and blocks is None
-        assert np.array_equal(mu, ref.mu_many(keys)) and ctx.not_converged == 0
+        assert np.array_equal(ctx.table, ref.f_many(keys)) and ctx.table_solve is None
+        assert np.array_equal(ctx.mu_many(keys), ref.mu_many(keys)) and ctx.not_converged == 0
 
     def test_leave_one_out_equals_the_table(self):
         ctx = make_ctx(77, n=7, d=3, q=2)
@@ -195,10 +194,10 @@ class TestJointTables:
         alone = replace(ctx)
         f_table(alone)
         assert same_bits(ctx.table, alone.table)
-        assert same_bits(ctx.table_solve[0], alone.table_solve[0])
-        blocks, ref = ctx.table_solve[1], alone.table_solve[1]
+        blocks, ref = (None if one.table_solve is None else one.table_solve[1] for one in (ctx, alone))
         if blocks is not None:
             assert ref is not None and all(map(same_bits, blocks, ref))
+            assert same_bits(ctx.table_solve[0], alone.table_solve[0])
         keys = [tuple(np.flatnonzero(mask >> np.arange(7) & 1).tolist()) for mask in range(128)]
         for key in keys:  # the cached rows build the same states
             state, want = ctx.f_of(key)[1], alone.f_of(key)[1]
@@ -207,6 +206,18 @@ class TestJointTables:
         assert (ctx.cache_misses, ctx.not_converged) == (alone.cache_misses, alone.not_converged)
         return blocks, ref
 
+    @staticmethod
+    def count_rows(monkeypatch):
+        """Subsets of each stacked exact solve, and rows of each of its Gram
+        assemblies (the face rows included), as lists that fill as they run."""
+        stacks, rows = [], []
+        solve, blocks = setfn.train_dual_exact_many, dual.gram_blocks
+        monkeypatch.setattr(setfn, "train_dual_exact_many",
+                            lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a))
+        monkeypatch.setattr(dual, "gram_blocks",
+                            lambda subsets, *a: rows.append(len(subsets)) or blocks(subsets, *a))
+        return stacks, rows
+
     @pytest.mark.parametrize("seed,kind", [(18, "certified"), (20, "faced"), (31, "origin")])
     def test_equals_each_table_alone(self, monkeypatch, seed, kind):
         ctx, cert = verify_contexts(seed)
@@ -214,13 +225,12 @@ class TestJointTables:
         certified = bool(np.all(ctx.valpart.pooled_errors <= ctx.valpart.delta))
         assert (certified, empty.f_value > 0) == {"certified": (True, False), "faced": (False, True),
                                                   "origin": (False, False)}[kind]
-        stacks = []
-        solve = setfn.train_dual_exact_many
-        monkeypatch.setattr(setfn, "train_dual_exact_many",
-                            lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a))
-        assert f_table(ctx, cert) is ctx.table
-        assert stacks == [255]  # f(empty) once
-        monkeypatch.setattr(setfn, "train_dual_exact_many", solve)
+        with monkeypatch.context() as mp:
+            stacks, rows = self.count_rows(mp)
+            assert f_table(ctx, cert) is ctx.table
+        # Each table keeps its own 128 rows, () included, and the stack runs
+        # one set of Q = 2 face rows when f(empty) is not certified.
+        assert (stacks, rows) == ([256], [256 + 2 * (not certified)])
         for one in (ctx, cert):
             blocks, ref = self.assert_equal_to_alone(one)
             assert blocks is not None
@@ -228,15 +238,20 @@ class TestJointTables:
 
     @pytest.mark.parametrize("chunk_floats,kept", [(1, [False, False]), (3368, [False, False])])
     def test_split_across_stacks(self, monkeypatch, chunk_floats, kept):
-        # At 3368 floats the pass runs as stacks of 128 and 127 rows; blocks
-        # are kept only when one stack holds the whole pass, so neither table
-        # keeps them, though the instance's table alone is one stack.
+        # At 3368 floats the pass runs as two stacks of 128 rows, one per
+        # table, each with its own () and faces.  A table keeps its solve only
+        # when one stack holds the whole pass, so neither table keeps one,
+        # though the instance's table alone is one stack.
         monkeypatch.setattr(setfn, "_CHUNK_FLOATS", chunk_floats)
         for seed in (20, 31):
             ctx, cert = verify_contexts(seed)
-            assert len(ctx.stack_bounds(255, 7)) > 1
-            f_table(ctx, cert)
-            assert [one.table_solve[1] is not None for one in (ctx, cert)] == kept
+            assert len(ctx.stack_bounds(256, 7)) > 1
+            with monkeypatch.context() as mp:
+                stacks, rows = self.count_rows(mp)
+                f_table(ctx, cert)
+            if chunk_floats == 3368:
+                assert (stacks, rows) == ([128, 128], [130, 130])
+            assert [one.table_solve is not None for one in (ctx, cert)] == kept
             for one in (ctx, cert):
                 blocks, ref = self.assert_equal_to_alone(one)
                 assert (ref is None) == (chunk_floats == 1)
@@ -246,13 +261,10 @@ class TestJointTables:
         # out of the joint pass.
         ctx, cert = verify_contexts(20)
         cert = replace(cert, trainer=TrainerConfig(seed=1, epochs=3))
-        stacks = []
-        solve = setfn.train_dual_exact_many
-        monkeypatch.setattr(setfn, "train_dual_exact_many",
-                            lambda subsets, *a: stacks.append(len(subsets)) or solve(subsets, *a))
-        f_table(ctx, cert)
-        assert stacks == [255]
-        monkeypatch.setattr(setfn, "train_dual_exact_many", solve)
+        with monkeypatch.context() as mp:
+            stacks, rows = self.count_rows(mp)
+            f_table(ctx, cert)
+        assert (stacks, rows) == ([256], [258])
         for one in (ctx, cert):
             blocks, ref = self.assert_equal_to_alone(one)
             assert blocks is not None
@@ -518,10 +530,8 @@ class TestTablePath:
         ctx = make_ctx(91, n=9, d=64, q=1)
         assert len(ctx.stack_bounds(2 ** 9, 9)) > 1
         f_table(ctx)
-        mu, blocks = ctx.table_solve
-        assert blocks is None and mu.shape == (2 ** 9, 1)
-        for name in ("f_many", "mu_many"):
-            monkeypatch.setattr(ctx, name, None)
+        assert ctx.table_solve is None
+        monkeypatch.setattr(ctx, "f_many", None)  # the pairs' f still come from the table
         got = self.reports(ctx, 30, 91)
         assert got == self.reports(make_ctx(91, n=9, d=64, q=1), 30, 91)
 
